@@ -236,6 +236,12 @@ class Design:
             raise ValueError("design columns are not linearly independent "
                              "(X'X is not positive definite)") from e
 
+    @cached_property
+    def lipschitz(self) -> float:
+        """Largest eigenvalue of X'X: the Lipschitz constant of the gradient."""
+        n = self.N
+        return float(scipy.linalg.eigvalsh(self.gram, subset_by_index=[n - 1, n - 1])[0])
+
     def columns(self, indices) -> np.ndarray:
         return self.matrix[:, np.asarray(indices, dtype=int)]
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import BlockPartition, BlockSupport, delta_P_matrix
+from .core import BlockPartition, BlockSupport
 from .solver import Problem, Solution
 
 # margins below these relative thresholds flag the differential as fragile
@@ -59,21 +59,12 @@ class DofReport:
         return json.dumps(self.to_dict())
 
 
-def _system_matrix(problem: Problem, solution: Solution):
-    """X_I' X_I + lambda * deltaP at the solution, with its support data."""
-    support = solution.support
-    idx = support.indices
-    gram_ii = problem.design.gram[np.ix_(idx, idx)]
-    beta_i = support.restrict(solution.beta.values)
-    return gram_ii + problem.lam * delta_P_matrix(beta_i, support), support
-
-
-def _spd_solve(A, rhs):
-    """Cholesky solve with a symmetric fallback for borderline matrices."""
-    try:
-        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(A, lower=True), rhs)
-    except scipy.linalg.LinAlgError:
-        return scipy.linalg.solve(A, rhs, assume_a="sym")
+def _condition(factor) -> float:
+    """1-norm condition estimate 1/rcond of the matrix factored in `factor`."""
+    low = np.tril(factor[0])
+    anorm = float(np.max(np.sum(np.abs(low @ low.T), axis=0)))
+    rcond, _ = scipy.linalg.lapack.dpocon(low, anorm, uplo="L")
+    return 1.0 / rcond if rcond > 0 else math.inf
 
 
 def differential(problem: Problem, solution: Solution) -> np.ndarray:
@@ -81,14 +72,13 @@ def differential(problem: Problem, solution: Solution) -> np.ndarray:
 
     Rows are indexed by the active coordinates (stacked in block order);
     rows of the full differential outside the support are identically zero.
-    Requires a nonempty support with nonzero active blocks; raises
-    LinAlgError if the system matrix is numerically singular, which signals
-    violated preconditions (it is provably SPD at a true solution).
+    Requires a nonempty support; the solve reuses the solution's Cholesky
+    factor of the system matrix.
     """
     if solution.support.is_empty:
         raise ValueError("differential requires a nonempty block support")
-    A, support = _system_matrix(problem, solution)
-    return _spd_solve(A, problem.design.columns(support.indices).T)
+    xi = problem.design.columns(solution.support.indices)
+    return scipy.linalg.cho_solve(solution.factor, xi.T)
 
 
 def transition_proximity(problem: Problem, solution: Solution,
@@ -131,23 +121,20 @@ def dof_estimate(problem: Problem, solution: Solution) -> DofReport:
     """Unbiased DOF estimate tr(X_I d(y)) with proximity diagnostics.
 
     An empty support means the prediction map is locally constant at zero,
-    so the divergence is 0.
+    so the divergence is 0.  Otherwise the trace and `condition_estimate`
+    (a LAPACK 1-norm estimate) both come from the solution's factor.
     """
     transition_margin, support_margin, warning = transition_proximity(problem, solution)
     if solution.support.is_empty:
         return DofReport(0.0, solution.support, transition_margin,
                          support_margin, 1.0, warning)
 
-    A, support = _system_matrix(problem, solution)
-    idx = support.indices
+    idx = solution.support.indices
     gram_ii = problem.design.gram[np.ix_(idx, idx)]
     # tr(X_I A^{-1} X_I') = tr(A^{-1} X_I' X_I)
-    divergence = float(np.trace(_spd_solve(A, gram_ii)))
-
-    eigs = scipy.linalg.eigvalsh(A)
-    condition = float(eigs[-1] / eigs[0]) if eigs[0] > 0 else math.inf
-    return DofReport(divergence, support, transition_margin,
-                     support_margin, condition, warning)
+    divergence = float(np.trace(scipy.linalg.cho_solve(solution.factor, gram_ii)))
+    return DofReport(divergence, solution.support, transition_margin,
+                     support_margin, _condition(solution.factor), warning)
 
 
 def dof_identity_closed_form(y, lam: float, partition: BlockPartition) -> float:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,13 +126,11 @@ def _sci(x: float) -> str:
 
 def lambda_path(design: Design, y, partition: BlockPartition, lambdas=None, *,
                 sigma: float | None = None, n_points: int = 50, decades: float = 2.0,
-                opts: SolverOptions | None = None, jobs: int = 1) -> RiskCurve:
+                opts: SolverOptions | None = None) -> RiskCurve:
     """Solve along a decreasing lambda grid and record all risk criteria.
 
-    With jobs == 1 (default) the sweep runs sequentially, warm-starting each
-    solve at the previous solution.  With jobs > 1 the lambdas are solved
-    concurrently from cold starts; results agree within solver tolerance.
-    A solve that fails to certify is recorded as NaN and the sweep continues.
+    Each solve is warm-started at the previous certified solution.  A solve
+    that fails to certify is recorded as NaN and the sweep continues.
     """
     y = np.asarray(y, dtype=float)
     if lambdas is None:
@@ -152,36 +149,20 @@ def lambda_path(design: Design, y, partition: BlockPartition, lambdas=None, *,
     warn = np.zeros(n, dtype=bool)
     failed = []
 
-    def run_one(lam, warm):
+    warm = opts.warm_start
+    for i, lam in enumerate(lambdas):
         problem = Problem(design, y, lam, partition)
-        sol = solve(problem, SolverOptions(kkt_tol=opts.kkt_tol, max_iter=opts.max_iter,
-                                           warm_start=warm))
+        try:
+            sol = solve(problem, SolverOptions(kkt_tol=opts.kkt_tol,
+                                               max_iter=opts.max_iter, warm_start=warm))
+        except ConvergenceError:
+            failed.append(i)
+            continue
+        warm = sol.beta.values
         report = dof_estimate(problem, sol)
         resid = y - design.matrix @ sol.beta.values
-        return sol, report, float(resid @ resid)
-
-    if jobs <= 1:
-        warm = opts.warm_start
-        for i, lam in enumerate(lambdas):
-            try:
-                sol, report, rss_i = run_one(lam, warm)
-            except ConvergenceError:
-                failed.append(i)
-                continue
-            warm = sol.beta.values
-            dof_v[i], rss[i] = report.divergence, rss_i
-            adim[i], warn[i] = report.support.active_dim, report.warning
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run_one, lam, None) for lam in lambdas]
-            for i, fut in enumerate(futures):
-                try:
-                    sol, report, rss_i = fut.result()
-                except ConvergenceError:
-                    failed.append(i)
-                    continue
-                dof_v[i], rss[i] = report.divergence, rss_i
-                adim[i], warn[i] = report.support.active_dim, report.warning
+        dof_v[i], rss[i] = report.divergence, float(resid @ resid)
+        adim[i], warn[i] = report.support.active_dim, report.warning
 
     q = design.Q
     if sigma is not None:

@@ -11,15 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .core import delta_P_matrix, normalize_blocks
 from .dof import dof_estimate
-from .solver import ConvergenceError, Problem, SolverOptions, kkt_check, solve
+from .solver import ConvergenceError, Problem, SolverOptions, solve
 
 # oracle solves are tightened well below the comparison tolerances so that
 # solver noise does not leak into the finite differences
@@ -30,54 +27,23 @@ class TransitionCrossingError(RuntimeError):
     """A finite-difference probe changed the block support."""
 
 
-def _refined_solution(problem: Problem, opts: SolverOptions):
-    """Certified solve pushed to machine precision for fd probing.
-
-    Differencing divides the per-solve coefficient error by the step, so
-    even a 1e-12 certificate leaves visible noise in small Jacobian
-    entries.  After the iterative solve we therefore run a few Newton
-    steps on the active-block stationarity system over the certified
-    support; the refined point is accepted only if its independently
-    evaluated KKT certificate improves, so the probe values remain
-    certified minimizers rather than formula-derived quantities.
-    """
-    sol = solve(problem, opts)
-    support = sol.support
-    if support.is_empty:
-        return sol
-    idx = support.indices
-    gram_ii = problem.design.gram[np.ix_(idx, idx)]
-    xty_i = problem.xty()[idx]
-    lam = problem.lam
-    beta_i = support.restrict(sol.beta.values)
-    scale = np.max(np.abs(beta_i))
-    for _ in range(4):
-        try:
-            stat = gram_ii @ beta_i - xty_i + lam * normalize_blocks(beta_i, support)
-            if np.max(np.abs(stat)) <= 1e-15 * max(scale, 1.0):
-                break
-            system = gram_ii + lam * delta_P_matrix(beta_i, support)
-            step = scipy.linalg.cho_solve(
-                scipy.linalg.cho_factor(system, lower=True), stat)
-        except (ValueError, scipy.linalg.LinAlgError):
-            return sol
-        beta_i = beta_i - step
-        if any(np.linalg.norm(seg) == 0.0 for seg in support.split(beta_i)):
-            return sol
-    candidate = support.embed(beta_i)
-    resid, _ = kkt_check(problem, candidate, opts.kkt_tol)
-    if resid <= sol.kkt_residual:
-        coeffs = replace(sol.beta, values=candidate)
-        return replace(sol, beta=coeffs, kkt_residual=resid)
-    return sol
-
-
 def _fd_step(problem: Problem, h) -> float:
     if h is None:
         return 1e-5 * max(1.0, float(np.max(np.abs(problem.y))))
     if not h > 0:
         raise ValueError("step h must be positive")
     return float(h)
+
+
+def _probe_pairs(problem: Problem, h: float, opts: SolverOptions):
+    """Yield (i, solution at y + h e_i, solution at y - h e_i) for each i."""
+    for i in range(problem.design.Q):
+        pair = []
+        for sign in (+1.0, -1.0):
+            y = problem.y.copy()
+            y[i] += sign * h
+            pair.append(solve(problem.with_y(y), opts))
+        yield i, pair[0], pair[1]
 
 
 def fd_jacobian(problem: Problem, h: float | None = None, *,
@@ -90,21 +56,14 @@ def fd_jacobian(problem: Problem, h: float | None = None, *,
     """
     h = _fd_step(problem, h)
     opts = SolverOptions(kkt_tol=kkt_tol, max_iter=max_iter)
-    base = _refined_solution(problem, opts)
-    support = base.support
-    q = problem.design.Q
-    jac = np.empty((support.active_dim, q))
-    for i in range(q):
-        probes = []
-        for sign in (+1.0, -1.0):
-            y = problem.y.copy()
-            y[i] += sign * h
-            sol = _refined_solution(problem.with_y(y), opts)
+    support = solve(problem, opts).support
+    jac = np.empty((support.active_dim, problem.design.Q))
+    for i, plus, minus in _probe_pairs(problem, h, opts):
+        for sol, sign in ((plus, "+"), (minus, "-")):
             if sol.support.active != support.active:
-                raise TransitionCrossingError(
-                    f"support changed at probe y[{i}] {'+' if sign > 0 else '-'} h")
-            probes.append(support.restrict(sol.beta.values))
-        jac[:, i] = (probes[0] - probes[1]) / (2.0 * h)
+                raise TransitionCrossingError(f"support changed at probe y[{i}] {sign} h")
+        jac[:, i] = (support.restrict(plus.beta.values)
+                     - support.restrict(minus.beta.values)) / (2.0 * h)
     return jac
 
 
@@ -115,14 +74,9 @@ def fd_divergence(problem: Problem, h: float | None = None, *,
     opts = SolverOptions(kkt_tol=kkt_tol, max_iter=max_iter)
     x = problem.design.matrix
     total = 0.0
-    for i in range(problem.design.Q):
-        mu = []
-        for sign in (+1.0, -1.0):
-            y = problem.y.copy()
-            y[i] += sign * h
-            sol = _refined_solution(problem.with_y(y), opts)
-            mu.append(float(x[i] @ sol.beta.values))
-        total += (mu[0] - mu[1]) / (2.0 * h)
+    for i, plus, minus in _probe_pairs(problem, h, opts):
+        total += (float(x[i] @ plus.beta.values)
+                  - float(x[i] @ minus.beta.values)) / (2.0 * h)
     return total
 
 
@@ -181,13 +135,13 @@ def replicate_rng(seed: int, k: int) -> np.random.Generator:
 
 
 def mc_dof(scenario, lam: float, replicates: int, seed: int = 0, *,
-           jobs: int = 1, exclude_warned: bool = False,
+           exclude_warned: bool = False,
            opts: SolverOptions | None = None) -> McDofResult:
     """Monte Carlo DOF of the group lasso at fixed lambda, from known mu0.
 
     Draws y_k = mu0 + sigma * xi_k with a per-replicate derived RNG stream,
-    so results are bit-identical for a given seed whether replicates run
-    sequentially or concurrently.  Solves use fresh cold starts.  Replicates
+    so results are bit-identical for a given seed.  Solves use fresh cold
+    starts.  Replicates
     whose solve fails to certify are excluded and counted in n_failed;
     replicates carrying a transition warning are excluded only when
     `exclude_warned` is set (the warned set has probability zero in theory).
@@ -214,11 +168,7 @@ def mc_dof(scenario, lam: float, replicates: int, seed: int = 0, *,
         mu_hat = scenario.design.matrix @ sol.beta.values
         return y, mu_hat, report.divergence, report.warning
 
-    if jobs <= 1:
-        outcomes = [run_one(k) for k in range(replicates)]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run_one, range(replicates)))
+    outcomes = [run_one(k) for k in range(replicates)]
 
     kept = [o for o in outcomes if o is not None]
     n_failed = replicates - len(kept)

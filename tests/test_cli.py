@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from gldof import cli, solver, validate
 from gldof.cli import main
 from gldof.core import BlockPartition, Design
-from gldof.datagen import save_problem
-from gldof.risk import CSV_HEADER
+from gldof.datagen import ScenarioSpec, generate, load_problem, save_problem
+from gldof.risk import CSV_HEADER, lambda_path
+from gldof.solver import lambda_max
 
 
 @pytest.fixture
@@ -139,18 +141,18 @@ class TestPath:
         assert sidecar["manifest"]["command"] == "gldof path"
         assert sidecar["sigma"] == 0.5  # picked up from the problem file
 
-    def test_explicit_grid_and_jobs(self, problem_file, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        base = ["path", "--problem", str(problem_file),
-                "--grid", "1.0,0.5,0.25", "--no-timestamp"]
-        assert main(base + ["--out", str(a)]) == 0
-        assert main(base + ["--out", str(b), "--jobs", "3"]) == 0
-        rows_a = a.read_text().strip().split("\n")[1:]
-        rows_b = b.read_text().strip().split("\n")[1:]
-        for ra, rb in zip(rows_a, rows_b):
-            va = [float(c) for c in ra.split(",")[:7]]
-            vb = [float(c) for c in rb.split(",")[:7]]
-            assert va == pytest.approx(vb, abs=1e-6)
+    def test_explicit_grid(self, problem_file, tmp_path):
+        out = tmp_path / "a.csv"
+        assert main(["path", "--problem", str(problem_file), "--grid", "0.25,1.0,0.5",
+                     "--out", str(out), "--no-timestamp"]) == 0
+        rows = [[float(c) for c in r.split(",")[:7]]
+                for r in out.read_text().strip().split("\n")[1:]]
+        assert [r[0] for r in rows] == [1.0, 0.5, 0.25]  # sorted, decreasing
+        loaded = load_problem(str(problem_file))
+        curve = lambda_path(loaded.design, loaded.y, loaded.partition,
+                            [1.0, 0.5, 0.25], sigma=loaded.sigma)
+        assert [r[1] for r in rows] == pytest.approx(curve.dof, rel=1e-12)
+        assert [r[2] for r in rows] == pytest.approx(curve.residual_sq, rel=1e-12)
 
 
 class TestValidateFd:
@@ -169,6 +171,38 @@ class TestValidateFd:
                      BlockPartition(((0, 1), (2, 3))), lam=1.0)
         assert main(["validate", "fd", "--problem", str(path),
                      "--step", "0.3", "--no-timestamp"]) == 4
+
+    def test_max_iter_reaches_the_probe_solves(self, tmp_path):
+        # beta = 0 is certified before any iteration, but lambda sits just
+        # above lambda_max, so the probes at y[1] + h need iterations
+        path = tmp_path / "p.json"
+        save_problem(path, Design.identity(4), np.array([3.0, 4.0, 0.3, 0.1]),
+                     BlockPartition(((0, 1), (2, 3))), lam=5.0 * (1 + 1e-9))
+        assert main(["validate", "fd", "--problem", str(path),
+                     "--max-iter", "0", "--no-timestamp"]) == 3
+
+    def test_probes_are_solved_once(self, tmp_path, monkeypatch):
+        sizes = (4,) * 10
+        scenario = generate(ScenarioSpec(Q=60, N=40, block_sizes=sizes, k_active=3,
+                                         signal_scale=1.0, sigma=0.5, seed=1))
+        y = scenario.draw_y()
+        lam = 0.3 * lambda_max(scenario.design, y, scenario.partition)
+        path = tmp_path / "p.json"
+        save_problem(path, scenario.design, y, scenario.partition, lam=lam)
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solver.solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve", counting)
+        monkeypatch.setattr(validate, "solve", counting)
+        out = tmp_path / "fd.json"
+        assert main(["validate", "fd", "--problem", str(path), "--out", str(out),
+                     "--no-timestamp"]) == 0
+        assert json.loads(out.read_text())["jacobian_worst_tol_ratio"] is not None
+        assert len(calls) <= 2 * 60 + 2
 
 
 class TestValidateMc:

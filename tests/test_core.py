@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from gldof.core import (
     delta_P_matrix,
     normalize_blocks,
 )
+from gldof.solver import Problem, solve
 
 
 @st.composite
@@ -238,3 +240,28 @@ class TestCoefficients:
         p = BlockPartition(((0, 2), (1,)))
         c = Coefficients([1.0, 2.0, 3.0], p)
         assert c.block(0).tolist() == [1.0, 3.0]
+
+
+class TestLipschitz:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_top_gram_eigenvalue(self, seed):
+        rng = np.random.default_rng(seed)
+        design = Design(rng.standard_normal((30, 12)))
+        top = np.linalg.eigvalsh(design.matrix.T @ design.matrix)[-1]
+        assert abs(design.lipschitz - top) <= 1e-12 * top
+
+    def test_computed_once_per_design(self, monkeypatch):
+        calls = []
+        eigvalsh = scipy.linalg.eigvalsh
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigvalsh", counting)
+        rng = np.random.default_rng(5)
+        design = Design(rng.standard_normal((15, 6)))
+        partition = BlockPartition.from_sizes([2, 2, 2])
+        for _ in range(3):
+            solve(Problem(design, rng.standard_normal(15), 0.3, partition))
+        assert len(calls) == 1

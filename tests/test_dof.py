@@ -107,10 +107,10 @@ class TestSpdSystem:
         sol = solve(problem, TIGHT)
         if sol.support.is_empty:
             pytest.skip("empty support draw")
-        from gldof.dof import _system_matrix
-
-        a, support = _system_matrix(problem, sol)
-        idx = support.indices
+        # the system matrix X_I'X_I + lambda * deltaP, rebuilt as L L'
+        low = np.tril(sol.factor[0])
+        a = low @ low.T
+        idx = sol.support.indices
         gram_ii = problem.design.gram[np.ix_(idx, idx)]
         lo = scipy.linalg.eigvalsh(a)[0]
         assert lo >= scipy.linalg.eigvalsh(gram_ii)[0] - 1e-10

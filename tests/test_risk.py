@@ -128,15 +128,6 @@ class TestLambdaPath:
         clean = ~curve.warning
         assert np.all(np.diff(curve.active_dim[clean]) >= 0)
 
-    def test_concurrent_matches_sequential(self):
-        problem = random_problem(7, 18, 6, [3, 3])
-        kw = dict(sigma=0.8, n_points=12)
-        seq = lambda_path(problem.design, problem.y, problem.partition, **kw)
-        par = lambda_path(problem.design, problem.y, problem.partition,
-                          jobs=4, **kw)
-        assert np.allclose(seq.dof, par.dof, atol=1e-6)
-        assert np.allclose(seq.residual_sq, par.residual_sq, atol=1e-8)
-
     def test_selection_consistency_between_sure_and_cp(self):
         problem = random_problem(8, 24, 9, [3, 3, 3])
         curve = lambda_path(problem.design, problem.y, problem.partition,

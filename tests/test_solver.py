@@ -1,8 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.optimize
 
-from gldof.core import BlockPartition, Coefficients, Design
+from helpers import random_problem
+
+from gldof import solver
+from gldof.core import BlockPartition, Design, delta_P_matrix
 from gldof.solver import (
     ConvergenceError,
     Problem,
@@ -13,22 +18,10 @@ from gldof.solver import (
     solve,
 )
 
-cvxpy = pytest.importorskip("cvxpy")
-
-
-def random_problem(seed, q, n, sizes, lam_frac=1 / 3):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((q, n)) / np.sqrt(q)
-    y = rng.standard_normal(q)
-    partition = BlockPartition.from_sizes(sizes)
-    design = Design(x)
-    lam = lam_frac * lambda_max(design, y, partition)
-    return Problem(design, y, lam, partition)
-
 
 def cvxpy_solve(problem):
     """Independent convex-solver oracle for the same objective."""
-    import warnings
+    import cvxpy
 
     b = cvxpy.Variable(problem.design.N)
     fit = 0.5 * cvxpy.sum_squares(problem.y - problem.design.matrix @ b)
@@ -129,6 +122,7 @@ class TestSolve:
         assert np.max(np.abs(sol.beta.values - exact)) < 1e-12
 
     def test_matches_independent_convex_solver(self):
+        pytest.importorskip("cvxpy")
         problem = random_problem(7, 12, 6, [3, 3])
         sol = solve(problem, SolverOptions(kkt_tol=1e-10))
         oracle = cvxpy_solve(problem)
@@ -136,6 +130,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_oracle_various_instances(self, seed):
+        pytest.importorskip("cvxpy")
         problem = random_problem(seed, 20, 9, [3, 3, 3], lam_frac=0.4)
         sol = solve(problem, SolverOptions(kkt_tol=1e-10))
         oracle = cvxpy_solve(problem)
@@ -227,3 +222,54 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             Problem(Design.identity(3), [1.0, 2.0, 3.0], 1.0,
                     BlockPartition.from_sizes([2]))
+
+
+def system_matrix(problem, sol):
+    """X_I'X_I + lambda * deltaP at the returned beta, built from scratch."""
+    idx = sol.support.indices
+    xi = problem.design.columns(idx)
+    beta_i = sol.support.restrict(sol.beta.values)
+    return xi.T @ xi + problem.lam * delta_P_matrix(beta_i, sol.support)
+
+
+def rebuilt_from_factor(sol):
+    low = np.tril(sol.factor[0])
+    return low @ low.T
+
+
+class TestPolishAndFactor:
+    @pytest.mark.parametrize("seed", [1, 4, 9])
+    def test_factor_reproduces_system_matrix(self, seed):
+        problem = random_problem(seed, 20, 9, [3, 3, 3], lam_frac=0.2)
+        sol = solve(problem)
+        assert not sol.support.is_empty
+        a = system_matrix(problem, sol)
+        err = np.linalg.norm(rebuilt_from_factor(sol) - a) / np.linalg.norm(a)
+        assert err <= 1e-12
+
+    def test_empty_support_has_no_factor(self):
+        problem = random_problem(3, 10, 4, [2, 2])
+        lmax = lambda_max(problem.design, problem.y, problem.partition)
+        assert solve(problem.with_lam(2.0 * lmax)).factor is None
+
+    def test_polish_tightens_a_loose_certificate(self):
+        problem = random_problem(6, 24, 9, [3, 3, 3], lam_frac=0.2)
+        loose = solve(problem, SolverOptions(kkt_tol=1e-4))
+        tight = solve(problem, SolverOptions(kkt_tol=1e-13))
+        assert loose.kkt_residual <= 1e-12
+        assert np.max(np.abs(loose.beta.values - tight.beta.values)) <= 1e-12
+
+    def test_rejected_polish_keeps_fista_point_with_its_factor(self, monkeypatch):
+        problem = random_problem(2, 20, 9, [3, 3, 3], lam_frac=0.2)
+        opts = SolverOptions(kkt_tol=1e-6)
+        polished = solve(problem, opts)
+        # every polished point now looks worse than the FISTA point
+        monkeypatch.setattr(solver, "kkt_check", lambda *args: (np.inf, False))
+        kept = solve(problem, opts)
+        assert kept.iterations == polished.iterations
+        assert kept.kkt_residual > polished.kkt_residual
+        assert not np.array_equal(kept.beta.values, polished.beta.values)
+        assert kept.support.active == polished.support.active
+        a = system_matrix(problem, kept)
+        err = np.linalg.norm(rebuilt_from_factor(kept) - a) / np.linalg.norm(a)
+        assert err <= 1e-12

@@ -137,12 +137,6 @@ class TestMcDof:
         b = mc_dof(scenario, lam=0.4, replicates=50, seed=123)
         assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
-    def test_concurrent_reproduces_sequential_exactly(self):
-        scenario = small_scenario()
-        seq = mc_dof(scenario, lam=0.4, replicates=40, seed=3)
-        par = mc_dof(scenario, lam=0.4, replicates=40, seed=3, jobs=4)
-        assert dataclasses.asdict(seq) == dataclasses.asdict(par)
-
     def test_different_seed_changes_draws(self):
         scenario = small_scenario()
         a = mc_dof(scenario, lam=0.4, replicates=40, seed=1)

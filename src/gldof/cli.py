@@ -28,7 +28,8 @@ from .datagen import (GenerationError, LoadedProblem, ScenarioSpec, generate,
 from .dof import differential, dof_estimate
 from .risk import estimate_sigma, lambda_path
 from .solver import ConvergenceError, Problem, SolverOptions, lambda_max, solve
-from .validate import TransitionCrossingError, fd_divergence, fd_jacobian, mc_dof
+from .validate import (ORACLE_KKT_TOL, TransitionCrossingError, fd_divergence,
+                       fd_jacobian, mc_dof)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -202,8 +203,8 @@ def cmd_path(args) -> int:
     write_json(args.out + ".manifest.json",
                {"manifest": build_manifest(args, inputs),
                 "sigma": sigma, "failed_lambdas": list(curve.failed)})
-    best = curve.select("sure") if sigma is not None else curve.select("gcv")
     crit = "sure" if sigma is not None else "gcv"
+    best = curve.select(crit)
     print(f"wrote {args.out}: {len(curve)} lambdas, argmin-{crit} lambda = {fmt(best)}")
     if curve.failed:
         print(f"warning: {len(curve.failed)} lambdas failed to certify", file=sys.stderr)
@@ -212,7 +213,7 @@ def cmd_path(args) -> int:
 
 def cmd_validate_fd(args) -> int:
     problem, inputs = _resolve_problem(args)
-    sol = solve(problem, SolverOptions(kkt_tol=1e-12, max_iter=args.max_iter))
+    sol = solve(problem, SolverOptions(kkt_tol=ORACLE_KKT_TOL, max_iter=args.max_iter))
     report = dof_estimate(problem, sol)
 
     jac_err = jac_tol = None
@@ -289,9 +290,11 @@ def _add_problem_inputs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--partition", help="partition as JSON array of index arrays")
 
 
-def _add_solver_opts(p: argparse.ArgumentParser, tol: float = 1e-8) -> None:
-    p.add_argument("--tol", type=float, default=tol, help="KKT certificate tolerance")
-    p.add_argument("--max-iter", type=int, default=100_000)
+def _add_solver_opts(p: argparse.ArgumentParser) -> None:
+    defaults = SolverOptions()
+    p.add_argument("--tol", type=float, default=defaults.kkt_tol,
+                   help="KKT certificate tolerance, relative to max_b ||X_b'y||")
+    p.add_argument("--max-iter", type=int, default=defaults.max_iter)
 
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
@@ -363,7 +366,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_problem_inputs(pf)
     pf.add_argument("--lambda", dest="lam", type=float, default=None)
     pf.add_argument("--step", type=float, default=None,
-                    help="fd step (default 1e-5 * max(1, max|y|))")
+                    help="fd step (default 1e-5 * max|y|, or 1e-5 when y = 0)")
     pf.add_argument("--max-iter", type=int, default=200_000)
     pf.add_argument("--out", help="verdict JSON")
     pf.add_argument("--no-timestamp", action="store_true")

@@ -184,8 +184,8 @@ class Coefficients:
     def block(self, i: int) -> np.ndarray:
         return self.values[np.array(self.partition.blocks[i], dtype=int)]
 
-    def support(self, tol: float | None = None) -> "BlockSupport":
-        return block_support(self, tol)
+    def support(self) -> "BlockSupport":
+        return block_support(self)
 
 
 @dataclass(frozen=True)
@@ -246,19 +246,14 @@ class Design:
         return self.matrix[:, np.asarray(indices, dtype=int)]
 
 
-def block_support(beta: Coefficients, tol: float | None = None) -> BlockSupport:
-    """Blocks of `beta` whose Euclidean norm exceeds `tol`.
+def block_support(beta: Coefficients) -> BlockSupport:
+    """Blocks of `beta` whose Euclidean norm exceeds 1e-8 * max|beta|.
 
-    With ``tol=None`` the threshold is relative, 1e-10 * max|beta|, so that
-    near-zeros left behind by an iterative solver are screened at any scale.
-    Pass an explicit nonnegative `tol` for an absolute cutoff (0 keeps every
-    block that is not exactly zero).
+    The cutoff is relative, so near-zeros left behind by an iterative solver
+    are screened at any scale; an exactly zero block is never in the support.
     """
     norms = beta.partition.block_norms(beta.values)
-    if tol is None:
-        tol = 1e-10 * (np.max(np.abs(beta.values)) if beta.values.size else 0.0)
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    tol = 1e-8 * np.max(np.abs(beta.values))
     active = tuple(int(i) for i in np.nonzero(norms > tol)[0])
     return BlockSupport(beta.partition, active)
 

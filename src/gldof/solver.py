@@ -9,10 +9,21 @@ restart, and terminates only when the exact first-order conditions hold to
   * on every active block b:      X_b'(y - X b) = lambda * b_b / ||b_b||
   * on every inactive block b:  ||X_b'(y - X b)|| <= lambda
 
-The returned certificate value is the maximum violation of the two.  The
-certified point is then polished by Newton steps on the active-block
+The certified point is then polished by Newton steps on the active-block
 equations, whose Jacobian X_I'X_I + lambda * deltaP(b_I) is the matrix of the
 solution's local differential; its Cholesky factor is kept on the solution.
+
+Tolerance policy.  Solving (s y, s lambda) gives s beta(y) and the same DOF,
+so no tolerance is absolute:
+
+  * certificate: the largest violation of the two conditions over
+    s(y) = max_b ||X_b'y|| (`lambda_max` of y), the unit of `kkt_tol`,
+    `kkt_residual` and `kkt_check`; when s(y) = 0 it is 0 at beta = 0, the
+    solution, and +inf elsewhere;
+  * active blocks: a block is active in the certificate exactly when its
+    norm is nonzero (the prox sets inactive blocks to exact zeros);
+  * support: norm above 1e-8 * max|beta|, the one rule, `core.block_support`;
+  * Newton stop: stationarity residual at most 1e-15 * s(y).
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ NEWTON_STEPS = 4
 class ConvergenceError(RuntimeError):
     """Iteration budget exhausted before the KKT certificate was met.
 
-    Carries the best iterate seen (`beta`), its certificate value
+    Carries the best iterate seen (`beta`), its relative certificate value
     (`kkt_residual`) and the iteration count.
     """
 
@@ -139,13 +150,13 @@ def _group_prox(values, partition: BlockPartition, threshold: float):
     return out, out_norms
 
 
-def _certificate(partition: BlockPartition, corr, beta, beta_norms, lam, tol):
-    """Max KKT violation given the correlation vector corr = X'(y - X b)."""
+def _certificate(partition: BlockPartition, corr, beta, beta_norms, lam, scale):
+    """Max KKT violation over scale = s(y), given corr = X'(y - X b)."""
     perm = partition.perm
     sizes = partition.block_sizes
     offsets = partition.offsets
     corr_stacked = corr[perm]
-    active = beta_norms > tol
+    active = beta_norms > 0.0
 
     resid = 0.0
     if not active.all():
@@ -157,26 +168,35 @@ def _certificate(partition: BlockPartition, corr, beta, beta_norms, lam, tol):
         dev = corr_stacked - lam * unit
         dev_norms = np.sqrt(np.add.reduceat(dev**2, offsets))
         resid = max(resid, float(np.max(dev_norms[active])))
-    return float(resid)
+    if scale > 0.0:
+        return float(resid) / scale
+    return 0.0 if resid == 0.0 else math.inf
 
 
 def kkt_check(problem: Problem, beta, tol: float = 0.0):
     """Evaluate the first-order optimality certificate at `beta`.
 
-    Blocks with norm > `tol` are treated as active.  Returns
+    Blocks with nonzero norm are treated as active; the residual is relative
+    to s(y) = max_b ||X_b'y|| (see the module docstring).  Returns
     (kkt_residual, is_optimal) with is_optimal = residual <= tol.
     """
     values = beta.values if isinstance(beta, Coefficients) else np.asarray(beta, dtype=float)
-    corr = problem.xty() - problem.design.gram @ values
+    xty = problem.xty()
+    corr = xty - problem.design.gram @ values
     norms = problem.partition.block_norms(values)
-    resid = _certificate(problem.partition, corr, values, norms, problem.lam, tol)
+    resid = _certificate(problem.partition, corr, values, norms, problem.lam,
+                         _scale(problem.partition, xty))
     return resid, resid <= tol
+
+
+def _scale(partition: BlockPartition, xty) -> float:
+    """s(y) = max_b ||X_b'y|| from xty = X'y: the unit of the certificate."""
+    return float(partition.block_norms(xty).max())
 
 
 def lambda_max(design: Design, y, partition: BlockPartition) -> float:
     """Smallest lambda for which beta = 0 is optimal: max_b ||X_b' y||."""
-    corr = design.matrix.T @ np.asarray(y, dtype=float)
-    return float(partition.block_norms(corr).max())
+    return _scale(partition, design.matrix.T @ np.asarray(y, dtype=float))
 
 
 def solve(problem: Problem, opts: SolverOptions | None = None) -> Solution:
@@ -193,8 +213,8 @@ def solve(problem: Problem, opts: SolverOptions | None = None) -> Solution:
     problem : Problem
         The instance to solve.
     opts : SolverOptions, optional
-        kkt_tol : certificate tolerance, default 1e-8.  Support blocks and
-        downstream sensitivity analysis rely on a tight solve.
+        kkt_tol : relative certificate tolerance, default 1e-8.  Support
+        blocks and downstream sensitivity analysis rely on a tight solve.
         max_iter : iteration budget, default 100_000.
         warm_start : initial coefficients (default zero), used by the
         lambda-path driver.
@@ -203,8 +223,8 @@ def solve(problem: Problem, opts: SolverOptions | None = None) -> Solution:
     Returns
     -------
     Solution
-        The certified minimizer.  `support` uses a relative cutoff of
-        1e-8 * max|beta|.  On that support up to NEWTON_STEPS Newton steps
+        The certified minimizer.  `support` is `block_support` of the
+        certified point.  On that support up to NEWTON_STEPS Newton steps
         polish beta toward machine precision; the polished point is kept
         only if its KKT certificate is no worse.  `iterations` counts the
         FISTA iterations alone.  Raises ConvergenceError (carrying the best
@@ -218,6 +238,7 @@ def solve(problem: Problem, opts: SolverOptions | None = None) -> Solution:
     lam = problem.lam
     partition = problem.partition
     yty = float(problem.y @ problem.y)
+    scale = _scale(partition, c)
 
     step = 1.0 / problem.design.lipschitz
     thresh = step * lam
@@ -237,9 +258,9 @@ def solve(problem: Problem, opts: SolverOptions | None = None) -> Solution:
     obj = value(beta, gbeta, beta_norms)
     history = [obj] if opts.track_objective else None
 
-    resid = _certificate(partition, c - gbeta, beta, beta_norms, lam, opts.kkt_tol)
+    resid = _certificate(partition, c - gbeta, beta, beta_norms, lam, scale)
     if resid <= opts.kkt_tol:
-        return _finish(problem, beta, resid, 0, history, opts.kkt_tol)
+        return _finish(problem, beta, resid, 0, history, scale)
 
     z, gz = beta, gbeta
     t_mom = 1.0
@@ -267,11 +288,11 @@ def solve(problem: Problem, opts: SolverOptions | None = None) -> Solution:
         if history is not None:
             history.append(obj)
 
-        resid = _certificate(partition, c - gbeta, beta, beta_norms, lam, opts.kkt_tol)
+        resid = _certificate(partition, c - gbeta, beta, beta_norms, lam, scale)
         if resid < best[0]:
             best = (resid, beta)
         if resid <= opts.kkt_tol:
-            return _finish(problem, beta, resid, k, history, opts.kkt_tol)
+            return _finish(problem, beta, resid, k, history, scale)
 
     raise ConvergenceError(
         f"no KKT certificate <= {opts.kkt_tol:g} within {opts.max_iter} iterations "
@@ -282,12 +303,11 @@ def solve(problem: Problem, opts: SolverOptions | None = None) -> Solution:
     )
 
 
-def _finish(problem, beta, resid, iterations, history, kkt_tol) -> Solution:
-    sup_tol = 1e-8 * (np.max(np.abs(beta)) if beta.size else 0.0)
-    support = block_support(Coefficients(beta, problem.partition), sup_tol)
+def _finish(problem, beta, resid, iterations, history, scale) -> Solution:
+    support = block_support(Coefficients(beta, problem.partition))
     factor = None
     if not support.is_empty:
-        beta, resid, factor = _polish(problem, support, beta, resid, kkt_tol)
+        beta, resid, factor = _polish(problem, support, beta, resid, scale)
     return Solution(
         beta=Coefficients(beta, problem.partition),
         support=support,
@@ -305,7 +325,7 @@ def _system_factor(gram_ii, lam, beta_i, support):
     return scipy.linalg.cho_factor(system, lower=True)
 
 
-def _polish(problem, support, beta, resid, kkt_tol):
+def _polish(problem, support, beta, resid, scale):
     """Newton steps on X_I'(X_I b - y) + lambda * b_b/||b_b|| = 0 over `support`.
 
     Differencing divides the per-solve coefficient error by the step, so
@@ -321,7 +341,7 @@ def _polish(problem, support, beta, resid, kkt_tol):
     lam = problem.lam
     beta_i = support.restrict(beta)
     start = factor = _system_factor(gram_ii, lam, beta_i, support)
-    floor = 1e-15 * max(np.max(np.abs(beta_i)), 1.0)
+    floor = 1e-15 * scale
     for _ in range(NEWTON_STEPS):
         stat = gram_ii @ beta_i - xty_i + lam * normalize_blocks(beta_i, support)
         if np.max(np.abs(stat)) <= floor:
@@ -333,7 +353,7 @@ def _polish(problem, support, beta, resid, kkt_tol):
             # a block collapsed to zero or the step left the SPD region
             return beta, resid, start
     candidate = support.embed(beta_i)
-    polished_resid, _ = kkt_check(problem, candidate, kkt_tol)
+    polished_resid, _ = kkt_check(problem, candidate)
     if polished_resid <= resid:
         return candidate, polished_resid, factor
     return beta, resid, start

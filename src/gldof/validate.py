@@ -9,9 +9,9 @@ correctness evidence.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +28,10 @@ class TransitionCrossingError(RuntimeError):
 
 
 def _fd_step(problem: Problem, h) -> float:
+    """The given step, else 1e-5 * max|y| (1e-5 when y = 0): relative to y,
+    so a rescaled problem takes the rescaled step."""
     if h is None:
-        return 1e-5 * max(1.0, float(np.max(np.abs(problem.y))))
+        return 1e-5 * (float(np.max(np.abs(problem.y))) or 1.0)
     if not h > 0:
         raise ValueError("step h must be positive")
     return float(h)
@@ -80,13 +82,12 @@ def fd_divergence(problem: Problem, h: float | None = None, *,
     return total
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class McDofResult:
     """Monte Carlo DOF estimates with their standard errors.
 
     `mc_dof` is the Stein-identity estimator mean_k sum_i (y_i - mu0_i)
-    mu_hat_i / sigma^2 (unbiased for the DOF given the true mu0);
-    `cov_dof` is the pairwise sample-covariance form kept as a cross-check.
+    mu_hat_i / sigma^2 (unbiased for the DOF given the true mu0).
     `mean_divergence` averages the closed-form divergence over replicates.
     """
 
@@ -96,8 +97,6 @@ class McDofResult:
     mean_divergence: float
     div_stderr: float
     sigma: float
-    cov_dof: float
-    cov_stderr: float
     n_failed: int = 0
     n_warned: int = 0
 
@@ -110,20 +109,8 @@ class McDofResult:
         return abs(self.mean_divergence - self.mc_dof) <= n_sigma * self.combined_stderr
 
     def to_dict(self) -> dict:
-        return {
-            "replicates": self.replicates,
-            "mc_dof": self.mc_dof,
-            "mc_stderr": self.mc_stderr,
-            "mean_divergence": self.mean_divergence,
-            "div_stderr": self.div_stderr,
-            "sigma": self.sigma,
-            "cov_dof": self.cov_dof,
-            "cov_stderr": self.cov_stderr,
-            "n_failed": self.n_failed,
-            "n_warned": self.n_warned,
-            "combined_stderr": self.combined_stderr,
-            "consistent_3sigma": self.consistent(),
-        }
+        return dict(dataclasses.asdict(self), combined_stderr=self.combined_stderr,
+                    consistent_3sigma=self.consistent())
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -184,12 +171,6 @@ def mc_dof(scenario, lam: float, replicates: int, seed: int = 0, *,
     divs = np.array([o[2] for o in kept])
 
     stein = np.sum((ys - mu0) * mus, axis=1) / sigma**2
-    # pairwise sample covariance form, centered at replicate means
-    dy = ys - ys.mean(axis=0)
-    dmu = mus - mus.mean(axis=0)
-    cov_terms = np.sum(dy * dmu, axis=1) / sigma**2
-    cov_total = float(cov_terms.sum() / (n - 1))
-    cov_stderr = float(np.std(cov_terms * n / (n - 1), ddof=1) / math.sqrt(n))
 
     return McDofResult(
         replicates=n,
@@ -198,8 +179,6 @@ def mc_dof(scenario, lam: float, replicates: int, seed: int = 0, *,
         mean_divergence=float(divs.mean()),
         div_stderr=float(np.std(divs, ddof=1) / math.sqrt(n)),
         sigma=sigma,
-        cov_dof=cov_total,
-        cov_stderr=cov_stderr,
         n_failed=n_failed,
         n_warned=n_warned,
     )

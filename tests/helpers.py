@@ -65,3 +65,24 @@ def transition_instance(seed, q=12, sizes=(2, 2, 2), attempts=200):
                 y = xi @ beta_i + r
                 return Problem(design, y, lam, partition)
     raise RuntimeError(f"no boundary instance found for seed {seed}")
+
+
+def duality_gap(problem, beta):
+    """(P(beta) - D(theta), P(beta)) at the Gap Safe dual point.
+
+    With r = y - X beta, theta = r * min(1, lambda / max_b ||X_b'r||) is
+    feasible for the dual  max 0.5||y||^2 - 0.5||y - theta||^2  subject to
+    ||X_b'theta|| <= lambda (Ndiaye et al., "Gap Safe screening rules for
+    sparsity enforcing penalties", JMLR 2017), so the gap bounds
+    P(beta) - min P and closes only at the minimizer.  Built from X, y and
+    the blocks alone, independent of the solver's KKT certificate.
+    """
+    x, y, lam = problem.design.matrix, problem.y, problem.lam
+    beta = np.asarray(beta, dtype=float)
+    blocks = [list(b) for b in problem.partition]
+    r = y - x @ beta
+    primal = 0.5 * (r @ r) + lam * sum(np.linalg.norm(beta[b]) for b in blocks)
+    dual_norm = max(np.linalg.norm(x[:, b].T @ r) for b in blocks)
+    theta = r * min(1.0, lam / dual_norm) if dual_norm > 0 else r
+    dual = 0.5 * (y @ y) - 0.5 * np.sum((y - theta) ** 2)
+    return float(primal - dual), float(primal)

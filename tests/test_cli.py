@@ -172,6 +172,18 @@ class TestValidateFd:
         assert main(["validate", "fd", "--problem", str(path),
                      "--step", "0.3", "--no-timestamp"]) == 4
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-9])
+    def test_pass_verdict_on_rescaled_copies(self, problem_file, tmp_path, scale):
+        # the default step follows max|y|, so (s y, s lambda) passes as y does
+        loaded = load_problem(str(problem_file))
+        path = tmp_path / "scaled.json"
+        save_problem(path, loaded.design, scale * loaded.y, loaded.partition,
+                     lam=scale * loaded.lam)
+        out = tmp_path / "fd.json"
+        assert main(["validate", "fd", "--problem", str(path), "--out", str(out),
+                     "--no-timestamp"]) == 0
+        assert json.loads(out.read_text())["jacobian_worst_tol_ratio"] <= 1e-2
+
     def test_max_iter_reaches_the_probe_solves(self, tmp_path):
         # beta = 0 is certified before any iteration, but lambda sits just
         # above lambda_max, so the probes at y[1] + h need iterations

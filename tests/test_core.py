@@ -97,36 +97,31 @@ class TestBlockSupportDetection:
     def test_zero_vector_empty_support(self):
         p = BlockPartition.from_sizes([2, 2])
         beta = Coefficients(np.zeros(4), p)
-        assert block_support(beta, 0.0).active == ()
+        assert block_support(beta).active == ()
 
     def test_exact_zero_block(self):
         p = BlockPartition(((0, 1), (2, 3)))
         beta = Coefficients([3.0, 4.0, 0.0, 0.0], p)
-        assert block_support(beta, 0.0).active == (0,)
+        assert block_support(beta).active == (0,)
 
     def test_tolerance_screens_near_zeros(self):
         p = BlockPartition(((0, 1), (2, 3)))
         beta = Coefficients([1e-12, 0.0, 1.0, 1.0], p)
-        assert block_support(beta, 1e-9).active == (1,)
+        assert block_support(beta).active == (1,)
 
-    def test_negative_tol_rejected(self):
-        p = BlockPartition.from_sizes([2])
-        with pytest.raises(ValueError):
-            block_support(Coefficients([1.0, 2.0], p), -1.0)
-
-    @given(st.sampled_from([-3.0, -1.0, 0.5, 2.0, 1e6, 1e-6]))
-    def test_scale_invariance_at_zero_tol(self, c):
+    @given(st.sampled_from([-3.0, -1.0, 0.5, 2.0, 1e6, 1e-6, 1e-9, 1e9]))
+    def test_scale_invariance(self, c):
         p = BlockPartition(((0, 1), (2, 3), (4,)))
-        beta = Coefficients([1.0, -2.0, 0.0, 0.0, 5.0], p)
+        beta = Coefficients([1.0, -2.0, 1e-9, 0.0, 5.0], p)
         scaled = Coefficients(c * beta.values, p)
-        assert block_support(scaled, 0.0).active == block_support(beta, 0.0).active
+        assert block_support(scaled).active == block_support(beta).active == (0, 2)
 
     def test_relative_default_tolerance(self):
-        p = BlockPartition(((0, 1), (2, 3)))
-        # second block is 1e-12 of the peak: screened by the relative default
-        beta = Coefficients([1e6, 0.0, 1e-6, 0.0], p)
-        assert block_support(beta).active == (0,)
-        assert block_support(beta, 0.0).active == (0, 1)
+        p = BlockPartition(((0, 1), (2, 3), (4, 5)))
+        # the cutoff is 1e-8 of the peak: 1e-9 of it is screened, 1e-7 kept
+        beta = Coefficients([1e6, 0.0, 1e-3, 0.0, 0.1, 0.0], p)
+        assert block_support(beta).active == (0, 2)
+        assert beta.support() == block_support(beta)
 
 
 class TestNormalizeBlocks:

@@ -56,7 +56,7 @@ class TestGenerate:
     def test_exactly_k_active_blocks(self):
         scenario = generate(spec(k_active=3))
         beta = Coefficients(scenario.beta0, scenario.partition)
-        assert block_support(beta, 0.0).n_active == 3
+        assert block_support(beta).n_active == 3
 
     def test_active_blocks_have_signal_scale_norm(self):
         scenario = generate(spec(signal_scale=2.5))

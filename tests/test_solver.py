@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from helpers import random_problem
+from helpers import duality_gap, random_problem
 
 from gldof import solver
 from gldof.core import BlockPartition, Design, delta_P_matrix
+from gldof.datagen import ScenarioSpec, generate
+from gldof.dof import dof_estimate
 from gldof.solver import (
     ConvergenceError,
     Problem,
@@ -33,6 +35,12 @@ def cvxpy_solve(problem):
             solver=cvxpy.CLARABEL, tol_gap_abs=1e-12, tol_gap_rel=1e-12,
             tol_feas=1e-12)
     return np.asarray(b.value)
+
+
+def assert_gap_closed(problem, sol):
+    """The independent duality gap confirms the certified minimizer."""
+    gap, primal = duality_gap(problem, sol.beta.values)
+    assert gap <= 1e-10 * primal
 
 
 def prox_objective(z, v, t):
@@ -100,16 +108,19 @@ class TestLambdaMax:
         sol = solve(problem.with_lam(factor * lmax))
         assert np.all(sol.beta.values == 0.0)
         assert sol.support.is_empty
+        assert_gap_closed(problem.with_lam(factor * lmax), sol)
 
 
 class TestSolve:
     def test_identity_design_equals_blockwise_prox(self):
         p = BlockPartition(((0, 1), (2, 3)))
         y = np.array([3.0, 4.0, 0.5, 0.5])
-        sol = solve(Problem(Design.identity(4), y, 1.0, p))
+        problem = Problem(Design.identity(4), y, 1.0, p)
+        sol = solve(problem)
         exact = np.concatenate([block_soft_threshold(y[:2], 1.0),
                                 block_soft_threshold(y[2:], 1.0)])
         assert np.max(np.abs(sol.beta.values - exact)) < 1e-12
+        assert_gap_closed(problem, sol)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_identity_design_random(self, seed):
@@ -117,9 +128,11 @@ class TestSolve:
         p = BlockPartition.from_sizes([2, 3, 1, 2])
         y = rng.standard_normal(8) * 2.0
         lam = 0.8
-        sol = solve(Problem(Design.identity(8), y, lam, p))
+        problem = Problem(Design.identity(8), y, lam, p)
+        sol = solve(problem)
         exact = np.concatenate([block_soft_threshold(y[list(b)], lam) for b in p])
         assert np.max(np.abs(sol.beta.values - exact)) < 1e-12
+        assert_gap_closed(problem, sol)
 
     def test_matches_independent_convex_solver(self):
         pytest.importorskip("cvxpy")
@@ -142,6 +155,7 @@ class TestSolve:
         resid = problem.y - problem.design.matrix @ sol.beta.values
         pen = sum(np.linalg.norm(sol.beta.block(i)) for i in range(3))
         assert sol.objective == pytest.approx(0.5 * resid @ resid + problem.lam * pen)
+        assert_gap_closed(problem, sol)
 
     def test_objective_history_monotone(self):
         problem = random_problem(9, 30, 12, [3, 3, 3, 3], lam_frac=0.1)
@@ -157,6 +171,7 @@ class TestSolve:
                                              warm_start=sol.beta.values))
         assert again.iterations == 0
         assert np.allclose(again.beta.values, sol.beta.values)
+        assert_gap_closed(problem, again)
 
     def test_iteration_budget_exhaustion_carries_best_iterate(self):
         problem = random_problem(21, 40, 16, [4, 4, 4, 4], lam_frac=0.05)
@@ -174,6 +189,18 @@ class TestSolve:
         b = solve(problem, SolverOptions(kkt_tol=1e-11,
                                          warm_start=rng.standard_normal(8)))
         assert np.max(np.abs(a.beta.values - b.beta.values)) < 1e-9
+        assert_gap_closed(problem, a)
+        assert_gap_closed(problem, b)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_duality_gap_closes_only_at_the_minimizer(self, seed):
+        problem = random_problem(seed, 30, 12, [3, 3, 2, 4], lam_frac=0.2)
+        sol = solve(problem)
+        assert_gap_closed(problem, sol)
+        # the oracle is not blind: moving off the minimizer opens the gap
+        nudged = sol.beta.values + 1e-3 * np.random.default_rng(seed).standard_normal(12)
+        gap, primal = duality_gap(problem, nudged)
+        assert gap > 1e-8 * primal
 
 
 class TestKktCheck:
@@ -199,7 +226,19 @@ class TestKktCheck:
         problem = Problem(Design.identity(4), y, 1.0, p)
         bad = np.array([2.5, 3.2, 0.0, 0.0])  # active coordinate nudged by 0.1
         resid, ok = kkt_check(problem, bad, tol=1e-8)
-        assert resid > 0.05 and not ok
+        # the residual is in units of lambda_max(y); 0.05 is an absolute bound
+        assert resid * lambda_max(problem.design, y, p) > 0.05 and not ok
+
+    def test_zero_observations_certify_only_zero(self):
+        # s(y) = max_b ||X_b'y|| = 0: beta = 0 is the solution and the only
+        # point with a finite relative residual
+        p = BlockPartition.from_sizes([2, 2])
+        problem = Problem(Design.identity(4), np.zeros(4), 1.0, p)
+        assert kkt_check(problem, np.zeros(4)) == (0.0, True)
+        resid, ok = kkt_check(problem, [1.0, 0.0, 0.0, 0.0], tol=1e-8)
+        assert resid == np.inf and not ok
+        sol = solve(problem, SolverOptions(warm_start=np.ones(4)))
+        assert np.all(sol.beta.values == 0.0) and sol.kkt_residual == 0.0
 
     def test_accepts_coefficients_object(self):
         problem = random_problem(2, 10, 4, [2, 2])
@@ -258,6 +297,7 @@ class TestPolishAndFactor:
         tight = solve(problem, SolverOptions(kkt_tol=1e-13))
         assert loose.kkt_residual <= 1e-12
         assert np.max(np.abs(loose.beta.values - tight.beta.values)) <= 1e-12
+        assert_gap_closed(problem, loose)
 
     def test_rejected_polish_keeps_fista_point_with_its_factor(self, monkeypatch):
         problem = random_problem(2, 20, 9, [3, 3, 3], lam_frac=0.2)
@@ -273,3 +313,46 @@ class TestPolishAndFactor:
         a = system_matrix(problem, kept)
         err = np.linalg.norm(rebuilt_from_factor(kept) - a) / np.linalg.norm(a)
         assert err <= 1e-12
+
+
+# (s y, s lambda) must give s beta and the same DOF from 1e-9 to 1e9; an
+# absolute certificate accepts beta = 0 at 1e-9 and never certifies at 1e8
+SCALES = [1e-9, 1e-7, 1e-3, 1e3, 1e6, 1e8, 1e9]
+
+
+@pytest.fixture(scope="module")
+def fault_problems():
+    """Baseline-scenario problems (Q=60, 10 blocks of 4, 3 active) solved at s = 1."""
+    scenario = generate(ScenarioSpec(Q=60, N=40, block_sizes=(4,) * 10, k_active=3,
+                                     sigma=0.5, seed=20121205))
+    lam = 0.5 * lambda_max(scenario.design, scenario.mu0, scenario.partition)
+    out = []
+    for k in range(3):
+        problem = Problem(scenario.design, scenario.draw_y(seed=20121205, replicate=k),
+                          lam, scenario.partition)
+        sol = solve(problem)
+        out.append((problem, sol, dof_estimate(problem, sol).divergence))
+    return out
+
+
+def rescaled(problem, s):
+    return Problem(problem.design, s * problem.y, s * problem.lam, problem.partition)
+
+
+class TestScaleEquivariance:
+    @pytest.mark.parametrize("s", SCALES)
+    def test_solution_and_dof_are_equivariant(self, fault_problems, s):
+        for problem, base, dof in fault_problems:
+            scaled = rescaled(problem, s)
+            sol = solve(scaled)
+            assert not base.support.is_empty
+            assert sol.support == base.support
+            err = np.max(np.abs(sol.beta.values / s - base.beta.values))
+            assert err <= 1e-12 * np.max(np.abs(base.beta.values))
+            assert dof_estimate(scaled, sol).divergence == pytest.approx(dof, rel=1e-10)
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_duality_gap_closes_at_every_scale(self, fault_problems, s):
+        for problem, _, _ in fault_problems:
+            scaled = rescaled(problem, s)
+            assert_gap_closed(scaled, solve(scaled))

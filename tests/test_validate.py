@@ -125,12 +125,6 @@ class TestMcDof:
         assert result.consistent()
         assert result.n_failed == 0
 
-    def test_stein_and_covariance_forms_agree(self):
-        scenario = small_scenario(seed=9)
-        result = mc_dof(scenario, lam=0.4, replicates=400, seed=5)
-        gap = abs(result.mc_dof - result.cov_dof)
-        assert gap <= 3.0 * np.hypot(result.mc_stderr, result.cov_stderr)
-
     def test_seeded_determinism(self):
         scenario = small_scenario()
         a = mc_dof(scenario, lam=0.4, replicates=50, seed=123)

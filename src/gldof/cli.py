@@ -28,8 +28,8 @@ from .datagen import (GenerationError, LoadedProblem, ScenarioSpec, generate,
 from .dof import differential, dof_estimate
 from .risk import estimate_sigma, lambda_path
 from .solver import ConvergenceError, Problem, SolverOptions, lambda_max, solve
-from .validate import (ORACLE_KKT_TOL, TransitionCrossingError, fd_divergence,
-                       fd_jacobian, mc_dof)
+from .validate import (ORACLE_KKT_TOL, ORACLE_MAX_ITER, TransitionCrossingError,
+                       fd_divergence, fd_jacobian, mc_dof)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -221,7 +221,7 @@ def cmd_validate_fd(args) -> int:
         fd_div = fd_divergence(problem, args.step, max_iter=args.max_iter)
     else:
         d = differential(problem, sol)
-        fd_jac = fd_jacobian(problem, args.step, max_iter=args.max_iter)
+        fd_jac = fd_jacobian(problem, args.step, base=sol, max_iter=args.max_iter)
         # the probes fix the support, so tr(X_I fd_jac) is the fd divergence
         fd_div = float(np.sum(problem.design.columns(sol.support.indices) * fd_jac.T))
         diff = np.abs(d - fd_jac)
@@ -367,7 +367,7 @@ def make_parser() -> argparse.ArgumentParser:
     pf.add_argument("--lambda", dest="lam", type=float, default=None)
     pf.add_argument("--step", type=float, default=None,
                     help="fd step (default 1e-5 * max|y|, or 1e-5 when y = 0)")
-    pf.add_argument("--max-iter", type=int, default=200_000)
+    pf.add_argument("--max-iter", type=int, default=ORACLE_MAX_ITER)
     pf.add_argument("--out", help="verdict JSON")
     pf.add_argument("--no-timestamp", action="store_true")
     pf.set_defaults(func=cmd_validate_fd)

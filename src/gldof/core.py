@@ -67,7 +67,7 @@ class BlockPartition:
         edges = np.concatenate([[0], np.cumsum(sizes)])
         return cls(tuple(tuple(range(a, b)) for a, b in zip(edges[:-1], edges[1:])))
 
-    @property
+    @cached_property
     def total_dim(self) -> int:
         return sum(len(b) for b in self.blocks)
 
@@ -135,7 +135,7 @@ class BlockSupport:
     def n_active(self) -> int:
         return len(self.active)
 
-    @property
+    @cached_property
     def active_dim(self) -> int:
         return sum(len(self.partition.blocks[i]) for i in self.active)
 
@@ -152,6 +152,18 @@ class BlockSupport:
     def offsets(self) -> np.ndarray:
         sizes = [len(b) for b in self.blocks]
         return np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """Size of each active block, in block order."""
+        return np.diff(self.offsets)
+
+    @cached_property
+    def same_block(self) -> np.ndarray:
+        """0/1 matrix over stacked on-support coordinates: 1 where both lie
+        in the same active block."""
+        block = np.repeat(np.arange(self.n_active), self.sizes)
+        return (block[:, None] == block).astype(float)
 
     def split(self, stacked) -> list[np.ndarray]:
         """Cut a stacked on-support vector back into per-block pieces."""
@@ -258,19 +270,22 @@ def block_support(beta: Coefficients) -> BlockSupport:
     return BlockSupport(beta.partition, active)
 
 
+def _active_block_norms(v, support: BlockSupport) -> np.ndarray:
+    """Norm of each active block of a stacked on-support vector, spread over
+    its coordinates.  Raises DegenerateBlockError if any active block is zero."""
+    norms = np.sqrt(np.add.reduceat(v * v, support.offsets[:-1]))
+    if not norms.all():
+        raise DegenerateBlockError(f"zero block at active position {np.argmin(norms)}")
+    return np.repeat(norms, support.sizes)
+
+
 def normalize_blocks(beta_I, support: BlockSupport) -> np.ndarray:
     """Rescale each active block of a stacked on-support vector to unit norm.
 
     Raises DegenerateBlockError if any active block is zero.
     """
     v = _as_vector(beta_I, support.active_dim)
-    out = np.empty_like(v)
-    for k, (a, b) in enumerate(zip(support.offsets[:-1], support.offsets[1:])):
-        nrm = np.linalg.norm(v[a:b])
-        if nrm == 0.0:
-            raise DegenerateBlockError(f"zero block at active position {k}")
-        out[a:b] = v[a:b] / nrm
-    return out
+    return v / _active_block_norms(v, support)
 
 
 def delta_P_matrix(beta_I, support: BlockSupport) -> np.ndarray:
@@ -281,13 +296,6 @@ def delta_P_matrix(beta_I, support: BlockSupport) -> np.ndarray:
     size-1 blocks.  Raises DegenerateBlockError on a zero block.
     """
     v = _as_vector(beta_I, support.active_dim)
-    m = support.active_dim
-    out = np.zeros((m, m))
-    for k, (a, b) in enumerate(zip(support.offsets[:-1], support.offsets[1:])):
-        blk = v[a:b]
-        nrm = np.linalg.norm(blk)
-        if nrm == 0.0:
-            raise DegenerateBlockError(f"zero block at active position {k}")
-        u = blk / nrm
-        out[a:b, a:b] = (np.eye(b - a) - np.outer(u, u)) / nrm
-    return out
+    norms = _active_block_norms(v, support)
+    u = v / norms
+    return (np.eye(v.size) - u[:, None] * u * support.same_block) / norms[:, None]

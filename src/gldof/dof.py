@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from .core import BlockPartition, BlockSupport
-from .solver import Problem, Solution
+from .solver import Problem, Solution, factor_solve
 
 # margins below these relative thresholds flag the differential as fragile
 TRANSITION_RTOL = 1e-6
@@ -78,7 +78,7 @@ def differential(problem: Problem, solution: Solution) -> np.ndarray:
     if solution.support.is_empty:
         raise ValueError("differential requires a nonempty block support")
     xi = problem.design.columns(solution.support.indices)
-    return scipy.linalg.cho_solve(solution.factor, xi.T)
+    return factor_solve(solution.factor, xi.T)
 
 
 def transition_proximity(problem: Problem, solution: Solution,
@@ -130,9 +130,9 @@ def dof_estimate(problem: Problem, solution: Solution) -> DofReport:
                          support_margin, 1.0, warning)
 
     idx = solution.support.indices
-    gram_ii = problem.design.gram[np.ix_(idx, idx)]
+    gram_ii = problem.design.gram[idx[:, None], idx]
     # tr(X_I A^{-1} X_I') = tr(A^{-1} X_I' X_I)
-    divergence = float(np.trace(scipy.linalg.cho_solve(solution.factor, gram_ii)))
+    divergence = float(np.trace(factor_solve(solution.factor, gram_ii)))
     return DofReport(divergence, solution.support, transition_margin,
                      support_margin, _condition(solution.factor), warning)
 

@@ -13,6 +13,13 @@ The certified point is then polished by Newton steps on the active-block
 equations, whose Jacobian X_I'X_I + lambda * deltaP(b_I) is the matrix of the
 solution's local differential; its Cholesky factor is kept on the solution.
 
+`solve` takes one right-hand side.  `solve_batch` runs the same iteration
+on the K columns of a Q x K matrix of observations sharing the design, the
+partition and lambda (Monte Carlo replicates, finite-difference probes),
+with per-column momentum, restart and certificate, and finishes each
+column as `solve` does.  Single solves keep the scalar loop, which has less
+overhead per iteration than a batch of one.
+
 Tolerance policy.  Solving (s y, s lambda) gives s beta(y) and the same DOF,
 so no tolerance is absolute:
 
@@ -28,6 +35,7 @@ so no tolerance is absolute:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -39,6 +47,8 @@ from .core import (BlockPartition, BlockSupport, Coefficients, Design, block_sup
 
 # Newton steps on the active-block equations after the certified solve
 NEWTON_STEPS = 4
+# columns `solve_batch` iterates on at once: its working memory is O(N x this)
+BATCH_COLUMNS = 256
 
 
 class ConvergenceError(RuntimeError):
@@ -303,6 +313,138 @@ def solve(problem: Problem, opts: SolverOptions | None = None) -> Solution:
     )
 
 
+def solve_batch(design: Design, ys, lam: float, partition: BlockPartition,
+                opts: SolverOptions | None = None):
+    """Certified solves of one design at one lambda for each column of `ys`.
+
+    The FISTA of `solve` runs on up to BATCH_COLUMNS columns of ys (Q x K) at
+    once, each column with its own momentum, monotone restart and
+    certificate relative to its own s(y).  A column is frozen at the first
+    iteration at which it certifies; each certified column then gets the
+    support rule, Newton polish and factor of `solve`.  Only `kkt_tol` and
+    `max_iter` of `opts` apply.
+
+    Returns an iterator over the columns in order, yielding the Solution of
+    each certified column and, for a column that does not certify within
+    `max_iter`, the ConvergenceError `solve` would raise (yielded, not
+    raised, so the other columns still finish).  Results are bit-identical
+    run to run for the same input and K, and agree with `solve` column by
+    column up to round-off, not bit for bit.
+    """
+    opts = opts or SolverOptions()
+    if opts.warm_start is not None or opts.track_objective:
+        raise ValueError("solve_batch takes neither warm_start nor track_objective")
+    ys = np.asarray(ys, dtype=float)
+    if ys.ndim != 2 or ys.shape[0] != design.Q:
+        raise ValueError(f"ys must be a Q x K matrix with Q={design.Q}")
+    return itertools.chain.from_iterable(
+        _solve_columns(design, ys[:, start:start + BATCH_COLUMNS], lam, partition, opts)
+        for start in range(0, ys.shape[1], BATCH_COLUMNS))
+
+
+def _solve_columns(design, ys, lam, partition, opts):
+    """`solve_batch` on one set of columns: the batched FISTA, then `_finish`."""
+    problems = [Problem(design, y, lam, partition) for y in ys.T]
+    lam, n_blocks, tol = float(lam), partition.n_blocks, opts.kkt_tol
+    # block of each coordinate, and the blocks x coordinates indicator whose
+    # product with a squared N x K matrix sums every block of every column
+    block = np.empty(design.N, dtype=int)
+    block[partition.perm] = np.repeat(np.arange(n_blocks), partition.block_sizes)
+    indicator = np.zeros((n_blocks, design.N))
+    indicator[block, np.arange(design.N)] = 1.0
+
+    def norms(a):
+        return np.sqrt(indicator @ np.square(a))
+
+    def prox(v):
+        nv = norms(v)
+        out_norms = np.maximum(nv - thresh, 0.0)
+        shrink = np.divide(out_norms, nv, out=np.zeros_like(nv), where=nv > thresh)
+        return v * shrink[block], out_norms
+
+    def value(b, gb, bn, c):
+        # the objective less its constant 0.5 ||y||^2, per column
+        return np.einsum("ij,ij->j", b, 0.5 * gb - c) + lam * bn.sum(axis=0)
+
+    def certificate(c, gb, b, bn, s):
+        active = bn > 0.0
+        dev = norms(c - gb - lam * (b / np.where(active, bn, 1.0)[block]))
+        viol = np.maximum(np.max(dev - lam * ~active, axis=0), 0.0)
+        return np.divide(viol, s, out=np.where(viol == 0.0, 0.0, math.inf), where=s > 0.0)
+
+    gram = design.gram
+    step = 1.0 / design.lipschitz
+    thresh = step * lam
+    c = design.matrix.T @ ys
+    scales = norms(c).max(axis=0)
+    n, k = c.shape
+    beta_out = np.zeros((n, k))
+    resid_out = np.full(k, math.inf)
+    iters_out = np.zeros(k, dtype=int)
+
+    # working columns: `cols` maps them to the output, `done` marks the frozen
+    # ones, which are dropped once they are half of the working set
+    cols, s = np.arange(k), scales
+    beta, gbeta, bnorms = np.zeros((n, k)), np.zeros((n, k)), np.zeros((n_blocks, k))
+    obj, t_mom, done = np.zeros(k), np.ones(k), np.zeros(k, dtype=bool)
+    resid = certificate(c, gbeta, beta, bnorms, s)
+    best_beta, best_resid = beta.copy(), resid.copy()
+    z, gz = beta, gbeta
+    it = 0
+    while True:
+        new = (resid <= tol) & ~done
+        if new.any():
+            beta_out[:, cols[new]] = beta[:, new]
+            resid_out[cols[new]] = resid[new]
+            iters_out[cols[new]] = it
+            done |= new
+            if 2 * np.count_nonzero(done) >= done.size:
+                keep = ~done
+                c, beta, gbeta, z, gz, best_beta = (
+                    a[:, keep] for a in (c, beta, gbeta, z, gz, best_beta))
+                bnorms = bnorms[:, keep]
+                cols, s, obj, t_mom, resid, best_resid, done = (
+                    a[keep] for a in (cols, s, obj, t_mom, resid, best_resid, done))
+        if done.all() or it == opts.max_iter:
+            break
+        it += 1
+        cand, cand_norms = prox(z - step * (gz - c))
+        gcand = gram @ cand
+        cand_obj = value(cand, gcand, cand_norms, c)
+
+        restart = np.flatnonzero((cand_obj > obj) & (t_mom > 1.0) & ~done)
+        if restart.size:
+            # monotone restart, per column, as in `solve`
+            t_mom[restart] = 1.0
+            cr, nr = prox(beta[:, restart] - step * (gbeta[:, restart] - c[:, restart]))
+            gr = gram @ cr
+            cand[:, restart], cand_norms[:, restart], gcand[:, restart] = cr, nr, gr
+            cand_obj[restart] = value(cr, gr, nr, c[:, restart])
+
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
+        m = (t_mom - 1.0) / t_next
+        z = cand + m * (cand - beta)
+        gz = gcand + m * (gcand - gbeta)
+        beta, gbeta, bnorms, obj, t_mom = cand, gcand, cand_norms, cand_obj, t_next
+
+        resid = certificate(c, gbeta, beta, bnorms, s)
+        np.copyto(best_beta, beta, where=resid < best_resid)
+        np.minimum(best_resid, resid, out=best_resid)
+
+    failed = dict(zip(cols[~done].tolist(), zip(best_beta[:, ~done].T, best_resid[~done])))
+    for j, problem in enumerate(problems):
+        if j in failed:
+            best, best_r = failed[j]
+            yield ConvergenceError(
+                f"no KKT certificate <= {tol:g} within {opts.max_iter} iterations "
+                f"(best residual {best_r:g})",
+                beta=Coefficients(best, partition), kkt_residual=float(best_r),
+                iterations=opts.max_iter)
+        else:
+            yield _finish(problem, beta_out[:, j], float(resid_out[j]),
+                          int(iters_out[j]), None, float(scales[j]))
+
+
 def _finish(problem, beta, resid, iterations, history, scale) -> Solution:
     support = block_support(Coefficients(beta, problem.partition))
     factor = None
@@ -320,9 +462,18 @@ def _finish(problem, beta, resid, iterations, history, scale) -> Solution:
 
 
 def _system_factor(gram_ii, lam, beta_i, support):
-    """Lower Cholesky factor of X_I'X_I + lambda * deltaP(beta_I)."""
-    system = gram_ii + lam * delta_P_matrix(beta_i, support)
-    return scipy.linalg.cho_factor(system, lower=True)
+    """Lower Cholesky factor of X_I'X_I + lambda * deltaP(beta_I), as a
+    `scipy.linalg.cho_factor` pair (LAPACK directly: this runs per solve)."""
+    low, info = scipy.linalg.lapack.dpotrf(gram_ii + lam * delta_P_matrix(beta_i, support),
+                                           lower=1)
+    if info != 0:
+        raise scipy.linalg.LinAlgError("system matrix is not positive definite")
+    return low, True
+
+
+def factor_solve(factor, rhs) -> np.ndarray:
+    """A^{-1} rhs for the `Solution.factor` pair of A (LAPACK `dpotrs`)."""
+    return scipy.linalg.lapack.dpotrs(factor[0], rhs, lower=1)[0]
 
 
 def _polish(problem, support, beta, resid, scale):
@@ -336,7 +487,7 @@ def _polish(problem, support, beta, resid, scale):
     Returns (beta, residual, factor) with the system factor at that beta.
     """
     idx = support.indices
-    gram_ii = problem.design.gram[np.ix_(idx, idx)]
+    gram_ii = problem.design.gram[idx[:, None], idx]
     xty_i = problem.xty()[idx]
     lam = problem.lam
     beta_i = support.restrict(beta)
@@ -346,7 +497,7 @@ def _polish(problem, support, beta, resid, scale):
         stat = gram_ii @ beta_i - xty_i + lam * normalize_blocks(beta_i, support)
         if np.max(np.abs(stat)) <= floor:
             break
-        beta_i = beta_i - scipy.linalg.cho_solve(factor, stat)
+        beta_i = beta_i - factor_solve(factor, stat)
         try:
             factor = _system_factor(gram_ii, lam, beta_i, support)
         except (ValueError, scipy.linalg.LinAlgError):

@@ -16,11 +16,13 @@ import math
 import numpy as np
 
 from .dof import dof_estimate
-from .solver import ConvergenceError, Problem, SolverOptions, solve
+from .solver import ConvergenceError, Problem, Solution, SolverOptions, solve, solve_batch
 
 # oracle solves are tightened well below the comparison tolerances so that
-# solver noise does not leak into the finite differences
+# solver noise does not leak into the finite differences; such a tolerance
+# needs a larger iteration budget than `solve`'s default
 ORACLE_KKT_TOL = 1e-12
+ORACLE_MAX_ITER = 200_000
 
 
 class TransitionCrossingError(RuntimeError):
@@ -38,27 +40,37 @@ def _fd_step(problem: Problem, h) -> float:
 
 
 def _probe_pairs(problem: Problem, h: float, opts: SolverOptions):
-    """Yield (i, solution at y + h e_i, solution at y - h e_i) for each i."""
-    for i in range(problem.design.Q):
-        pair = []
-        for sign in (+1.0, -1.0):
-            y = problem.y.copy()
-            y[i] += sign * h
-            pair.append(solve(problem.with_y(y), opts))
+    """Yield (i, solution at y + h e_i, solution at y - h e_i) for each i.
+
+    The 2Q probes are one `solve_batch`; an uncertified probe raises its
+    ConvergenceError.
+    """
+    q = problem.design.Q
+    rows = np.arange(q)
+    ys = np.repeat(problem.y[:, None], 2 * q, axis=1)
+    ys[rows, 2 * rows] += h
+    ys[rows, 2 * rows + 1] -= h
+    results = solve_batch(problem.design, ys, problem.lam, problem.partition, opts)
+    for i, pair in enumerate(zip(results, results)):
+        for sol in pair:
+            if isinstance(sol, ConvergenceError):
+                raise sol
         yield i, pair[0], pair[1]
 
 
-def fd_jacobian(problem: Problem, h: float | None = None, *,
-                kkt_tol: float = ORACLE_KKT_TOL, max_iter: int = 200_000) -> np.ndarray:
+def fd_jacobian(problem: Problem, h: float | None = None, *, base: Solution | None = None,
+                kkt_tol: float = ORACLE_KKT_TOL,
+                max_iter: int = ORACLE_MAX_ITER) -> np.ndarray:
     """Central-difference Jacobian of y -> beta(y)_I on the fixed support.
 
     Solves the problem at y +/- h e_i for every observation coordinate.
-    Raises TransitionCrossingError if any probe's block support differs
-    from the base solution's, since the restriction to I is then invalid.
+    `base` is the solution at y itself, solved here when not given; raises
+    TransitionCrossingError if any probe's block support differs from its
+    support, since the restriction to I is then invalid.
     """
     h = _fd_step(problem, h)
     opts = SolverOptions(kkt_tol=kkt_tol, max_iter=max_iter)
-    support = solve(problem, opts).support
+    support = (base if base is not None else solve(problem, opts)).support
     jac = np.empty((support.active_dim, problem.design.Q))
     for i, plus, minus in _probe_pairs(problem, h, opts):
         for sol, sign in ((plus, "+"), (minus, "-")):
@@ -70,7 +82,7 @@ def fd_jacobian(problem: Problem, h: float | None = None, *,
 
 
 def fd_divergence(problem: Problem, h: float | None = None, *,
-                  kkt_tol: float = ORACLE_KKT_TOL, max_iter: int = 200_000) -> float:
+                  kkt_tol: float = ORACLE_KKT_TOL, max_iter: int = ORACLE_MAX_ITER) -> float:
     """Central-difference divergence of the prediction map y -> X beta(y)."""
     h = _fd_step(problem, h)
     opts = SolverOptions(kkt_tol=kkt_tol, max_iter=max_iter)
@@ -126,9 +138,9 @@ def mc_dof(scenario, lam: float, replicates: int, seed: int = 0, *,
            opts: SolverOptions | None = None) -> McDofResult:
     """Monte Carlo DOF of the group lasso at fixed lambda, from known mu0.
 
-    Draws y_k = mu0 + sigma * xi_k with a per-replicate derived RNG stream,
-    so results are bit-identical for a given seed.  Solves use fresh cold
-    starts.  Replicates
+    Draws y_k = mu0 + sigma * xi_k with a per-replicate derived RNG stream
+    and solves all replicates as one `solve_batch` (cold starts), so results
+    are bit-identical for a given seed and replicate count.  Replicates
     whose solve fails to certify are excluded and counted in n_failed;
     replicates carrying a transition warning are excluded only when
     `exclude_warned` is set (the warned set has probability zero in theory).
@@ -140,38 +152,27 @@ def mc_dof(scenario, lam: float, replicates: int, seed: int = 0, *,
     sigma = float(scenario.sigma)
     if not sigma > 0:
         raise ValueError("scenario sigma must be positive")
-    opts = opts or SolverOptions()
-    mu0 = scenario.mu0
-    q = scenario.design.Q
+    design, partition, mu0 = scenario.design, scenario.partition, scenario.mu0
+    ys = mu0[:, None] + sigma * np.column_stack(
+        [replicate_rng(seed, k).standard_normal(design.Q) for k in range(replicates)])
 
-    def run_one(k):
-        y = mu0 + sigma * replicate_rng(seed, k).standard_normal(q)
-        problem = Problem(scenario.design, y, lam, scenario.partition)
-        try:
-            sol = solve(problem, opts)
-        except ConvergenceError:
-            return None
-        report = dof_estimate(problem, sol)
-        mu_hat = scenario.design.matrix @ sol.beta.values
-        return y, mu_hat, report.divergence, report.warning
-
-    outcomes = [run_one(k) for k in range(replicates)]
-
-    kept = [o for o in outcomes if o is not None]
+    # per kept replicate: Stein term, divergence, transition warning
+    kept = []
+    for y, sol in zip(ys.T, solve_batch(design, ys, lam, partition, opts)):
+        if isinstance(sol, ConvergenceError):
+            continue
+        report = dof_estimate(Problem(design, y, lam, partition), sol)
+        stein = float((y - mu0) @ (design.matrix @ sol.beta.values)) / sigma**2
+        kept.append((stein, report.divergence, report.warning))
     n_failed = replicates - len(kept)
-    n_warned = sum(1 for o in kept if o[3])
+    n_warned = sum(1 for o in kept if o[2])
     if exclude_warned:
-        kept = [o for o in kept if not o[3]]
+        kept = [o for o in kept if not o[2]]
     n = len(kept)
     if n < 2:
         raise ValueError(f"only {n} usable replicates (of {replicates} requested)")
 
-    ys = np.stack([o[0] for o in kept])
-    mus = np.stack([o[1] for o in kept])
-    divs = np.array([o[2] for o in kept])
-
-    stein = np.sum((ys - mu0) * mus, axis=1) / sigma**2
-
+    stein, divs = np.array([o[:2] for o in kept]).T
     return McDofResult(
         replicates=n,
         mc_dof=float(stein.mean()),

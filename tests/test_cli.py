@@ -202,19 +202,26 @@ class TestValidateFd:
         path = tmp_path / "p.json"
         save_problem(path, scenario.design, y, scenario.partition, lam=lam)
 
-        calls = []
+        calls, columns = [], []
 
         def counting(*args, **kwargs):
             calls.append(1)
             return solver.solve(*args, **kwargs)
 
+        def batching(design, ys, *args, **kwargs):
+            columns.append(ys.shape[1])
+            return solver.solve_batch(design, ys, *args, **kwargs)
+
         monkeypatch.setattr(cli, "solve", counting)
         monkeypatch.setattr(validate, "solve", counting)
+        monkeypatch.setattr(validate, "solve_batch", batching)
         out = tmp_path / "fd.json"
         assert main(["validate", "fd", "--problem", str(path), "--out", str(out),
                      "--no-timestamp"]) == 0
         assert json.loads(out.read_text())["jacobian_worst_tol_ratio"] is not None
-        assert len(calls) <= 2 * 60 + 2
+        # the base problem once, the 2Q probes as one batch
+        assert len(calls) == 1
+        assert columns == [2 * 60]
 
 
 class TestValidateMc:

@@ -181,6 +181,22 @@ class TestDeltaPMatrix:
         with pytest.raises(DegenerateBlockError):
             delta_P_matrix([0.0, 0.0, 1.0], s)
 
+    @given(partitions(), st.integers(0, 2**32 - 1), st.sampled_from([1e-9, 1.0, 1e9]))
+    def test_matches_blockwise_loop(self, p, seed, scale):
+        # the per-block loops these functions replaced, as the reference;
+        # only the order of the squared-norm sums differs
+        rng = np.random.default_rng(seed)
+        s = BlockSupport(p, tuple(np.flatnonzero(rng.random(p.n_blocks) < 0.7)))
+        v = scale * (rng.standard_normal(s.active_dim) + 0.1)
+        unit, dp = np.empty_like(v), np.zeros((v.size, v.size))
+        for a, b in zip(s.offsets[:-1], s.offsets[1:]):
+            nrm = np.linalg.norm(v[a:b])
+            unit[a:b] = v[a:b] / nrm
+            dp[a:b, a:b] = (np.eye(b - a) - np.outer(unit[a:b], unit[a:b])) / nrm
+        eps = 8 * np.finfo(float).eps
+        assert np.allclose(normalize_blocks(v, s), unit, rtol=eps, atol=0.0)
+        assert np.allclose(delta_P_matrix(v, s), dp, rtol=eps, atol=eps * np.abs(dp).max(initial=0.0))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_symmetric_psd_and_annihilates_input(self, seed):
         rng = np.random.default_rng(seed)

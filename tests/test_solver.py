@@ -3,6 +3,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import duality_gap, random_problem
 
@@ -18,6 +20,7 @@ from gldof.solver import (
     kkt_check,
     lambda_max,
     solve,
+    solve_batch,
 )
 
 
@@ -356,3 +359,87 @@ class TestScaleEquivariance:
         for problem, _, _ in fault_problems:
             scaled = rescaled(problem, s)
             assert_gap_closed(scaled, solve(scaled))
+
+
+@st.composite
+def batch_instances(draw):
+    """One design, partition and lambda with a mixed batch of observations:
+    y, y = 0, y rescaled by 1e-9 and 1e9 (at the same lambda), and fresh draws.
+    Blocks have sizes 1 to 4 and need not be contiguous."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    n = sum(sizes)
+    perm = draw(st.permutations(range(n)))
+    edges = np.cumsum([0] + sizes)
+    partition = BlockPartition(tuple(tuple(perm[a:b]) for a, b in zip(edges[:-1], edges[1:])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        design = Design.identity(n)
+    else:
+        q = 2 * n + draw(st.integers(0, 4))
+        design = Design(rng.standard_normal((q, n)) / np.sqrt(q))
+    y = rng.standard_normal(design.Q)
+    lam = draw(st.floats(0.05, 0.95)) * lambda_max(design, y, partition)
+    fresh = rng.standard_normal((design.Q, draw(st.integers(0, 3))))
+    ys = np.column_stack([y, np.zeros_like(y), 1e-9 * y, 1e9 * y, fresh])
+    return design, ys, lam, partition
+
+
+class TestSolveBatch:
+    @settings(max_examples=40, deadline=None)
+    @given(batch_instances())
+    def test_columns_match_single_solves(self, instance):
+        design, ys, lam, partition = instance
+        problems = [Problem(design, y, lam, partition) for y in ys.T]
+        refs = [solve(p) for p in problems]
+        # a transition-warned solution may legitimately differ in support
+        assume(not any(dof_estimate(p, r).warning for p, r in zip(problems, refs)))
+        batch = list(solve_batch(design, ys, lam, partition))
+        again = list(solve_batch(design, ys, lam, partition))
+        for problem, ref, sol, rerun in zip(problems, refs, batch, again):
+            assert sol.support == ref.support
+            err = np.max(np.abs(sol.beta.values - ref.beta.values))
+            assert err <= 1e-12 * np.max(np.abs(ref.beta.values))
+            dof = dof_estimate(problem, sol).divergence
+            assert dof == pytest.approx(dof_estimate(problem, ref).divergence, rel=1e-10)
+            assert sol.kkt_residual <= SolverOptions().kkt_tol
+            # at lambda < 1e-6 s(y) (the 1e9 y column) the gap of the exact
+            # minimizer rounded to doubles is already about 1e-10 P(beta)
+            if lam >= 1e-6 * lambda_max(design, problem.y, partition):
+                assert_gap_closed(problem, sol)
+            # bit-identical run to run for the same input and K
+            assert np.array_equal(rerun.beta.values, sol.beta.values)
+            assert dof_estimate(problem, rerun).divergence == dof
+
+    def test_uncertified_column_fails_alone(self):
+        problem = random_problem(21, 40, 16, [4, 4, 4, 4], lam_frac=0.05)
+        # beta = 0 certifies the second column before any iteration
+        ys = np.column_stack([problem.y, 1e-9 * problem.y])
+        opts = SolverOptions(max_iter=5)
+        failed, solved = solve_batch(problem.design, ys, problem.lam, problem.partition, opts)
+        assert isinstance(failed, ConvergenceError)
+        assert failed.iterations == 5 and failed.kkt_residual > opts.kkt_tol
+        assert failed.beta.values.shape == (16,)
+        assert solved.support.is_empty and solved.iterations == 0
+
+    def test_columns_beyond_one_chunk_keep_their_order(self, monkeypatch):
+        problem = random_problem(8, 20, 9, [3, 3, 3], lam_frac=0.2)
+        ys = problem.y[:, None] * np.linspace(0.5, 2.0, 7)
+        whole = list(solve_batch(problem.design, ys, problem.lam, problem.partition))
+        monkeypatch.setattr(solver, "BATCH_COLUMNS", 3)
+        chunked = list(solve_batch(problem.design, ys, problem.lam, problem.partition))
+        for a, b in zip(whole, chunked, strict=True):
+            assert np.max(np.abs(a.beta.values - b.beta.values)) <= \
+                1e-12 * np.max(np.abs(a.beta.values))
+
+    @pytest.mark.parametrize("opts", [SolverOptions(warm_start=np.zeros(4)),
+                                      SolverOptions(track_objective=True)])
+    def test_rejects_per_solve_options(self, opts):
+        problem = random_problem(3, 10, 4, [2, 2])
+        with pytest.raises(ValueError):
+            solve_batch(problem.design, problem.y[:, None], problem.lam,
+                        problem.partition, opts)
+
+    def test_rejects_misshapen_observations(self):
+        problem = random_problem(3, 10, 4, [2, 2])
+        with pytest.raises(ValueError):
+            solve_batch(problem.design, problem.y, problem.lam, problem.partition)

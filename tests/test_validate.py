@@ -11,6 +11,7 @@ from gldof.datagen import ScenarioSpec, generate
 from gldof.dof import differential, dof_estimate, dof_identity_closed_form
 from gldof.solver import Problem, SolverOptions, solve
 from gldof.validate import (
+    ORACLE_KKT_TOL,
     TransitionCrossingError,
     fd_divergence,
     fd_jacobian,
@@ -81,6 +82,21 @@ class TestFdJacobian:
         assert float(np.trace(xi @ jac)) == pytest.approx(fd_divergence(problem),
                                                           abs=1e-6)
 
+    def test_matches_per_probe_solves(self):
+        problem = random_problem(46, 16, 8, [3, 1, 4], lam_frac=0.3)
+        h = 1e-5 * np.max(np.abs(problem.y))
+        opts = SolverOptions(kkt_tol=ORACLE_KKT_TOL)
+        support = solve(problem, opts).support
+        ref = np.empty((support.active_dim, problem.design.Q))
+        for i in range(problem.design.Q):
+            step = np.zeros(problem.design.Q)
+            step[i] = h
+            plus = solve(problem.with_y(problem.y + step), opts).beta.values
+            minus = solve(problem.with_y(problem.y - step), opts).beta.values
+            ref[:, i] = (support.restrict(plus) - support.restrict(minus)) / (2.0 * h)
+        jac = fd_jacobian(problem)
+        assert np.max(np.abs(jac - ref)) <= 1e-9 * np.max(np.abs(ref))
+
     def test_boundary_instance_reports_transition_crossing(self):
         problem = transition_instance(1)
         with pytest.raises(TransitionCrossingError):
@@ -124,6 +140,26 @@ class TestMcDof:
         result = mc_dof(scenario, lam, replicates=400, seed=2)
         assert result.consistent()
         assert result.n_failed == 0
+
+    def test_matches_per_replicate_solves(self):
+        scenario = small_scenario()
+        design, mu0, sigma, lam = scenario.design, scenario.mu0, scenario.sigma, 0.4
+        stein, divs, warned = [], [], []
+        for k in range(80):
+            y = mu0 + sigma * replicate_rng(9, k).standard_normal(design.Q)
+            problem = Problem(design, y, lam, scenario.partition)
+            sol = solve(problem)
+            report = dof_estimate(problem, sol)
+            stein.append((y - mu0) @ (design.matrix @ sol.beta.values) / sigma**2)
+            divs.append(report.divergence)
+            warned.append(report.warning)
+        result = mc_dof(scenario, lam, replicates=80, seed=9)
+        rel = pytest.approx
+        assert result.mc_dof == rel(np.mean(stein), rel=1e-12)
+        assert result.mc_stderr == rel(np.std(stein, ddof=1) / np.sqrt(80), rel=1e-12)
+        assert result.mean_divergence == rel(np.mean(divs), rel=1e-12)
+        assert result.div_stderr == rel(np.std(divs, ddof=1) / np.sqrt(80), rel=1e-12)
+        assert result.n_warned == sum(warned) and result.n_failed == 0
 
     def test_seeded_determinism(self):
         scenario = small_scenario()

@@ -15,9 +15,10 @@ proximity diagnostics below quantify how close an instance is.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -38,8 +39,17 @@ class DofReport:
     support: BlockSupport
     transition_margin: float
     support_margin: float
-    condition_estimate: float
     warning: bool
+    # the solution's factor, kept for `condition_estimate`; None when the
+    # support is empty
+    factor: tuple[np.ndarray, bool] | None = field(default=None, compare=False,
+                                                    repr=False)
+
+    @functools.cached_property
+    def condition_estimate(self) -> float:
+        """LAPACK 1-norm estimate of the system matrix's condition number
+        (1 for an empty support), computed on first read."""
+        return 1.0 if self.factor is None else _condition(self.factor)
 
     def to_dict(self) -> dict:
         def finite(x):
@@ -122,19 +132,20 @@ def dof_estimate(problem: Problem, solution: Solution) -> DofReport:
 
     An empty support means the prediction map is locally constant at zero,
     so the divergence is 0.  Otherwise the trace and `condition_estimate`
-    (a LAPACK 1-norm estimate) both come from the solution's factor.
+    (a LAPACK 1-norm estimate, computed only when read) both come from the
+    solution's factor.
     """
     transition_margin, support_margin, warning = transition_proximity(problem, solution)
     if solution.support.is_empty:
         return DofReport(0.0, solution.support, transition_margin,
-                         support_margin, 1.0, warning)
+                         support_margin, warning)
 
     idx = solution.support.indices
     gram_ii = problem.design.gram[idx[:, None], idx]
     # tr(X_I A^{-1} X_I') = tr(A^{-1} X_I' X_I)
     divergence = float(np.trace(factor_solve(solution.factor, gram_ii)))
     return DofReport(divergence, solution.support, transition_margin,
-                     support_margin, _condition(solution.factor), warning)
+                     support_margin, warning, solution.factor)
 
 
 def dof_identity_closed_form(y, lam: float, partition: BlockPartition) -> float:

@@ -2,8 +2,9 @@
 
 With Gaussian noise of known standard deviation sigma, an unbiased DOF
 estimate turns the residual norm into unbiased (SURE, Cp) or classical
-(GCV, AIC) model-selection criteria.  `lambda_path` sweeps a decreasing
-lambda grid with warm starts, recording every criterion per lambda.
+(GCV, AIC) model-selection criteria.  `lambda_path` solves a decreasing
+lambda grid as one batch of cold starts, one column per lambda, recording
+every criterion per lambda.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import scipy.linalg
 
 from .core import BlockPartition, Design
 from .dof import dof_estimate
-from .solver import ConvergenceError, Problem, SolverOptions, lambda_max, solve
+from .solver import ConvergenceError, Problem, SolverOptions, lambda_max, solve_batch
 
 CSV_HEADER = "lambda,dof,residual_sq,sure,gcv,cp,aic,active_dim,warning"
 
@@ -129,8 +130,13 @@ def lambda_path(design: Design, y, partition: BlockPartition, lambdas=None, *,
                 opts: SolverOptions | None = None) -> RiskCurve:
     """Solve along a decreasing lambda grid and record all risk criteria.
 
-    Each solve is warm-started at the previous certified solution.  A solve
-    that fails to certify is recorded as NaN and the sweep continues.
+    The grid is one `solve_batch` of cold starts, one column per lambda, all
+    sharing y, so the curve is bit-identical for a fixed grid.  Solutions
+    are consumed as the batch yields them, never held as a list, so their
+    factors do not pile up.  A solve that fails to certify is recorded as
+    NaN and the sweep continues.
+    Only `kkt_tol` and `max_iter` of `opts` apply: `warm_start` and
+    `track_objective` raise ValueError.
     """
     y = np.asarray(y, dtype=float)
     if lambdas is None:
@@ -140,7 +146,6 @@ def lambda_path(design: Design, y, partition: BlockPartition, lambdas=None, *,
         raise ValueError("lambda grid must be nonempty and positive")
     if np.any(np.diff(lambdas) == 0):
         raise ValueError("lambda grid has repeated values")
-    opts = opts or SolverOptions()
 
     n = lambdas.size
     dof_v = np.full(n, np.nan)
@@ -149,17 +154,12 @@ def lambda_path(design: Design, y, partition: BlockPartition, lambdas=None, *,
     warn = np.zeros(n, dtype=bool)
     failed = []
 
-    warm = opts.warm_start
-    for i, lam in enumerate(lambdas):
-        problem = Problem(design, y, lam, partition)
-        try:
-            sol = solve(problem, SolverOptions(kkt_tol=opts.kkt_tol,
-                                               max_iter=opts.max_iter, warm_start=warm))
-        except ConvergenceError:
+    ys = np.repeat(y[:, None], n, axis=1)
+    for i, sol in enumerate(solve_batch(design, ys, lambdas, partition, opts)):
+        if isinstance(sol, ConvergenceError):
             failed.append(i)
             continue
-        warm = sol.beta.values
-        report = dof_estimate(problem, sol)
+        report = dof_estimate(Problem(design, y, lambdas[i], partition), sol)
         resid = y - design.matrix @ sol.beta.values
         dof_v[i], rss[i] = report.divergence, float(resid @ resid)
         adim[i], warn[i] = report.support.active_dim, report.warning

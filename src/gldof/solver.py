@@ -14,11 +14,12 @@ equations, whose Jacobian X_I'X_I + lambda * deltaP(b_I) is the matrix of the
 solution's local differential; its Cholesky factor is kept on the solution.
 
 `solve` takes one right-hand side.  `solve_batch` runs the same iteration
-on the K columns of a Q x K matrix of observations sharing the design, the
-partition and lambda (Monte Carlo replicates, finite-difference probes),
-with per-column momentum, restart and certificate, and finishes each
-column as `solve` does.  Single solves keep the scalar loop, which has less
-overhead per iteration than a batch of one.
+on the K columns of a Q x K matrix of observations sharing the design and
+the partition, at one lambda (Monte Carlo replicates, finite-difference
+probes) or at one lambda per column (a lambda path), with per-column
+momentum, restart, threshold and certificate, and finishes each column as
+`solve` does.  Single solves keep the scalar loop, which has less overhead
+per iteration than a batch of one.
 
 Tolerance policy.  Solving (s y, s lambda) gives s beta(y) and the same DOF,
 so no tolerance is absolute:
@@ -226,8 +227,8 @@ def solve(problem: Problem, opts: SolverOptions | None = None) -> Solution:
         kkt_tol : relative certificate tolerance, default 1e-8.  Support
         blocks and downstream sensitivity analysis rely on a tight solve.
         max_iter : iteration budget, default 100_000.
-        warm_start : initial coefficients (default zero), used by the
-        lambda-path driver.
+        warm_start : initial coefficients (default zero), as read by
+        `gldof solve --warm-start`.
         track_objective : record the objective sequence in the solution.
 
     Returns
@@ -313,16 +314,18 @@ def solve(problem: Problem, opts: SolverOptions | None = None) -> Solution:
     )
 
 
-def solve_batch(design: Design, ys, lam: float, partition: BlockPartition,
+def solve_batch(design: Design, ys, lam: float | np.ndarray, partition: BlockPartition,
                 opts: SolverOptions | None = None):
-    """Certified solves of one design at one lambda for each column of `ys`.
+    """Certified solves of one design for each column of `ys`.
 
-    The FISTA of `solve` runs on up to BATCH_COLUMNS columns of ys (Q x K) at
-    once, each column with its own momentum, monotone restart and
-    certificate relative to its own s(y).  A column is frozen at the first
-    iteration at which it certifies; each certified column then gets the
-    support rule, Newton polish and factor of `solve`.  Only `kkt_tol` and
-    `max_iter` of `opts` apply.
+    `lam` is one lambda for every column or a length-K vector of positive
+    lambdas, one per column.  The FISTA of `solve` runs on up to
+    BATCH_COLUMNS columns of ys (Q x K) at once, each column with its own
+    lambda, momentum, monotone restart and certificate relative to its own
+    s(y).  A column is frozen at the first iteration at which it certifies;
+    each certified column then gets the support rule, Newton polish and
+    factor of `solve` at its own lambda.  Only `kkt_tol` and `max_iter` of
+    `opts` apply.
 
     Returns an iterator over the columns in order, yielding the Solution of
     each certified column and, for a column that does not certify within
@@ -337,15 +340,23 @@ def solve_batch(design: Design, ys, lam: float, partition: BlockPartition,
     ys = np.asarray(ys, dtype=float)
     if ys.ndim != 2 or ys.shape[0] != design.Q:
         raise ValueError(f"ys must be a Q x K matrix with Q={design.Q}")
+    lams = np.asarray(lam, dtype=float)
+    if lams.ndim == 0:
+        lams = np.full(ys.shape[1], lams)
+    if lams.shape != ys.shape[1:]:
+        raise ValueError(f"lambda must be a scalar or one value per column (K={ys.shape[1]})")
+    if not np.all(lams > 0):
+        raise ValueError("lambda must be positive")
     return itertools.chain.from_iterable(
-        _solve_columns(design, ys[:, start:start + BATCH_COLUMNS], lam, partition, opts)
+        _solve_columns(design, ys[:, start:start + BATCH_COLUMNS],
+                       lams[start:start + BATCH_COLUMNS], partition, opts)
         for start in range(0, ys.shape[1], BATCH_COLUMNS))
 
 
-def _solve_columns(design, ys, lam, partition, opts):
+def _solve_columns(design, ys, lams, partition, opts):
     """`solve_batch` on one set of columns: the batched FISTA, then `_finish`."""
-    problems = [Problem(design, y, lam, partition) for y in ys.T]
-    lam, n_blocks, tol = float(lam), partition.n_blocks, opts.kkt_tol
+    problems = [Problem(design, y, lam, partition) for y, lam in zip(ys.T, lams)]
+    n_blocks, tol = partition.n_blocks, opts.kkt_tol
     # block of each coordinate, and the blocks x coordinates indicator whose
     # product with a squared N x K matrix sums every block of every column
     block = np.empty(design.N, dtype=int)
@@ -356,17 +367,17 @@ def _solve_columns(design, ys, lam, partition, opts):
     def norms(a):
         return np.sqrt(indicator @ np.square(a))
 
-    def prox(v):
+    def prox(v, thresh):
         nv = norms(v)
         out_norms = np.maximum(nv - thresh, 0.0)
         shrink = np.divide(out_norms, nv, out=np.zeros_like(nv), where=nv > thresh)
         return v * shrink[block], out_norms
 
-    def value(b, gb, bn, c):
+    def value(b, gb, bn, c, lam):
         # the objective less its constant 0.5 ||y||^2, per column
         return np.einsum("ij,ij->j", b, 0.5 * gb - c) + lam * bn.sum(axis=0)
 
-    def certificate(c, gb, b, bn, s):
+    def certificate(c, gb, b, bn, s, lam):
         active = bn > 0.0
         dev = norms(c - gb - lam * (b / np.where(active, bn, 1.0)[block]))
         viol = np.maximum(np.max(dev - lam * ~active, axis=0), 0.0)
@@ -374,7 +385,6 @@ def _solve_columns(design, ys, lam, partition, opts):
 
     gram = design.gram
     step = 1.0 / design.lipschitz
-    thresh = step * lam
     c = design.matrix.T @ ys
     scales = norms(c).max(axis=0)
     n, k = c.shape
@@ -384,10 +394,10 @@ def _solve_columns(design, ys, lam, partition, opts):
 
     # working columns: `cols` maps them to the output, `done` marks the frozen
     # ones, which are dropped once they are half of the working set
-    cols, s = np.arange(k), scales
+    cols, s, lam = np.arange(k), scales, lams
     beta, gbeta, bnorms = np.zeros((n, k)), np.zeros((n, k)), np.zeros((n_blocks, k))
     obj, t_mom, done = np.zeros(k), np.ones(k), np.zeros(k, dtype=bool)
-    resid = certificate(c, gbeta, beta, bnorms, s)
+    resid = certificate(c, gbeta, beta, bnorms, s, lam)
     best_beta, best_resid = beta.copy(), resid.copy()
     z, gz = beta, gbeta
     it = 0
@@ -403,23 +413,24 @@ def _solve_columns(design, ys, lam, partition, opts):
                 c, beta, gbeta, z, gz, best_beta = (
                     a[:, keep] for a in (c, beta, gbeta, z, gz, best_beta))
                 bnorms = bnorms[:, keep]
-                cols, s, obj, t_mom, resid, best_resid, done = (
-                    a[keep] for a in (cols, s, obj, t_mom, resid, best_resid, done))
+                cols, s, lam, obj, t_mom, resid, best_resid, done = (
+                    a[keep] for a in (cols, s, lam, obj, t_mom, resid, best_resid, done))
         if done.all() or it == opts.max_iter:
             break
         it += 1
-        cand, cand_norms = prox(z - step * (gz - c))
+        cand, cand_norms = prox(z - step * (gz - c), step * lam)
         gcand = gram @ cand
-        cand_obj = value(cand, gcand, cand_norms, c)
+        cand_obj = value(cand, gcand, cand_norms, c, lam)
 
         restart = np.flatnonzero((cand_obj > obj) & (t_mom > 1.0) & ~done)
         if restart.size:
             # monotone restart, per column, as in `solve`
             t_mom[restart] = 1.0
-            cr, nr = prox(beta[:, restart] - step * (gbeta[:, restart] - c[:, restart]))
+            cr, nr = prox(beta[:, restart] - step * (gbeta[:, restart] - c[:, restart]),
+                          step * lam[restart])
             gr = gram @ cr
             cand[:, restart], cand_norms[:, restart], gcand[:, restart] = cr, nr, gr
-            cand_obj[restart] = value(cr, gr, nr, c[:, restart])
+            cand_obj[restart] = value(cr, gr, nr, c[:, restart], lam[restart])
 
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
         m = (t_mom - 1.0) / t_next
@@ -427,7 +438,7 @@ def _solve_columns(design, ys, lam, partition, opts):
         gz = gcand + m * (gcand - gbeta)
         beta, gbeta, bnorms, obj, t_mom = cand, gcand, cand_norms, cand_obj, t_next
 
-        resid = certificate(c, gbeta, beta, bnorms, s)
+        resid = certificate(c, gbeta, beta, bnorms, s, lam)
         np.copyto(best_beta, beta, where=resid < best_resid)
         np.minimum(best_resid, resid, out=best_resid)
 

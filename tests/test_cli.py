@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gldof import cli, solver, validate
+from gldof import cli, risk, solver, validate
 from gldof.cli import main
 from gldof.core import BlockPartition, Design
 from gldof.datagen import ScenarioSpec, generate, load_problem, save_problem
@@ -154,6 +154,27 @@ class TestPath:
         assert [r[1] for r in rows] == pytest.approx(curve.dof, rel=1e-12)
         assert [r[2] for r in rows] == pytest.approx(curve.residual_sq, rel=1e-12)
 
+    def test_path_is_one_batch(self, problem_file, tmp_path, monkeypatch):
+        calls, columns = [], []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solver.solve(*args, **kwargs)
+
+        def batching(design, ys, *args, **kwargs):
+            columns.append(ys.shape[1])
+            return solver.solve_batch(design, ys, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve", counting)
+        monkeypatch.setattr(solver, "solve", counting)
+        monkeypatch.setattr(risk, "solve_batch", batching)
+        out = tmp_path / "curve.csv"
+        assert main(["path", "--problem", str(problem_file), "--grid-points", "12",
+                     "--out", str(out), "--no-timestamp"]) == 0
+        # the whole grid as one batch, one column per lambda, and no K = 1 solve
+        assert columns == [12]
+        assert calls == []
+
 
 class TestValidateFd:
     def test_pass_verdict(self, problem_file, tmp_path):
@@ -244,6 +265,34 @@ class TestValidateMc:
         assert main(["validate", "mc", "--spec", str(spec_path),
                      "--replicates", "100", "--mc-seed", "1",
                      "--no-timestamp"]) == 0
+
+
+class TestParserReuse:
+    def test_successive_calls_keep_their_own_arguments(self, problem_file, tmp_path):
+        first, second, third = (tmp_path / f"{k}.json" for k in ("a", "b", "c"))
+        assert main(["solve", "--problem", str(problem_file), "--tol", "1e-6",
+                     "--max-iter", "5000", "--lambda", "0.3",
+                     "--out", str(first), "--no-timestamp"]) == 0
+        assert main(["dof", "--problem", str(problem_file),
+                     "--out", str(second)]) == 0
+        assert main(["solve", "--problem", str(problem_file),
+                     "--out", str(third), "--no-timestamp"]) == 0
+        a, b, c = (json.loads(p.read_text()) for p in (first, second, third))
+        defaults = solver.SolverOptions()
+        assert a["manifest"]["options"]["tol"] == 1e-6
+        assert a["manifest"]["options"]["max_iter"] == 5000
+        assert a["lambda"] == 0.3
+        # neither later call sees the flags or the subcommand of another
+        assert b["manifest"]["command"] == "gldof dof"
+        assert b["manifest"]["options"]["tol"] == defaults.kkt_tol
+        assert b["manifest"]["options"]["max_iter"] == defaults.max_iter
+        assert b["manifest"]["options"]["no_timestamp"] is False
+        assert "timestamp" in b["manifest"]
+        assert "warm_start" not in b["manifest"]["options"]
+        assert b["lambda"] == 0.4  # the file's lambda, not the first call's
+        assert c["manifest"]["options"]["tol"] == defaults.kkt_tol
+        assert c["lambda"] == 0.4
+        assert cli._parser() is cli._parser()
 
 
 class TestVersionFlag:

@@ -16,7 +16,8 @@ from gldof.risk import (
     lambda_path,
     sure,
 )
-from gldof.solver import SolverOptions, lambda_max
+from gldof.dof import dof_estimate
+from gldof.solver import SolverOptions, lambda_max, solve
 
 finite = st.floats(min_value=1e-3, max_value=1e3)
 
@@ -144,6 +145,28 @@ class TestLambdaPath:
         assert np.all(np.isfinite(curve.gcv))
         with pytest.raises(ValueError):
             curve.select("sure")
+
+    def test_matches_per_lambda_solves(self):
+        problem = random_problem(12, 40, 16, [4, 4, 4, 4])
+        curve = lambda_path(problem.design, problem.y, problem.partition,
+                            sigma=1.0, n_points=20)
+        assert not curve.failed
+        for i, lam in enumerate(curve.lambdas):
+            p = problem.with_lam(lam)
+            sol = solve(p)
+            report = dof_estimate(p, sol)
+            resid = p.y - p.design.matrix @ sol.beta.values
+            assert curve.dof[i] == pytest.approx(report.divergence, rel=1e-10)
+            assert curve.residual_sq[i] == pytest.approx(float(resid @ resid), rel=1e-12)
+            assert curve.active_dim[i] == report.support.active_dim
+            assert curve.warning[i] == report.warning
+
+    def test_rejects_per_solve_options(self):
+        problem = random_problem(11, 10, 4, [2, 2])
+        for opts in (SolverOptions(warm_start=np.zeros(4)),
+                     SolverOptions(track_objective=True)):
+            with pytest.raises(ValueError):
+                lambda_path(problem.design, problem.y, problem.partition, opts=opts)
 
     def test_failed_lambdas_recorded_and_skipped(self):
         problem = random_problem(10, 16, 6, [3, 3])

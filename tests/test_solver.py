@@ -384,31 +384,72 @@ def batch_instances(draw):
     return design, ys, lam, partition
 
 
+@st.composite
+def path_instances(draw):
+    """One y of a `batch_instances` draw with a grid of distinct lambdas, in
+    any order, at 0.05 to 0.95 and 1 to 1.2 times lambda_max (beta = 0 from
+    1 on).  Just below lambda_max the one active block's beta is a small
+    difference of nearly equal numbers, known only to about
+    eps * lambda_max / ||beta|| relative in any evaluation order (3e-10 for
+    `solve` and the batch alike at 1 - 1e-5), so, as in `batch_instances`,
+    the 1e-12 comparison is drawn away from it."""
+    design, ys, _, partition = draw(batch_instances())
+    y = ys[:, 0]
+    fracs = draw(st.lists(st.one_of(st.floats(0.05, 0.95), st.floats(1.0, 1.2)),
+                          min_size=1, max_size=6, unique=True))
+    return design, y, np.array(fracs) * lambda_max(design, y, partition), partition
+
+
+def assert_batch_matches_single_solves(problems, batch, again):
+    """Each batch column against `solve` on its own problem: same support,
+    beta to 1e-12 relative, DOF to 1e-10, a certified and gap-closed
+    solution, and a bit-identical rerun."""
+    refs = [solve(p) for p in problems]
+    # a transition-warned solution may legitimately differ in support
+    assume(not any(dof_estimate(p, r).warning for p, r in zip(problems, refs)))
+    for problem, ref, sol, rerun in zip(problems, refs, batch, again, strict=True):
+        assert sol.support == ref.support
+        err = np.max(np.abs(sol.beta.values - ref.beta.values))
+        assert err <= 1e-12 * np.max(np.abs(ref.beta.values))
+        dof = dof_estimate(problem, sol).divergence
+        assert dof == pytest.approx(dof_estimate(problem, ref).divergence, rel=1e-10)
+        assert sol.kkt_residual <= SolverOptions().kkt_tol
+        # at lambda < 1e-6 s(y) (the 1e9 y column) the gap of the exact
+        # minimizer rounded to doubles is already about 1e-10 P(beta)
+        if problem.lam >= 1e-6 * lambda_max(problem.design, problem.y, problem.partition):
+            assert_gap_closed(problem, sol)
+        # bit-identical run to run for the same input and K
+        assert np.array_equal(rerun.beta.values, sol.beta.values)
+        assert dof_estimate(problem, rerun).divergence == dof
+
+
 class TestSolveBatch:
     @settings(max_examples=40, deadline=None)
     @given(batch_instances())
     def test_columns_match_single_solves(self, instance):
         design, ys, lam, partition = instance
         problems = [Problem(design, y, lam, partition) for y in ys.T]
-        refs = [solve(p) for p in problems]
-        # a transition-warned solution may legitimately differ in support
-        assume(not any(dof_estimate(p, r).warning for p, r in zip(problems, refs)))
-        batch = list(solve_batch(design, ys, lam, partition))
-        again = list(solve_batch(design, ys, lam, partition))
-        for problem, ref, sol, rerun in zip(problems, refs, batch, again):
-            assert sol.support == ref.support
-            err = np.max(np.abs(sol.beta.values - ref.beta.values))
-            assert err <= 1e-12 * np.max(np.abs(ref.beta.values))
-            dof = dof_estimate(problem, sol).divergence
-            assert dof == pytest.approx(dof_estimate(problem, ref).divergence, rel=1e-10)
-            assert sol.kkt_residual <= SolverOptions().kkt_tol
-            # at lambda < 1e-6 s(y) (the 1e9 y column) the gap of the exact
-            # minimizer rounded to doubles is already about 1e-10 P(beta)
-            if lam >= 1e-6 * lambda_max(design, problem.y, partition):
-                assert_gap_closed(problem, sol)
-            # bit-identical run to run for the same input and K
-            assert np.array_equal(rerun.beta.values, sol.beta.values)
-            assert dof_estimate(problem, rerun).divergence == dof
+        assert_batch_matches_single_solves(
+            problems, list(solve_batch(design, ys, lam, partition)),
+            list(solve_batch(design, ys, lam, partition)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(path_instances())
+    def test_per_column_lambdas_match_single_solves(self, instance):
+        design, y, lams, partition = instance
+        ys = np.repeat(y[:, None], lams.size, axis=1)
+        problems = [Problem(design, y, lam, partition) for lam in lams]
+        assert_batch_matches_single_solves(
+            problems, list(solve_batch(design, ys, lams, partition)),
+            list(solve_batch(design, ys, lams, partition)))
+
+    @pytest.mark.parametrize("lams", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [1.0, 0.0, 2.0],
+                                      [1.0, -2.0, 2.0], [1.0, np.nan, 2.0]])
+    def test_rejects_bad_lambda_vectors(self, lams):
+        problem = random_problem(3, 10, 4, [2, 2])
+        ys = np.repeat(problem.y[:, None], 3, axis=1)
+        with pytest.raises(ValueError):
+            solve_batch(problem.design, ys, np.array(lams), problem.partition)
 
     def test_uncertified_column_fails_alone(self):
         problem = random_problem(21, 40, 16, [4, 4, 4, 4], lam_frac=0.05)

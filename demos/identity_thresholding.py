@@ -14,7 +14,6 @@ from gldof import (
     Design,
     Problem,
     SolverOptions,
-    block_soft_threshold,
     dof_estimate,
     dof_identity_closed_form,
     solve,
@@ -34,7 +33,8 @@ design = Design.identity(7)
 print("per-block soft thresholding at lambda = 1:")
 for i, block in enumerate(partition):
     vb = y[list(block)]
-    shrunk = block_soft_threshold(vb, 1.0)
+    # the prox of lambda * ||.||: shrink the block's norm by lambda, or kill it
+    shrunk = max(1.0 - 1.0 / np.linalg.norm(vb), 0.0) * vb
     print(f"  block {i}: |y_b| = {np.linalg.norm(vb):.3f} -> "
           f"|shrunk| = {np.linalg.norm(shrunk):.3f}")
 

@@ -16,8 +16,7 @@ from gldof import (
     SolverOptions,
     differential,
     dof_estimate,
-    fd_divergence,
-    fd_jacobian,
+    fd_oracle,
     lambda_max,
     solve,
     transition_proximity,
@@ -43,14 +42,13 @@ print(f"distance to a support change: dual margin {margin_t:.4f}, "
 
 # closed-form Jacobian vs finite differences of the solution map
 d = differential(problem, solution)
-fd = fd_jacobian(problem)
+fd, fd_div = fd_oracle(problem, base=solution)
 entry_err = np.max(np.abs(d - fd))
 print(f"\nJacobian of y -> beta(y) on the support: {d.shape[0]} x {d.shape[1]}")
 print(f"worst entry disagreement vs finite differences: {entry_err:.2e} "
       f"(entries up to {np.max(np.abs(d)):.2f})")
 
 report = dof_estimate(problem, solution)
-fd_div = fd_divergence(problem)
 print(f"divergence of y -> X beta(y): closed form {report.divergence:.8f}, "
       f"finite differences {fd_div:.8f}")
 

@@ -15,7 +15,6 @@ from .solver import (
     Problem,
     Solution,
     SolverOptions,
-    block_soft_threshold,
     kkt_check,
     lambda_max,
     solve,
@@ -23,6 +22,7 @@ from .solver import (
 )
 from .dof import (
     DofReport,
+    coordinate_radius,
     differential,
     dof_estimate,
     dof_identity_closed_form,
@@ -38,7 +38,7 @@ from .risk import (
     lambda_path,
     sure,
 )
-from .validate import McDofResult, fd_divergence, fd_jacobian, mc_dof
+from .validate import McDofResult, fd_oracle, mc_dof
 from .datagen import (
     GenerationError,
     Scenario,
@@ -67,8 +67,8 @@ __all__ = [
     "Solution",
     "SolverOptions",
     "aic",
-    "block_soft_threshold",
     "block_support",
+    "coordinate_radius",
     "cp",
     "default_lambda_grid",
     "delta_P_matrix",
@@ -76,8 +76,7 @@ __all__ = [
     "dof_estimate",
     "dof_identity_closed_form",
     "estimate_sigma",
-    "fd_divergence",
-    "fd_jacobian",
+    "fd_oracle",
     "gcv",
     "generate",
     "kkt_check",

@@ -26,11 +26,11 @@ from .core import BlockPartition, Design
 from .datagen import (GenerationError, LoadedProblem, ScenarioSpec, generate,
                       load_matrix_csv, load_problem, load_vector_csv,
                       save_problem)
-from .dof import differential, dof_estimate
+from .dof import coordinate_radius, differential, dof_estimate
 from .risk import estimate_sigma, lambda_path
 from .solver import ConvergenceError, Problem, SolverOptions, lambda_max, solve
-from .validate import (ORACLE_KKT_TOL, ORACLE_MAX_ITER, TransitionCrossingError,
-                       fd_divergence, fd_jacobian, mc_dof)
+from .validate import (ORACLE_KKT_TOL, ORACLE_MAX_ITER, TransitionCrossingError, fd_oracle,
+                       fd_step, mc_dof)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -217,15 +217,17 @@ def cmd_validate_fd(args) -> int:
     sol = solve(problem, SolverOptions(kkt_tol=ORACLE_KKT_TOL, max_iter=args.max_iter))
     report = dof_estimate(problem, sol)
 
+    step = args.step
+    if step is None:
+        # half the first-order radius keeps every probe on the support
+        step = min(fd_step(problem), 0.5 * coordinate_radius(problem, sol))
+        if step == 0.0:
+            raise TransitionCrossingError("y lies on a support boundary: every step "
+                                          "changes the support")
+    fd_jac, fd_div = fd_oracle(problem, step, base=sol, max_iter=args.max_iter)
     jac_err = jac_tol = None
-    if sol.support.is_empty:
-        fd_div = fd_divergence(problem, args.step, max_iter=args.max_iter)
-    else:
-        d = differential(problem, sol)
-        fd_jac = fd_jacobian(problem, args.step, base=sol, max_iter=args.max_iter)
-        # the probes fix the support, so tr(X_I fd_jac) is the fd divergence
-        fd_div = float(np.sum(problem.design.columns(sol.support.indices) * fd_jac.T))
-        diff = np.abs(d - fd_jac)
+    if not sol.support.is_empty:
+        diff = np.abs(differential(problem, sol) - fd_jac)
         allowed = np.maximum(FD_REL_TOL * np.abs(fd_jac), FD_ABS_TOL)
         jac_err = float(np.max(diff))
         jac_tol = float(np.max(diff / allowed))
@@ -241,6 +243,7 @@ def cmd_validate_fd(args) -> int:
         "divergence_abs_err": div_err,
         "jacobian_max_abs_err": jac_err,
         "jacobian_worst_tol_ratio": jac_tol,
+        "step": step,
         "transition_warning": report.warning,
         "passed": ok,
     }
@@ -367,7 +370,8 @@ def make_parser() -> argparse.ArgumentParser:
     _add_problem_inputs(pf)
     pf.add_argument("--lambda", dest="lam", type=float, default=None)
     pf.add_argument("--step", type=float, default=None,
-                    help="fd step (default 1e-5 * max|y|, or 1e-5 when y = 0)")
+                    help="fd step (default 1e-5 * max|y|, or 1e-5 when y = 0, "
+                         "cut to half the support's first-order coordinate radius)")
     pf.add_argument("--max-iter", type=int, default=ORACLE_MAX_ITER)
     pf.add_argument("--out", help="verdict JSON")
     pf.add_argument("--no-timestamp", action="store_true")

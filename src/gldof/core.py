@@ -80,20 +80,26 @@ class BlockPartition:
         return np.array([len(b) for b in self.blocks], dtype=int)
 
     @cached_property
-    def perm(self) -> np.ndarray:
-        """Permutation mapping a full vector into block-stacked layout."""
-        return np.array([i for b in self.blocks for i in b], dtype=int)
+    def block_index(self) -> np.ndarray:
+        """Position of the block holding each coordinate."""
+        index = np.empty(self.total_dim, dtype=int)
+        for k, b in enumerate(self.blocks):
+            index[list(b)] = k
+        return index
 
     @cached_property
-    def offsets(self) -> np.ndarray:
-        """Start offset of each block in the block-stacked layout."""
-        return np.concatenate([[0], np.cumsum(self.block_sizes)[:-1]])
+    def indicator(self) -> np.ndarray:
+        """Blocks x coordinates 0/1 matrix: its product with the squares of
+        a vector, or of an N x K matrix, sums every block (of every column)."""
+        return (np.arange(self.n_blocks)[:, None] == self.block_index).astype(float)
 
     def block_norms(self, values) -> np.ndarray:
-        """Euclidean norm of every block of a full-length vector."""
-        v = _as_vector(values, self.total_dim)
-        sq = np.add.reduceat(v[self.perm] ** 2, self.offsets)
-        return np.sqrt(sq)
+        """Euclidean norm of every block of a full-length vector, or of every
+        column of an N x K matrix (then n_blocks x K)."""
+        v = np.asarray(values, dtype=float)
+        if v.ndim not in (1, 2) or v.shape[0] != self.total_dim:
+            raise ValueError(f"expected {self.total_dim} rows, got shape {v.shape}")
+        return np.sqrt(self.indicator @ np.square(v))
 
     def to_json(self) -> str:
         return json.dumps([list(b) for b in self.blocks])
@@ -164,11 +170,6 @@ class BlockSupport:
         in the same active block."""
         block = np.repeat(np.arange(self.n_active), self.sizes)
         return (block[:, None] == block).astype(float)
-
-    def split(self, stacked) -> list[np.ndarray]:
-        """Cut a stacked on-support vector back into per-block pieces."""
-        v = _as_vector(stacked, self.active_dim)
-        return [v[a:b] for a, b in zip(self.offsets[:-1], self.offsets[1:])]
 
     def restrict(self, values) -> np.ndarray:
         """Extract the stacked on-support subvector of a full-length vector."""

@@ -91,6 +91,16 @@ def differential(problem: Problem, solution: Solution) -> np.ndarray:
     return factor_solve(solution.factor, xi.T)
 
 
+def _room(problem: Problem, solution: Solution):
+    """(active, room): the active-block mask and each block's room before
+    the support changes, ||beta_b|| if active and lambda - ||X_b'r|| if not."""
+    partition, beta = problem.partition, solution.beta.values
+    active = np.zeros(partition.n_blocks, dtype=bool)
+    active[list(solution.support.active)] = True
+    corr_norms = partition.block_norms(problem.xty() - problem.design.gram @ beta)
+    return active, np.where(active, partition.block_norms(beta), problem.lam - corr_norms)
+
+
 def transition_proximity(problem: Problem, solution: Solution,
                          transition_rtol: float = TRANSITION_RTOL,
                          support_rtol: float = SUPPORT_RTOL):
@@ -104,27 +114,42 @@ def transition_proximity(problem: Problem, solution: Solution,
       * warning: True when either margin falls below its relative threshold,
         meaning the differential formula is numerically fragile at y.
     """
-    beta = solution.beta.values
-    corr = problem.xty() - problem.design.gram @ beta
-    corr_norms = problem.partition.block_norms(corr)
-    beta_norms = problem.partition.block_norms(beta)
-
-    active = np.zeros(problem.partition.n_blocks, dtype=bool)
-    active[list(solution.support.active)] = True
-
-    if active.all():
-        transition_margin = math.inf
-    else:
-        transition_margin = float(np.min(problem.lam - corr_norms[~active]))
-    if active.any():
-        support_margin = float(np.min(beta_norms[active]))
-    else:
-        support_margin = math.inf
-
-    scale = np.max(np.abs(beta)) if beta.size else 0.0
+    active, room = _room(problem, solution)
+    transition_margin = float(np.min(room[~active], initial=math.inf))
+    support_margin = float(np.min(room[active], initial=math.inf))
+    scale = np.max(np.abs(solution.beta.values))
     warning = bool(transition_margin < transition_rtol * problem.lam
                    or support_margin < support_rtol * scale)
     return max(transition_margin, 0.0), max(support_margin, 0.0), warning
+
+
+def coordinate_radius(problem: Problem, solution: Solution) -> float:
+    """First-order radius of the support along the coordinate directions.
+
+    The largest h such that the linearization of the solution at y keeps
+    the block support at every y + t e_i, |t| <= h:
+
+        min over inactive b and i of (lambda - ||X_b'r||) / ||X_b'(I - X_I J) e_i||
+        min over active b and i of  ||beta_b|| / ||J_b e_i||
+
+    with r = y - X beta and J = `differential` (zero on an empty support),
+    in the units of y; +inf when no coordinate moves the solution toward a
+    boundary.  It costs O(Q N |I|), so only `validate fd` computes it.
+    """
+    support = solution.support
+    # d(X'r)/dy and d(beta)/dy, both N x Q
+    dcorr = problem.design.matrix.T.copy()
+    dbeta = np.zeros_like(dcorr)
+    if not support.is_empty:
+        jac = differential(problem, solution)
+        dcorr -= problem.design.gram[:, support.indices] @ jac
+        dbeta[support.indices] = jac
+    active, room = _room(problem, solution)
+    speed = np.where(active[:, None], problem.partition.block_norms(dbeta),
+                     problem.partition.block_norms(dcorr)).max(axis=1)
+    radii = np.divide(np.maximum(room, 0.0), speed, out=np.full(room.shape, math.inf),
+                      where=speed > 0.0)
+    return float(radii.min())
 
 
 def dof_estimate(problem: Problem, solution: Solution) -> DofReport:

@@ -18,8 +18,9 @@ on the K columns of a Q x K matrix of observations sharing the design and
 the partition, at one lambda (Monte Carlo replicates, finite-difference
 probes) or at one lambda per column (a lambda path), with per-column
 momentum, restart, threshold and certificate, and finishes each column as
-`solve` does.  Single solves keep the scalar loop, which has less overhead
-per iteration than a batch of one.
+`solve` does.  `solve` is that same loop at K = 1: there is one FISTA
+iteration, one prox and one certificate (`_violation`, which `kkt_check`
+evaluates too).
 
 Tolerance policy.  Solving (s y, s lambda) gives s beta(y) and the same DOF,
 so no tolerance is absolute:
@@ -128,60 +129,28 @@ class Solution:
                                                     repr=False)
 
 
-def block_soft_threshold(v, threshold: float) -> np.ndarray:
-    """Proximal map of threshold * ||.||_2 on a single block.
+def _violation(partition: BlockPartition, corr, beta, beta_norms, lam):
+    """Largest KKT violation at a point, or at each column of an N x K
+    matrix of points: the one certificate of the solver, in units of X'y.
 
-    Returns 0 when ||v|| <= threshold, else (1 - threshold/||v||) * v.
+    corr = X'(y - X beta), beta_norms the block norms of beta, lam one
+    value per column.  A block is active when its norm is nonzero.  The
+    value is negative when every block is inactive with room to spare,
+    which certifies as 0 does.
     """
-    if not threshold > 0:
-        raise ValueError("threshold must be positive")
-    v = np.asarray(v, dtype=float)
-    nrm = np.linalg.norm(v)
-    if nrm <= threshold:
-        return np.zeros_like(v)
-    return (1.0 - threshold / nrm) * v
+    inactive = beta_norms == 0.0
+    # beta_b / ||beta_b|| on active blocks; inactive blocks are exact zeros
+    unit = beta / (beta_norms + inactive)[partition.block_index]
+    dev = np.sqrt(partition.indicator @ np.square(corr - lam * unit))
+    return (dev - lam * inactive).max(axis=0)
 
 
-def _group_prox(values, partition: BlockPartition, threshold: float):
-    """Blockwise soft threshold of a full vector.
-
-    Returns the proximal point and its per-block norms, which are
-    max(||v_b|| - threshold, 0) by construction.
-    """
-    perm = partition.perm
-    sizes = partition.block_sizes
-    stacked = values[perm]
-    norms = np.sqrt(np.add.reduceat(stacked**2, partition.offsets))
-    out_norms = np.maximum(norms - threshold, 0.0)
-    scale = np.zeros_like(norms)
-    live = norms > threshold
-    scale[live] = out_norms[live] / norms[live]
-    out = np.empty_like(values)
-    out[perm] = stacked * np.repeat(scale, sizes)
-    return out, out_norms
-
-
-def _certificate(partition: BlockPartition, corr, beta, beta_norms, lam, scale):
-    """Max KKT violation over scale = s(y), given corr = X'(y - X b)."""
-    perm = partition.perm
-    sizes = partition.block_sizes
-    offsets = partition.offsets
-    corr_stacked = corr[perm]
-    active = beta_norms > 0.0
-
-    resid = 0.0
-    if not active.all():
-        corr_norms = np.sqrt(np.add.reduceat(corr_stacked**2, offsets))
-        resid = max(resid, np.max(corr_norms[~active] - lam, initial=0.0))
-    if active.any():
-        safe = np.where(active, beta_norms, 1.0)
-        unit = beta[perm] * np.repeat(1.0 / safe, sizes)
-        dev = corr_stacked - lam * unit
-        dev_norms = np.sqrt(np.add.reduceat(dev**2, offsets))
-        resid = max(resid, float(np.max(dev_norms[active])))
-    if scale > 0.0:
-        return float(resid) / scale
-    return 0.0 if resid == 0.0 else math.inf
+def _relative(viol, scale):
+    """The certificate value viol / s(y), clipped at 0; where s(y) = 0 it is
+    0 at a zero violation and +inf otherwise."""
+    viol = np.maximum(viol, 0.0)
+    return np.divide(viol, scale, out=np.where(viol == 0.0, 0.0, math.inf),
+                     where=scale > 0.0)
 
 
 def kkt_check(problem: Problem, beta, tol: float = 0.0):
@@ -192,22 +161,17 @@ def kkt_check(problem: Problem, beta, tol: float = 0.0):
     (kkt_residual, is_optimal) with is_optimal = residual <= tol.
     """
     values = beta.values if isinstance(beta, Coefficients) else np.asarray(beta, dtype=float)
+    partition = problem.partition
     xty = problem.xty()
-    corr = xty - problem.design.gram @ values
-    norms = problem.partition.block_norms(values)
-    resid = _certificate(problem.partition, corr, values, norms, problem.lam,
-                         _scale(problem.partition, xty))
+    viol = _violation(partition, xty - problem.design.gram @ values, values,
+                      partition.block_norms(values), problem.lam)
+    resid = float(_relative(viol, partition.block_norms(xty).max()))
     return resid, resid <= tol
-
-
-def _scale(partition: BlockPartition, xty) -> float:
-    """s(y) = max_b ||X_b'y|| from xty = X'y: the unit of the certificate."""
-    return float(partition.block_norms(xty).max())
 
 
 def lambda_max(design: Design, y, partition: BlockPartition) -> float:
     """Smallest lambda for which beta = 0 is optimal: max_b ||X_b' y||."""
-    return _scale(partition, design.matrix.T @ np.asarray(y, dtype=float))
+    return float(partition.block_norms(design.matrix.T @ np.asarray(y, dtype=float)).max())
 
 
 def solve(problem: Problem, opts: SolverOptions | None = None) -> Solution:
@@ -217,7 +181,7 @@ def solve(problem: Problem, opts: SolverOptions | None = None) -> Solution:
     would increase the objective, momentum is dropped and a plain proximal
     gradient step (guaranteed descent) is taken instead.  All iterations run
     in Gram coordinates (X'X, X'y), so the per-iteration cost is O(N^2)
-    independent of Q.
+    independent of Q.  This is the loop of `solve_batch` on one column.
 
     Parameters
     ----------
@@ -244,74 +208,16 @@ def solve(problem: Problem, opts: SolverOptions | None = None) -> Solution:
         numerically positive definite.
     """
     opts = opts or SolverOptions()
-    gram = problem.design.gram
-    c = problem.xty()
-    lam = problem.lam
-    partition = problem.partition
-    yty = float(problem.y @ problem.y)
-    scale = _scale(partition, c)
-
-    step = 1.0 / problem.design.lipschitz
-    thresh = step * lam
-
+    start = None
     if opts.warm_start is not None:
-        beta = np.array(opts.warm_start, dtype=float)
-        if beta.shape != (problem.design.N,):
+        start = np.array(opts.warm_start, dtype=float)
+        if start.shape != (problem.design.N,):
             raise ValueError("warm start has wrong length")
-    else:
-        beta = np.zeros(problem.design.N)
-
-    def value(b, gb, norms):
-        return 0.5 * float(b @ gb) - float(c @ b) + 0.5 * yty + lam * norms.sum()
-
-    gbeta = gram @ beta
-    beta_norms = partition.block_norms(beta)
-    obj = value(beta, gbeta, beta_norms)
-    history = [obj] if opts.track_objective else None
-
-    resid = _certificate(partition, c - gbeta, beta, beta_norms, lam, scale)
-    if resid <= opts.kkt_tol:
-        return _finish(problem, beta, resid, 0, history, scale)
-
-    z, gz = beta, gbeta
-    t_mom = 1.0
-    best = (resid, beta)
-
-    for k in range(1, opts.max_iter + 1):
-        cand, cand_norms = _group_prox(z - step * (gz - c), partition, thresh)
-        gcand = gram @ cand
-        cand_obj = value(cand, gcand, cand_norms)
-
-        if cand_obj > obj and t_mom > 1.0:
-            # monotone restart: drop momentum, take the plain descent step
-            # from beta instead (non-increasing up to round-off)
-            t_mom = 1.0
-            cand, cand_norms = _group_prox(beta - step * (gbeta - c), partition, thresh)
-            gcand = gram @ cand
-            cand_obj = value(cand, gcand, cand_norms)
-
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
-        m = (t_mom - 1.0) / t_next
-        z = cand + m * (cand - beta)
-        gz = gcand + m * (gcand - gbeta)
-        beta, gbeta, beta_norms, obj = cand, gcand, cand_norms, cand_obj
-        t_mom = t_next
-        if history is not None:
-            history.append(obj)
-
-        resid = _certificate(partition, c - gbeta, beta, beta_norms, lam, scale)
-        if resid < best[0]:
-            best = (resid, beta)
-        if resid <= opts.kkt_tol:
-            return _finish(problem, beta, resid, k, history, scale)
-
-    raise ConvergenceError(
-        f"no KKT certificate <= {opts.kkt_tol:g} within {opts.max_iter} iterations "
-        f"(best residual {best[0]:g})",
-        beta=Coefficients(best[1], partition),
-        kkt_residual=best[0],
-        iterations=opts.max_iter,
-    )
+        start = start[:, None]
+    (result,) = _solve_columns([problem], opts, start)
+    if isinstance(result, ConvergenceError):
+        raise result
+    return result
 
 
 def solve_batch(design: Design, ys, lam: float | np.ndarray, partition: BlockPartition,
@@ -331,8 +237,8 @@ def solve_batch(design: Design, ys, lam: float | np.ndarray, partition: BlockPar
     each certified column and, for a column that does not certify within
     `max_iter`, the ConvergenceError `solve` would raise (yielded, not
     raised, so the other columns still finish).  Results are bit-identical
-    run to run for the same input and K, and agree with `solve` column by
-    column up to round-off, not bit for bit.
+    run to run for the same input and K.  `solve` is this loop at K = 1,
+    so a column agrees with `solve` up to round-off, not bit for bit.
     """
     opts = opts or SolverOptions()
     if opts.warm_start is not None or opts.track_objective:
@@ -348,21 +254,24 @@ def solve_batch(design: Design, ys, lam: float | np.ndarray, partition: BlockPar
     if not np.all(lams > 0):
         raise ValueError("lambda must be positive")
     return itertools.chain.from_iterable(
-        _solve_columns(design, ys[:, start:start + BATCH_COLUMNS],
-                       lams[start:start + BATCH_COLUMNS], partition, opts)
+        _solve_columns([Problem(design, y, lam, partition)
+                        for y, lam in zip(ys[:, start:start + BATCH_COLUMNS].T,
+                                          lams[start:start + BATCH_COLUMNS])], opts)
         for start in range(0, ys.shape[1], BATCH_COLUMNS))
 
 
-def _solve_columns(design, ys, lams, partition, opts):
-    """`solve_batch` on one set of columns: the batched FISTA, then `_finish`."""
-    problems = [Problem(design, y, lam, partition) for y, lam in zip(ys.T, lams)]
-    n_blocks, tol = partition.n_blocks, opts.kkt_tol
-    # block of each coordinate, and the blocks x coordinates indicator whose
-    # product with a squared N x K matrix sums every block of every column
-    block = np.empty(design.N, dtype=int)
-    block[partition.perm] = np.repeat(np.arange(n_blocks), partition.block_sizes)
-    indicator = np.zeros((n_blocks, design.N))
-    indicator[block, np.arange(design.N)] = 1.0
+def _solve_columns(problems, opts, start=None):
+    """The one FISTA loop, on problems sharing a design and a partition.
+
+    Iterates on all columns at once from `start` (N x K, zeros when None),
+    then yields, in order, each column's `_finish`ed Solution or the
+    ConvergenceError of a column still uncertified after `max_iter`.  With
+    `track_objective` the first column's objective is recorded at each
+    iteration (`solve`, K = 1).
+    """
+    design, partition = problems[0].design, problems[0].partition
+    block, indicator = partition.block_index, partition.indicator
+    gram, step, tol = design.gram, 1.0 / design.lipschitz, opts.kkt_tol
 
     def norms(a):
         return np.sqrt(indicator @ np.square(a))
@@ -370,90 +279,111 @@ def _solve_columns(design, ys, lams, partition, opts):
     def prox(v, thresh):
         nv = norms(v)
         out_norms = np.maximum(nv - thresh, 0.0)
-        shrink = np.divide(out_norms, nv, out=np.zeros_like(nv), where=nv > thresh)
-        return v * shrink[block], out_norms
+        # out_norms is 0 wherever nv <= thresh, and thresh > 0
+        return v * (out_norms / np.maximum(nv, thresh))[block], out_norms
 
     def value(b, gb, bn, c, lam):
         # the objective less its constant 0.5 ||y||^2, per column
         return np.einsum("ij,ij->j", b, 0.5 * gb - c) + lam * bn.sum(axis=0)
 
-    def certificate(c, gb, b, bn, s, lam):
-        active = bn > 0.0
-        dev = norms(c - gb - lam * (b / np.where(active, bn, 1.0)[block]))
-        viol = np.maximum(np.max(dev - lam * ~active, axis=0), 0.0)
-        return np.divide(viol, s, out=np.where(viol == 0.0, 0.0, math.inf), where=s > 0.0)
-
-    gram = design.gram
-    step = 1.0 / design.lipschitz
-    c = design.matrix.T @ ys
+    lam = np.array([p.lam for p in problems])
+    c = design.matrix.T @ np.column_stack([p.y for p in problems])
     scales = norms(c).max(axis=0)
     n, k = c.shape
     beta_out = np.zeros((n, k))
-    resid_out = np.full(k, math.inf)
+    viol_out = np.zeros(k)
     iters_out = np.zeros(k, dtype=int)
 
-    # working columns: `cols` maps them to the output, `done` marks the frozen
-    # ones, which are dropped once they are half of the working set
-    cols, s, lam = np.arange(k), scales, lams
-    beta, gbeta, bnorms = np.zeros((n, k)), np.zeros((n, k)), np.zeros((n_blocks, k))
-    obj, t_mom, done = np.zeros(k), np.ones(k), np.zeros(k, dtype=bool)
-    resid = certificate(c, gbeta, beta, bnorms, s, lam)
-    best_beta, best_resid = beta.copy(), resid.copy()
+    # working columns: `cols` maps them to the output, `live` marks those not
+    # yet frozen; the frozen ones are dropped once they are half of the
+    # working set.  A column certifies when its violation is at most
+    # kkt_tol * s(y) (for s(y) = 0: exactly 0); a frozen column's bound is -inf.
+    cols, thresh, bound = np.arange(k), step * lam, tol * scales
+    if start is None:
+        beta, gbeta = np.zeros((n, k)), np.zeros((n, k))
+        bnorms, obj = np.zeros((partition.n_blocks, k)), np.zeros(k)
+        # `_violation` at beta = 0, where every block is inactive
+        viol = scales - lam
+    else:
+        beta = start
+        gbeta, bnorms = gram @ beta, norms(beta)
+        obj = value(beta, gbeta, bnorms, c, lam)
+        viol = _violation(partition, c - gbeta, beta, bnorms, lam)
+    t_mom, live = np.ones(k), np.ones(k, dtype=bool)
+    best_beta, best_viol = beta, viol
+    history = None
+    if opts.track_objective:
+        const = 0.5 * float(problems[0].y @ problems[0].y)
+        history = [float(obj[0]) + const]
     z, gz = beta, gbeta
-    it = 0
-    while True:
-        new = (resid <= tol) & ~done
-        if new.any():
+    for it in range(opts.max_iter + 1):
+        new = viol <= bound
+        if np.count_nonzero(new):
             beta_out[:, cols[new]] = beta[:, new]
-            resid_out[cols[new]] = resid[new]
+            viol_out[cols[new]] = viol[new]
             iters_out[cols[new]] = it
-            done |= new
-            if 2 * np.count_nonzero(done) >= done.size:
-                keep = ~done
-                c, beta, gbeta, z, gz, best_beta = (
-                    a[:, keep] for a in (c, beta, gbeta, z, gz, best_beta))
-                bnorms = bnorms[:, keep]
-                cols, s, lam, obj, t_mom, resid, best_resid, done = (
-                    a[keep] for a in (cols, s, lam, obj, t_mom, resid, best_resid, done))
-        if done.all() or it == opts.max_iter:
+            live &= ~new
+            bound[new] = -math.inf
+            n_live = np.count_nonzero(live)
+            if n_live == 0:
+                break
+            if 2 * n_live <= live.size:
+                c, beta, gbeta, z, gz, best_beta, bnorms = (
+                    a[:, live] for a in (c, beta, gbeta, z, gz, best_beta, bnorms))
+                cols, lam, thresh, bound, obj, t_mom, viol, best_viol, live = (
+                    a[live] for a in (cols, lam, thresh, bound, obj, t_mom, viol,
+                                      best_viol, live))
+        if it == opts.max_iter:
             break
-        it += 1
-        cand, cand_norms = prox(z - step * (gz - c), step * lam)
+        cand, cand_norms = prox(z - step * (gz - c), thresh)
         gcand = gram @ cand
         cand_obj = value(cand, gcand, cand_norms, c, lam)
 
-        restart = np.flatnonzero((cand_obj > obj) & (t_mom > 1.0) & ~done)
-        if restart.size:
-            # monotone restart, per column, as in `solve`
+        restart = (cand_obj > obj) & (t_mom > 1.0) & live
+        if np.count_nonzero(restart):
+            # monotone restart, per column: drop momentum and take the plain
+            # descent step from beta instead (non-increasing up to round-off)
             t_mom[restart] = 1.0
             cr, nr = prox(beta[:, restart] - step * (gbeta[:, restart] - c[:, restart]),
-                          step * lam[restart])
+                          thresh[restart])
             gr = gram @ cr
             cand[:, restart], cand_norms[:, restart], gcand[:, restart] = cr, nr, gr
             cand_obj[restart] = value(cr, gr, nr, c[:, restart], lam[restart])
 
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
+        # 0.5 + sqrt(0.25 + t^2) is 0.5 * (1 + sqrt(1 + 4 t^2)) to the bit
+        t_next = 0.5 + np.sqrt(0.25 + t_mom * t_mom)
         m = (t_mom - 1.0) / t_next
         z = cand + m * (cand - beta)
         gz = gcand + m * (gcand - gbeta)
         beta, gbeta, bnorms, obj, t_mom = cand, gcand, cand_norms, cand_obj, t_next
+        if history is not None:
+            history.append(float(obj[0]) + const)
 
-        resid = certificate(c, gbeta, beta, bnorms, s, lam)
-        np.copyto(best_beta, beta, where=resid < best_resid)
-        np.minimum(best_resid, resid, out=best_resid)
+        viol = _violation(partition, c - gbeta, beta, bnorms, lam)
+        better = viol < best_viol
+        n_better = np.count_nonzero(better)
+        if n_better == better.size:
+            # beta and viol are new arrays every iteration: share, not copy
+            best_beta, best_viol = beta, viol
+        elif n_better:
+            best_beta, best_viol = best_beta.copy(), best_viol.copy()
+            best_beta[:, better], best_viol[better] = beta[:, better], viol[better]
 
-    failed = dict(zip(cols[~done].tolist(), zip(best_beta[:, ~done].T, best_resid[~done])))
+    # a column still live after max_iter reports its best iterate
+    failed = np.zeros(k, dtype=bool)
+    failed[cols[live]] = True
+    beta_out[:, cols[live]], viol_out[cols[live]] = best_beta[:, live], best_viol[live]
+    resid_out = _relative(viol_out, scales)
     for j, problem in enumerate(problems):
-        if j in failed:
-            best, best_r = failed[j]
+        if failed[j]:
             yield ConvergenceError(
                 f"no KKT certificate <= {tol:g} within {opts.max_iter} iterations "
-                f"(best residual {best_r:g})",
-                beta=Coefficients(best, partition), kkt_residual=float(best_r),
-                iterations=opts.max_iter)
+                f"(best residual {resid_out[j]:g})",
+                beta=Coefficients(beta_out[:, j], partition),
+                kkt_residual=float(resid_out[j]), iterations=opts.max_iter)
         else:
-            yield _finish(problem, beta_out[:, j], float(resid_out[j]),
-                          int(iters_out[j]), None, float(scales[j]))
+            yield _finish(problem, beta_out[:, j], float(resid_out[j]), int(iters_out[j]),
+                          history, float(scales[j]))
 
 
 def _finish(problem, beta, resid, iterations, history, scale) -> Solution:

@@ -29,69 +29,48 @@ class TransitionCrossingError(RuntimeError):
     """A finite-difference probe changed the block support."""
 
 
-def _fd_step(problem: Problem, h) -> float:
-    """The given step, else 1e-5 * max|y| (1e-5 when y = 0): relative to y,
+def fd_step(problem: Problem) -> float:
+    """The default fd step, 1e-5 * max|y| (1e-5 when y = 0): relative to y,
     so a rescaled problem takes the rescaled step."""
-    if h is None:
-        return 1e-5 * (float(np.max(np.abs(problem.y))) or 1.0)
+    return 1e-5 * (float(np.max(np.abs(problem.y))) or 1.0)
+
+
+def fd_oracle(problem: Problem, h: float | None = None, *, base: Solution | None = None,
+              kkt_tol: float = ORACLE_KKT_TOL,
+              max_iter: int = ORACLE_MAX_ITER) -> tuple[np.ndarray, float]:
+    """Central differences of y -> beta(y) on the support of `base`.
+
+    Solves the problem at y +/- h e_i for every observation coordinate, as
+    one `solve_batch` of 2Q columns (h defaults to `fd_step`).  `base` is the
+    solution at y itself, solved here when not given.  Returns the |I| x Q
+    Jacobian of y -> beta(y)_I and the divergence of y -> X beta(y),
+    sum_i x_i'(beta(y + h e_i) - beta(y - h e_i)) / 2h, which for an empty
+    support is 0.  Raises TransitionCrossingError if any probe's block
+    support differs from that of `base` (the restriction to I, and the
+    divergence of a fixed support, are then invalid), and the
+    ConvergenceError of an uncertified probe.
+    """
+    h = fd_step(problem) if h is None else h
     if not h > 0:
         raise ValueError("step h must be positive")
-    return float(h)
-
-
-def _probe_pairs(problem: Problem, h: float, opts: SolverOptions):
-    """Yield (i, solution at y + h e_i, solution at y - h e_i) for each i.
-
-    The 2Q probes are one `solve_batch`; an uncertified probe raises its
-    ConvergenceError.
-    """
-    q = problem.design.Q
-    rows = np.arange(q)
-    ys = np.repeat(problem.y[:, None], 2 * q, axis=1)
-    ys[rows, 2 * rows] += h
-    ys[rows, 2 * rows + 1] -= h
-    results = solve_batch(problem.design, ys, problem.lam, problem.partition, opts)
-    for i, pair in enumerate(zip(results, results)):
-        for sol in pair:
-            if isinstance(sol, ConvergenceError):
-                raise sol
-        yield i, pair[0], pair[1]
-
-
-def fd_jacobian(problem: Problem, h: float | None = None, *, base: Solution | None = None,
-                kkt_tol: float = ORACLE_KKT_TOL,
-                max_iter: int = ORACLE_MAX_ITER) -> np.ndarray:
-    """Central-difference Jacobian of y -> beta(y)_I on the fixed support.
-
-    Solves the problem at y +/- h e_i for every observation coordinate.
-    `base` is the solution at y itself, solved here when not given; raises
-    TransitionCrossingError if any probe's block support differs from its
-    support, since the restriction to I is then invalid.
-    """
-    h = _fd_step(problem, h)
     opts = SolverOptions(kkt_tol=kkt_tol, max_iter=max_iter)
     support = (base if base is not None else solve(problem, opts)).support
-    jac = np.empty((support.active_dim, problem.design.Q))
-    for i, plus, minus in _probe_pairs(problem, h, opts):
-        for sol, sign in ((plus, "+"), (minus, "-")):
+    q = problem.design.Q
+    # columns y + h e_0, y - h e_0, y + h e_1, ...
+    ys = problem.y[:, None] + h * np.kron(np.eye(q), [1.0, -1.0])
+    results = solve_batch(problem.design, ys, problem.lam, problem.partition, opts)
+    jac = np.empty((support.active_dim, q))
+    for i, pair in enumerate(zip(results, results)):
+        for sol, sign in zip(pair, "+-"):
+            if isinstance(sol, ConvergenceError):
+                raise sol
             if sol.support.active != support.active:
                 raise TransitionCrossingError(f"support changed at probe y[{i}] {sign} h")
-        jac[:, i] = (support.restrict(plus.beta.values)
-                     - support.restrict(minus.beta.values)) / (2.0 * h)
-    return jac
-
-
-def fd_divergence(problem: Problem, h: float | None = None, *,
-                  kkt_tol: float = ORACLE_KKT_TOL, max_iter: int = ORACLE_MAX_ITER) -> float:
-    """Central-difference divergence of the prediction map y -> X beta(y)."""
-    h = _fd_step(problem, h)
-    opts = SolverOptions(kkt_tol=kkt_tol, max_iter=max_iter)
-    x = problem.design.matrix
-    total = 0.0
-    for i, plus, minus in _probe_pairs(problem, h, opts):
-        total += (float(x[i] @ plus.beta.values)
-                  - float(x[i] @ minus.beta.values)) / (2.0 * h)
-    return total
+        plus, minus = (support.restrict(sol.beta.values) for sol in pair)
+        jac[:, i] = (plus - minus) / (2.0 * h)
+    # on the fixed support x_i'(beta+ - beta-) / 2h is x_{i,I}' jac[:, i]
+    divergence = float(np.sum(problem.design.columns(support.indices) * jac.T))
+    return jac, divergence
 
 
 @dataclasses.dataclass(frozen=True)

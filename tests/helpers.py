@@ -86,3 +86,40 @@ def duality_gap(problem, beta):
     theta = r * min(1.0, lam / dual_norm) if dual_norm > 0 else r
     dual = 0.5 * (y @ y) - 0.5 * np.sum((y - theta) ** 2)
     return float(primal - dual), float(primal)
+
+
+def block_soft_threshold(v, threshold):
+    """Proximal map of threshold * ||.||_2 on one block, in closed form:
+    0 when ||v|| <= threshold, else (1 - threshold / ||v||) v.  The group
+    lasso solution of an identity design is this map on every block."""
+    v = np.asarray(v, dtype=float)
+    nrm = np.linalg.norm(v)
+    if nrm <= threshold:
+        return np.zeros_like(v)
+    return (1.0 - threshold / nrm) * v
+
+
+def kkt_residual(problem, beta):
+    """The KKT certificate of `kkt_check`, one block at a time.
+
+    Largest violation of X_b'r = lambda * beta_b / ||beta_b|| over blocks
+    with nonzero norm and of ||X_b'r|| <= lambda over the others, with
+    r = y - X beta, divided by s(y) = max_b ||X_b'y||; when s(y) = 0 it is
+    0 at a zero violation and +inf otherwise.
+    """
+    x, y, lam = problem.design.matrix, problem.y, problem.lam
+    beta = np.asarray(beta, dtype=float)
+    r = y - x @ beta
+    worst = 0.0
+    for b in problem.partition:
+        b = list(b)
+        corr = x[:, b].T @ r
+        nrm = np.linalg.norm(beta[b])
+        if nrm > 0:
+            worst = max(worst, np.linalg.norm(corr - lam * beta[b] / nrm))
+        else:
+            worst = max(worst, np.linalg.norm(corr) - lam)
+    scale = max(np.linalg.norm(x[:, list(b)].T @ y) for b in problem.partition)
+    if scale > 0:
+        return worst / scale
+    return 0.0 if worst == 0.0 else np.inf

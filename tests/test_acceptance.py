@@ -21,7 +21,7 @@ from gldof.dof import (
 )
 from gldof.risk import aic, cp, sure
 from gldof.solver import Problem, SolverOptions, lambda_max, solve
-from gldof.validate import fd_divergence, fd_jacobian, mc_dof, replicate_rng
+from gldof.validate import fd_oracle, mc_dof, replicate_rng
 
 FD_REL = 1e-4
 FD_ABS = 1e-8
@@ -80,12 +80,11 @@ def test_criterion_2_differential_vs_finite_differences():
     worst_div = 0.0
     for problem, sol in unwarned_instances(20, 30, 12, [3] * 4, 1 / 3):
         d = differential(problem, sol)
-        fd = fd_jacobian(problem)
+        fd, fdd = fd_oracle(problem, base=sol)
         allowed = np.maximum(FD_REL * np.abs(fd), FD_ABS)
         worst_jac = max(worst_jac, float(np.max(np.abs(d - fd) / allowed)))
 
         div = dof_estimate(problem, sol).divergence
-        fdd = fd_divergence(problem)
         worst_div = max(worst_div,
                         abs(div - fdd) / max(FD_REL * abs(fdd), FD_ABS))
     ok = worst_jac < 1.0 and worst_div < 1.0

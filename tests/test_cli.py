@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -9,6 +10,11 @@ from gldof.core import BlockPartition, Design
 from gldof.datagen import ScenarioSpec, generate, load_problem, save_problem
 from gldof.risk import CSV_HEADER, lambda_path
 from gldof.solver import lambda_max
+
+# `validate fd` of the benchmark's `fd` workload at seed 316, round 62,
+# position 0: a transition margin of 2.4e-6 lambda, no warning, and a
+# first-order coordinate radius of 4.3e-6, below the 1.1e-5 default step
+FD_NEAR_BOUNDARY = pathlib.Path(__file__).parent / "fixtures" / "fd_seed316_round62.json"
 
 
 @pytest.fixture
@@ -182,7 +188,32 @@ class TestValidateFd:
         code = main(["validate", "fd", "--problem", str(problem_file),
                      "--out", str(out), "--no-timestamp"])
         assert code == 0
-        assert json.loads(out.read_text())["passed"] is True
+        d = json.loads(out.read_text())
+        assert d["passed"] is True
+        # far from a boundary the default step is 1e-5 * max|y|
+        assert d["step"] == validate.fd_step(load_problem(str(problem_file)).problem(0.4))
+
+    def test_step_stays_inside_the_coordinate_radius(self, tmp_path):
+        loaded = load_problem(str(FD_NEAR_BOUNDARY))
+        problem = loaded.problem(loaded.lam)
+        # the default step crosses the boundary at a probe ...
+        with pytest.raises(validate.TransitionCrossingError):
+            validate.fd_oracle(problem, validate.fd_step(problem))
+        # ... so `validate fd` takes half the radius and passes, unwarned
+        out = tmp_path / "fd.json"
+        assert main(["validate", "fd", "--problem", str(FD_NEAR_BOUNDARY),
+                     "--out", str(out), "--no-timestamp"]) == 0
+        d = json.loads(out.read_text())
+        assert d["passed"] is True and d["transition_warning"] is False
+        assert d["step"] < 0.5 * validate.fd_step(problem)
+        assert d["jacobian_worst_tol_ratio"] <= 1e-2
+
+    def test_boundary_observation_is_a_numerical_failure(self, tmp_path):
+        # y exactly on the boundary of the empty support: no step keeps it
+        path = tmp_path / "p.json"
+        save_problem(path, Design.identity(4), np.array([3.0, 4.0, 0.3, 0.1]),
+                     BlockPartition(((0, 1), (2, 3))), lam=5.0)
+        assert main(["validate", "fd", "--problem", str(path), "--no-timestamp"]) == 3
 
     def test_oversized_step_fails_validation(self, tmp_path):
         # support stays fixed, but the truncation error exceeds the tolerance
@@ -211,7 +242,8 @@ class TestValidateFd:
         path = tmp_path / "p.json"
         save_problem(path, Design.identity(4), np.array([3.0, 4.0, 0.3, 0.1]),
                      BlockPartition(((0, 1), (2, 3))), lam=5.0 * (1 + 1e-9))
-        assert main(["validate", "fd", "--problem", str(path),
+        # a step beyond the coordinate radius, 5e-9, so the probes move
+        assert main(["validate", "fd", "--problem", str(path), "--step", "4e-5",
                      "--max-iter", "0", "--no-timestamp"]) == 3
 
     def test_probes_are_solved_once(self, tmp_path, monkeypatch):

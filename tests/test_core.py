@@ -60,9 +60,25 @@ class TestBlockPartition:
         assert json.loads(p.to_json()) == [[0, 1], [2, 3, 4]]
 
     @given(partitions())
-    def test_stacked_layout_is_permutation(self, p):
-        assert sorted(p.perm.tolist()) == list(range(p.total_dim))
+    def test_block_layout_covers_every_coordinate(self, p):
+        for k, b in enumerate(p.blocks):
+            assert np.all(p.block_index[list(b)] == k)
+        # one 1 per coordinate, block_sizes[k] of them in row k
+        assert np.array_equal(p.indicator.sum(axis=0), np.ones(p.total_dim))
+        assert np.array_equal(p.indicator.sum(axis=1), p.block_sizes)
         assert p.block_sizes.sum() == p.total_dim
+        # the one block reduction against a per-block loop
+        v = np.random.default_rng(p.total_dim).standard_normal(p.total_dim)
+        loop = [np.linalg.norm(v[list(b)]) for b in p.blocks]
+        assert np.allclose(p.block_norms(v), loop, rtol=8 * np.finfo(float).eps, atol=0.0)
+
+    def test_block_norms_of_matrix_columns(self):
+        p = BlockPartition(((0, 2), (1, 3)))
+        v = np.array([[3.0, 0.0], [1.0, 2.0], [4.0, 0.0], [0.0, 0.0]])
+        assert np.allclose(p.block_norms(v), [[5.0, 0.0], [1.0, 2.0]])
+        assert np.allclose(p.block_norms(v[:, 0]), [5.0, 1.0])
+        with pytest.raises(ValueError):
+            p.block_norms(np.ones(3))
 
     def test_block_norms_non_contiguous(self):
         p = BlockPartition(((0, 2), (1, 3)))

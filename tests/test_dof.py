@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import random_problem, transition_instance
+from helpers import block_soft_threshold, random_problem, transition_instance
 
 from gldof.core import BlockPartition, Design
 from gldof.dof import (
+    coordinate_radius,
     differential,
     dof_estimate,
     dof_identity_closed_form,
@@ -16,11 +17,10 @@ from gldof.dof import (
 from gldof.solver import (
     Problem,
     SolverOptions,
-    block_soft_threshold,
     lambda_max,
     solve,
 )
-from gldof.validate import fd_jacobian
+from gldof.validate import TransitionCrossingError, fd_oracle
 
 TIGHT = SolverOptions(kkt_tol=1e-12)
 
@@ -64,7 +64,7 @@ class TestDifferential:
         expected = scipy.linalg.solve(xi.T @ xi, xi.T, assume_a="pos")
         assert np.allclose(d, expected, atol=1e-10)
         # oracle: finite differences of the solution map itself
-        assert np.allclose(d, fd_jacobian(problem), atol=1e-6)
+        assert np.allclose(d, fd_oracle(problem)[0], atol=1e-6)
 
     def test_small_lambda_limit_is_least_squares_differential(self):
         rng = np.random.default_rng(8)
@@ -95,7 +95,7 @@ class TestDifferential:
         if warned or sol.support.is_empty:
             pytest.skip("degenerate draw")
         d = differential(problem, sol)
-        fd = fd_jacobian(problem)
+        fd = fd_oracle(problem)[0]
         denom = np.maximum(np.abs(fd), 1e-8 / 1e-4)
         assert np.max(np.abs(d - fd) / denom) < 1e-4
 
@@ -227,6 +227,39 @@ class TestTransitionProximity:
         assert sol.support.active_dim == 4
         tm, _, _ = transition_proximity(problem, sol)
         assert tm == np.inf
+
+
+class TestCoordinateRadius:
+    def test_identity_design_closed_form(self):
+        # inactive block (0.5, 0.5): lambda - ||y_b|| along a unit speed;
+        # the active block of norm 5 is 4 from zero at speed below 1
+        problem = identity_problem([3.0, 4.0, 0.5, 0.5], 1.0, [2, 2])
+        sol = solve(problem, TIGHT)
+        assert coordinate_radius(problem, sol) == pytest.approx(1.0 - np.sqrt(0.5),
+                                                                rel=1e-12)
+
+    def test_empty_support(self):
+        problem = identity_problem([3.0, 4.0, 0.3, 0.1], 6.0, [2, 2])
+        sol = solve(problem, TIGHT)
+        assert sol.support.is_empty
+        assert coordinate_radius(problem, sol) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_boundary_instance_has_no_room(self, seed):
+        problem = transition_instance(seed)
+        sol = solve(problem, TIGHT)
+        assert coordinate_radius(problem, sol) <= 1e-6 * np.max(np.abs(problem.y))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_half_the_radius_keeps_the_support(self, seed):
+        # lambda near a block's entry point puts the radius below the default step
+        problem = random_problem(seed, 14, 6, [2, 2, 2], lam_frac=0.9)
+        sol = solve(problem, TIGHT)
+        radius = coordinate_radius(problem, sol)
+        fd_oracle(problem, 0.5 * radius, base=sol)
+        # well past the radius some probe crosses
+        with pytest.raises(TransitionCrossingError):
+            fd_oracle(problem, 4.0 * radius, base=sol)
 
 
 class TestDofReportSerialization:

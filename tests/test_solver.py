@@ -6,7 +6,7 @@ import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import duality_gap, random_problem
+from helpers import block_soft_threshold, duality_gap, kkt_residual, random_problem
 
 from gldof import solver
 from gldof.core import BlockPartition, Design, delta_P_matrix
@@ -16,7 +16,6 @@ from gldof.solver import (
     ConvergenceError,
     Problem,
     SolverOptions,
-    block_soft_threshold,
     kkt_check,
     lambda_max,
     solve,
@@ -50,15 +49,23 @@ def prox_objective(z, v, t):
     return 0.5 * np.sum((np.asarray(z) - v) ** 2) + t * np.linalg.norm(z)
 
 
+def prox_by_solve(v, t):
+    """Block soft thresholding of v at t: the solution of a one-block
+    identity design, where the first proximal step is already exact."""
+    v = np.asarray(v, dtype=float)
+    problem = Problem(Design.identity(v.size), v, t, BlockPartition.from_sizes([v.size]))
+    return solve(problem, SolverOptions(kkt_tol=1e-13)).beta.values
+
+
 class TestBlockSoftThreshold:
     def test_boundary_collapses_to_zero(self):
-        assert block_soft_threshold([3.0, 4.0], 5.0).tolist() == [0.0, 0.0]
+        assert prox_by_solve([3.0, 4.0], 5.0).tolist() == [0.0, 0.0]
 
     def test_zero_input(self):
-        assert block_soft_threshold([0.0, 0.0], 2.0).tolist() == [0.0, 0.0]
+        assert prox_by_solve([0.0, 0.0], 2.0).tolist() == [0.0, 0.0]
 
     def test_shrinks_radially(self):
-        out = block_soft_threshold([3.0, 4.0], 1.0)
+        out = prox_by_solve([3.0, 4.0], 1.0)
         assert np.allclose(out, [2.4, 3.2], atol=1e-15)
 
     def test_against_numeric_minimization_oracle(self):
@@ -68,14 +75,15 @@ class TestBlockSoftThreshold:
                                       method="Nelder-Mead",
                                       options={"xatol": 1e-10, "fatol": 1e-14,
                                                "maxiter": 10000})
-        assert np.allclose(block_soft_threshold(v, 1.0), res.x, atol=1e-6)
+        assert np.allclose(prox_by_solve(v, 1.0), res.x, atol=1e-6)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_prox_optimality_on_random_blocks(self, seed):
         rng = np.random.default_rng(seed)
         v = 3.0 * rng.standard_normal(2)
         t = float(rng.uniform(0.1, 4.0))
-        z = block_soft_threshold(v, t)
+        z = prox_by_solve(v, t)
+        assert np.max(np.abs(z - block_soft_threshold(v, t))) <= 1e-12
         base = prox_objective(z, v, t)
         # no grid point may beat the prox output
         grid = np.linspace(-6, 6, 121)
@@ -84,7 +92,7 @@ class TestBlockSoftThreshold:
 
     def test_nonpositive_threshold_rejected(self):
         with pytest.raises(ValueError):
-            block_soft_threshold([1.0], 0.0)
+            prox_by_solve([1.0], 0.0)
 
 
 class TestLambdaMax:
@@ -176,6 +184,28 @@ class TestSolve:
         assert np.allclose(again.beta.values, sol.beta.values)
         assert_gap_closed(problem, again)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_warm_start_from_a_nearby_point(self, seed):
+        problem = random_problem(seed, 30, 12, [3, 3, 2, 4], lam_frac=0.2)
+        cold = solve(problem, SolverOptions(kkt_tol=1e-10))
+        rng = np.random.default_rng(seed)
+        start = cold.beta.values + 1e-3 * rng.standard_normal(12)
+        warm = solve(problem, SolverOptions(kkt_tol=1e-10, warm_start=start,
+                                            track_objective=True))
+        assert warm.support == cold.support
+        assert np.max(np.abs(warm.beta.values - cold.beta.values)) <= \
+            1e-12 * np.max(np.abs(cold.beta.values))
+        assert warm.kkt_residual <= 1e-10
+        assert_gap_closed(problem, warm)
+        # the trace starts at the start point's objective, one entry per iteration
+        assert warm.objective_history[0] == pytest.approx(problem.objective(start))
+        assert len(warm.objective_history) == warm.iterations + 1
+
+    def test_warm_start_of_wrong_length_rejected(self):
+        problem = random_problem(13, 20, 8, [2, 2, 2, 2])
+        with pytest.raises(ValueError):
+            solve(problem, SolverOptions(warm_start=np.zeros(7)))
+
     def test_iteration_budget_exhaustion_carries_best_iterate(self):
         problem = random_problem(21, 40, 16, [4, 4, 4, 4], lam_frac=0.05)
         with pytest.raises(ConvergenceError) as err:
@@ -242,6 +272,24 @@ class TestKktCheck:
         assert resid == np.inf and not ok
         sol = solve(problem, SolverOptions(warm_start=np.ones(4)))
         assert np.all(sol.beta.values == 0.0) and sol.kkt_residual == 0.0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_blockwise_reference(self, seed):
+        # random points, points with exact-zero blocks, and the solution
+        problem = random_problem(seed, 20, 9, [3, 1, 4, 1], lam_frac=0.3)
+        rng = np.random.default_rng(seed)
+        point = rng.standard_normal(9)
+        sparse = point.copy()
+        sparse[[0, 1, 2, 4, 5, 6, 7]] = 0.0
+        for beta in (point, sparse, np.zeros(9), solve(problem).beta.values):
+            resid, _ = kkt_check(problem, beta)
+            assert resid == pytest.approx(kkt_residual(problem, beta), rel=1e-12, abs=1e-15)
+
+    def test_matches_blockwise_reference_at_zero_scale(self):
+        p = BlockPartition(((0, 2), (1, 3)))
+        problem = Problem(Design.identity(4), np.zeros(4), 1.0, p)
+        for beta in (np.zeros(4), [0.0, 1.0, 0.0, 0.0]):
+            assert kkt_check(problem, beta)[0] == kkt_residual(problem, beta)
 
     def test_accepts_coefficients_object(self):
         problem = random_problem(2, 10, 4, [2, 2])

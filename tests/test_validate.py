@@ -13,8 +13,7 @@ from gldof.solver import Problem, SolverOptions, solve
 from gldof.validate import (
     ORACLE_KKT_TOL,
     TransitionCrossingError,
-    fd_divergence,
-    fd_jacobian,
+    fd_oracle,
     mc_dof,
     replicate_rng,
 )
@@ -28,11 +27,11 @@ def identity_problem(y, lam, sizes):
 class TestFdDivergence:
     def test_zero_when_everything_thresholded(self):
         problem = identity_problem([0.4, 0.3, -0.2, 0.1], 2.0, [2, 2])
-        assert fd_divergence(problem) == 0.0
+        assert fd_oracle(problem)[1] == 0.0
 
     def test_identity_worked_example(self):
         problem = identity_problem([3.0, 4.0, 0.5, 0.5], 1.0, [2, 2])
-        fd = fd_divergence(problem)
+        fd = fd_oracle(problem)[1]
         closed = dof_identity_closed_form(problem.y, 1.0, problem.partition)
         assert fd == pytest.approx(closed, abs=1e-6)
         assert fd == pytest.approx(1.8, abs=1e-6)
@@ -41,26 +40,38 @@ class TestFdDivergence:
     def test_agrees_with_divergence_formula(self, seed):
         problem = random_problem(seed + 30, 16, 6, [2, 2, 2], lam_frac=0.35)
         report = dof_estimate(problem, solve(problem, SolverOptions(kkt_tol=1e-12)))
-        assert fd_divergence(problem) == pytest.approx(report.divergence,
+        assert fd_oracle(problem)[1] == pytest.approx(report.divergence,
                                                        rel=1e-4, abs=1e-8)
+
+    def test_empty_support_probe_crossing_raises(self):
+        # beta = 0, but lambda sits just above lambda_max = 5: y[1] + h
+        # activates the first block
+        problem = identity_problem([3.0, 4.0, 0.3, 0.1], 5.0 * (1 + 1e-9), [2, 2])
+        with pytest.raises(TransitionCrossingError):
+            fd_oracle(problem)
+
+    def test_empty_support_returns_an_empty_jacobian(self):
+        problem = identity_problem([0.4, 0.3, -0.2, 0.1], 2.0, [2, 2])
+        jac, div = fd_oracle(problem)
+        assert jac.shape == (0, 4) and div == 0.0
 
     def test_rejects_bad_step(self):
         problem = identity_problem([1.0, 2.0], 0.5, [2])
         with pytest.raises(ValueError):
-            fd_divergence(problem, h=0.0)
+            fd_oracle(problem, h=0.0)
 
 
 class TestFdJacobian:
     def test_scalar_soft_threshold_slope(self):
         problem = identity_problem([2.0, 0.1], 0.5, [1, 1])
-        jac = fd_jacobian(problem)
+        jac = fd_oracle(problem)[0]
         assert jac.shape == (1, 2)
         assert jac[0, 0] == pytest.approx(1.0, abs=1e-9)
         assert jac[0, 1] == pytest.approx(0.0, abs=1e-9)
 
     def test_identity_active_block_closed_form(self):
         problem = identity_problem([3.0, 4.0, 0.5, 0.5], 1.0, [2, 2])
-        jac = fd_jacobian(problem)
+        jac = fd_oracle(problem)[0]
         u = problem.y[:2] / 5.0
         closed = np.eye(2) - 0.2 * (np.eye(2) - np.outer(u, u))
         assert np.allclose(jac[:, :2], closed, atol=1e-7)
@@ -70,16 +81,16 @@ class TestFdJacobian:
         problem = random_problem(44, 18, 8, [2, 2, 2, 2], lam_frac=0.3)
         sol = solve(problem, SolverOptions(kkt_tol=1e-12))
         d = differential(problem, sol)
-        jac = fd_jacobian(problem)
+        jac = fd_oracle(problem)[0]
         denom = np.maximum(np.abs(jac), 1e-4)
         assert np.max(np.abs(d - jac) / denom) < 1e-4
 
     def test_trace_consistency_with_fd_divergence(self):
         problem = random_problem(45, 14, 6, [3, 3], lam_frac=0.4)
         sol = solve(problem, SolverOptions(kkt_tol=1e-12))
-        jac = fd_jacobian(problem)
+        jac, div = fd_oracle(problem)
         xi = problem.design.columns(sol.support.indices)
-        assert float(np.trace(xi @ jac)) == pytest.approx(fd_divergence(problem),
+        assert float(np.trace(xi @ jac)) == pytest.approx(div,
                                                           abs=1e-6)
 
     def test_matches_per_probe_solves(self):
@@ -94,13 +105,13 @@ class TestFdJacobian:
             plus = solve(problem.with_y(problem.y + step), opts).beta.values
             minus = solve(problem.with_y(problem.y - step), opts).beta.values
             ref[:, i] = (support.restrict(plus) - support.restrict(minus)) / (2.0 * h)
-        jac = fd_jacobian(problem)
+        jac = fd_oracle(problem)[0]
         assert np.max(np.abs(jac - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     def test_boundary_instance_reports_transition_crossing(self):
         problem = transition_instance(1)
         with pytest.raises(TransitionCrossingError):
-            fd_jacobian(problem)
+            fd_oracle(problem)[0]
 
 
 def small_scenario(seed=3, sizes=(2, 2, 2, 2, 2), q=20, sigma=0.5):

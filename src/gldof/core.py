@@ -165,11 +165,11 @@ class BlockSupport:
         return np.diff(self.offsets)
 
     @cached_property
-    def same_block(self) -> np.ndarray:
-        """0/1 matrix over stacked on-support coordinates: 1 where both lie
-        in the same active block."""
-        block = np.repeat(np.arange(self.n_active), self.sizes)
-        return (block[:, None] == block).astype(float)
+    def block_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, cols) of the stacked on-support coordinate pairs that lie
+        in the same active block: the block-diagonal pattern of deltaP."""
+        block = self.partition.block_index[self.indices]
+        return np.nonzero(block[:, None] == block)
 
     def restrict(self, values) -> np.ndarray:
         """Extract the stacked on-support subvector of a full-length vector."""
@@ -265,19 +265,15 @@ def block_support(beta: Coefficients) -> BlockSupport:
     The cutoff is relative, so near-zeros left behind by an iterative solver
     are screened at any scale; an exactly zero block is never in the support.
     """
-    norms = beta.partition.block_norms(beta.values)
-    tol = 1e-8 * np.max(np.abs(beta.values))
-    active = tuple(int(i) for i in np.nonzero(norms > tol)[0])
-    return BlockSupport(beta.partition, active)
+    return BlockSupport(beta.partition,
+                        tuple(np.flatnonzero(support_mask(beta.partition, beta.values))))
 
 
-def _active_block_norms(v, support: BlockSupport) -> np.ndarray:
-    """Norm of each active block of a stacked on-support vector, spread over
-    its coordinates.  Raises DegenerateBlockError if any active block is zero."""
-    norms = np.sqrt(np.add.reduceat(v * v, support.offsets[:-1]))
-    if not norms.all():
-        raise DegenerateBlockError(f"zero block at active position {np.argmin(norms)}")
-    return np.repeat(norms, support.sizes)
+def support_mask(partition: BlockPartition, values) -> np.ndarray:
+    """The rule of `block_support` for a vector, or for each column of an
+    N x K matrix: a boolean mask over the blocks (n_blocks x K)."""
+    v = np.asarray(values, dtype=float)
+    return partition.block_norms(v) > 1e-8 * np.max(np.abs(v), axis=0)
 
 
 def normalize_blocks(beta_I, support: BlockSupport) -> np.ndarray:
@@ -285,8 +281,7 @@ def normalize_blocks(beta_I, support: BlockSupport) -> np.ndarray:
 
     Raises DegenerateBlockError if any active block is zero.
     """
-    v = _as_vector(beta_I, support.active_dim)
-    return v / _active_block_norms(v, support)
+    return unit_and_delta_P(_as_vector(beta_I, support.active_dim), support)[0]
 
 
 def delta_P_matrix(beta_I, support: BlockSupport) -> np.ndarray:
@@ -297,6 +292,21 @@ def delta_P_matrix(beta_I, support: BlockSupport) -> np.ndarray:
     size-1 blocks.  Raises DegenerateBlockError on a zero block.
     """
     v = _as_vector(beta_I, support.active_dim)
-    norms = _active_block_norms(v, support)
+    out = np.zeros((v.size, v.size))
+    out[support.block_pairs] = unit_and_delta_P(v, support)[1]
+    return out
+
+
+def unit_and_delta_P(beta_I, support: BlockSupport):
+    """`normalize_blocks` of a stacked on-support vector, or of each row of
+    a g x m stack of them, and the entries of `delta_P_matrix` at
+    `support.block_pairs` (all others are zero), from one set of block
+    norms.  Raises DegenerateBlockError on a zero block."""
+    v = np.asarray(beta_I, dtype=float)
+    norms = np.sqrt(np.add.reduceat(v * v, support.offsets[:-1], axis=-1))
+    if not norms.all():
+        raise DegenerateBlockError(f"zero block at active position {np.argmin(norms)}")
+    norms = np.repeat(norms, support.sizes, axis=-1)
     u = v / norms
-    return (np.eye(v.size) - u[:, None] * u * support.same_block) / norms[:, None]
+    rows, cols = support.block_pairs
+    return u, ((rows == cols) - u[..., rows] * u[..., cols]) / norms[..., rows]

@@ -23,32 +23,41 @@ from .solver import ConvergenceError, Problem, SolverOptions, lambda_max, solve_
 CSV_HEADER = "lambda,dof,residual_sq,sure,gcv,cp,aic,active_dim,warning"
 
 
-def sure(residual_sq, dof, sigma: float, Q: int):
-    """Stein unbiased risk estimate of E ||Xb(y) - mu0||^2."""
-    if not sigma > 0:
+def criteria(residual_sq, dof, sigma: float | None, Q: int):
+    """(SURE, GCV, Cp, AIC) of a residual norm and a DOF estimate, or of
+    arrays of them: SURE = rss - Q sigma^2 + 2 sigma^2 dof, GCV =
+    (rss / Q) / (1 - dof / Q)^2, Cp = SURE / sigma^2 and AIC = Cp + Q.
+    The three that need sigma are NaN when it is None."""
+    if sigma is not None and not sigma > 0:
         raise ValueError("sigma must be positive")
-    return residual_sq - Q * sigma**2 + 2.0 * sigma**2 * dof
+    s2 = math.nan if sigma is None else sigma**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gcv_v = (residual_sq / Q) / (1.0 - np.asarray(dof) / Q) ** 2
+    return (residual_sq - Q * s2 + 2.0 * s2 * dof, gcv_v, residual_sq / s2 - Q + 2.0 * dof,
+            residual_sq / s2 + 2.0 * dof)
+
+
+def sure(residual_sq, dof, sigma: float, Q: int):
+    """Stein unbiased risk estimate of E ||Xb(y) - mu0||^2 (`criteria`)."""
+    return criteria(residual_sq, dof, sigma, Q)[0]
 
 
 def gcv(residual_sq, dof, Q: int):
-    """Generalized cross-validation score (sigma-free)."""
+    """Generalized cross-validation score (sigma-free, `criteria`)."""
     if np.any(np.asarray(dof) >= Q):
         raise ValueError("gcv requires dof < Q")
-    return (residual_sq / Q) / (1.0 - np.asarray(dof) / Q) ** 2
+    return criteria(residual_sq, dof, None, Q)[1]
 
 
 def cp(residual_sq, dof, sigma: float, Q: int):
-    """Mallows' Cp; equals SURE / sigma^2."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    return residual_sq / sigma**2 - Q + 2.0 * dof
+    """Mallows' Cp; equals SURE / sigma^2 (`criteria`)."""
+    return criteria(residual_sq, dof, sigma, Q)[2]
 
 
 def aic(residual_sq, dof, sigma: float, Q: int):
-    """AIC for Gaussian noise with known sigma, up to constants; Cp + Q."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    return residual_sq / sigma**2 + 2.0 * dof
+    """AIC for Gaussian noise with known sigma, up to constants; Cp + Q
+    (`criteria`)."""
+    return criteria(residual_sq, dof, sigma, Q)[3]
 
 
 def estimate_sigma(design: Design, y) -> float:
@@ -164,18 +173,7 @@ def lambda_path(design: Design, y, partition: BlockPartition, lambdas=None, *,
         dof_v[i], rss[i] = report.divergence, float(resid @ resid)
         adim[i], warn[i] = report.support.active_dim, report.warning
 
-    q = design.Q
-    if sigma is not None:
-        sure_v = sure(rss, dof_v, sigma, q)
-        cp_v = cp(rss, dof_v, sigma, q)
-        aic_v = aic(rss, dof_v, sigma, q)
-    else:
-        sure_v = np.full(n, np.nan)
-        cp_v = np.full(n, np.nan)
-        aic_v = np.full(n, np.nan)
-    with np.errstate(invalid="ignore"):
-        gcv_v = (rss / q) / (1.0 - dof_v / q) ** 2
-
+    sure_v, gcv_v, cp_v, aic_v = criteria(rss, dof_v, sigma, design.Q)
     return RiskCurve(lambdas=lambdas, dof=dof_v, residual_sq=rss, sure=sure_v,
                      gcv=gcv_v, cp=cp_v, aic=aic_v, active_dim=adim, warning=warn,
                      sigma=sigma, failed=tuple(failed))

@@ -17,10 +17,14 @@ solution's local differential; its Cholesky factor is kept on the solution.
 on the K columns of a Q x K matrix of observations sharing the design and
 the partition, at one lambda (Monte Carlo replicates, finite-difference
 probes) or at one lambda per column (a lambda path), with per-column
-momentum, restart, threshold and certificate, and finishes each column as
-`solve` does.  `solve` is that same loop at K = 1: there is one FISTA
-iteration, one prox and one certificate (`_violation`, which `kkt_check`
-evaluates too).
+momentum, restart, threshold and certificate.  The finish is batched too:
+the support rule and the certificate of the polished points run over all
+columns at once, columns sharing a support share X_I'X_I, and the columns
+are finished and yielded in order, in chunks whose system matrices fit in
+O(N x BATCH_COLUMNS) entries.  `solve` is that same code at K = 1: there is
+one FISTA iteration, one prox, one certificate (`_violation`, which
+`kkt_check` evaluates too) and one finish, equal to a column-by-column
+finish up to round-off.
 
 Tolerance policy.  Solving (s y, s lambda) gives s beta(y) and the same DOF,
 so no tolerance is absolute:
@@ -44,8 +48,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 
-from .core import (BlockPartition, BlockSupport, Coefficients, Design, block_support,
-                   delta_P_matrix, normalize_blocks)
+from .core import (BlockPartition, BlockSupport, Coefficients, Design, support_mask,
+                   unit_and_delta_P)
 
 # Newton steps on the active-block equations after the certified solve
 NEWTON_STEPS = 4
@@ -153,6 +157,13 @@ def _relative(viol, scale):
                      where=scale > 0.0)
 
 
+def _residuals(partition: BlockPartition, gram, xty, beta, lam, scales):
+    """`_violation` / s(y) at a point, or at each column of an N x K matrix
+    of points: what `kkt_check` reports and a Newton polish may not worsen."""
+    viol = _violation(partition, xty - gram @ beta, beta, partition.block_norms(beta), lam)
+    return _relative(viol, scales)
+
+
 def kkt_check(problem: Problem, beta, tol: float = 0.0):
     """Evaluate the first-order optimality certificate at `beta`.
 
@@ -161,11 +172,9 @@ def kkt_check(problem: Problem, beta, tol: float = 0.0):
     (kkt_residual, is_optimal) with is_optimal = residual <= tol.
     """
     values = beta.values if isinstance(beta, Coefficients) else np.asarray(beta, dtype=float)
-    partition = problem.partition
-    xty = problem.xty()
-    viol = _violation(partition, xty - problem.design.gram @ values, values,
-                      partition.block_norms(values), problem.lam)
-    resid = float(_relative(viol, partition.block_norms(xty).max()))
+    partition, xty = problem.partition, problem.xty()
+    resid = float(_residuals(partition, problem.design.gram, xty, values, problem.lam,
+                             partition.block_norms(xty).max()))
     return resid, resid <= tol
 
 
@@ -201,7 +210,8 @@ def solve(problem: Problem, opts: SolverOptions | None = None) -> Solution:
         The certified minimizer.  `support` is `block_support` of the
         certified point.  On that support up to NEWTON_STEPS Newton steps
         polish beta toward machine precision; the polished point is kept
-        only if its KKT certificate is no worse.  `iterations` counts the
+        only if its KKT certificate is no worse (the batched finish of
+        `solve_batch`, on one column).  `iterations` counts the
         FISTA iterations alone.  Raises ConvergenceError (carrying the best
         iterate and its residual) if the budget runs out uncertified, and
         LinAlgError if the system matrix at the returned beta is not
@@ -228,17 +238,21 @@ def solve_batch(design: Design, ys, lam: float | np.ndarray, partition: BlockPar
     lambdas, one per column.  The FISTA of `solve` runs on up to
     BATCH_COLUMNS columns of ys (Q x K) at once, each column with its own
     lambda, momentum, monotone restart and certificate relative to its own
-    s(y).  A column is frozen at the first iteration at which it certifies;
-    each certified column then gets the support rule, Newton polish and
-    factor of `solve` at its own lambda.  Only `kkt_tol` and `max_iter` of
-    `opts` apply.
+    s(y).  A column is frozen at the first iteration at which it certifies.
+    The certified columns then get the support rule, Newton polish and
+    factor of `solve` at their own lambda, all at once: columns sharing a
+    support share X_I'X_I, and the columns are finished and yielded in
+    order, a chunk at a time, so that the system matrices held at once have
+    at most N x BATCH_COLUMNS entries (or one column's).  Only `kkt_tol`
+    and `max_iter` of `opts` apply.
 
     Returns an iterator over the columns in order, yielding the Solution of
     each certified column and, for a column that does not certify within
     `max_iter`, the ConvergenceError `solve` would raise (yielded, not
     raised, so the other columns still finish).  Results are bit-identical
-    run to run for the same input and K.  `solve` is this loop at K = 1,
-    so a column agrees with `solve` up to round-off, not bit for bit.
+    run to run for the same input and K.  `solve` is this code at K = 1,
+    so a column agrees with `solve`, and with a column-by-column finish, up
+    to round-off, not bit for bit.
     """
     opts = opts or SolverOptions()
     if opts.warm_start is not None or opts.track_objective:
@@ -264,8 +278,9 @@ def _solve_columns(problems, opts, start=None):
     """The one FISTA loop, on problems sharing a design and a partition.
 
     Iterates on all columns at once from `start` (N x K, zeros when None),
-    then yields, in order, each column's `_finish`ed Solution or the
-    ConvergenceError of a column still uncertified after `max_iter`.  With
+    then yields, in order, each column's Solution, polished by `_newton`
+    a chunk of columns at a time, or the ConvergenceError of a column still
+    uncertified after `max_iter`.  With
     `track_objective` the first column's objective is recorded at each
     iteration (`solve`, K = 1).
     """
@@ -286,8 +301,9 @@ def _solve_columns(problems, opts, start=None):
         # the objective less its constant 0.5 ||y||^2, per column
         return np.einsum("ij,ij->j", b, 0.5 * gb - c) + lam * bn.sum(axis=0)
 
-    lam = np.array([p.lam for p in problems])
-    c = design.matrix.T @ np.column_stack([p.y for p in problems])
+    lam = lams = np.array([p.lam for p in problems])
+    ys = np.column_stack([p.y for p in problems])
+    xty = c = design.matrix.T @ ys
     scales = norms(c).max(axis=0)
     n, k = c.shape
     beta_out = np.zeros((n, k))
@@ -374,42 +390,43 @@ def _solve_columns(problems, opts, start=None):
     failed[cols[live]] = True
     beta_out[:, cols[live]], viol_out[cols[live]] = best_beta[:, live], best_viol[live]
     resid_out = _relative(viol_out, scales)
-    for j, problem in enumerate(problems):
-        if failed[j]:
-            yield ConvergenceError(
-                f"no KKT certificate <= {tol:g} within {opts.max_iter} iterations "
-                f"(best residual {resid_out[j]:g})",
-                beta=Coefficients(beta_out[:, j], partition),
-                kkt_residual=float(resid_out[j]), iterations=opts.max_iter)
-        else:
-            yield _finish(problem, beta_out[:, j], float(resid_out[j]), int(iters_out[j]),
-                          history, float(scales[j]))
+    history = tuple(history) if history is not None else None
+    # the support rule of `core.block_support`, on every certified column
+    active = support_mask(partition, beta_out) & ~failed
+    entries = (partition.block_sizes @ active) ** 2
+    lo = 0
+    while lo < k:
+        # finish in column order, a chunk of columns at a time whose system
+        # matrices hold at most N x BATCH_COLUMNS entries (or one column's)
+        hi = lo + 1 + int(np.searchsorted(np.cumsum(entries[lo + 1:]),
+                                          n * BATCH_COLUMNS - entries[lo], side="right"))
+        chunk = slice(lo, hi)
+        beta, resid, supports, factors = _newton(
+            gram, partition, xty[:, chunk], lams[chunk], beta_out[:, chunk],
+            resid_out[chunk], active[:, chunk], scales[chunk])
+        fit = ys[:, chunk] - design.matrix @ beta
+        objective = (0.5 * np.einsum("ij,ij->j", fit, fit)
+                     + lams[chunk] * partition.block_norms(beta).sum(axis=0))
+        for i, j in enumerate(range(lo, hi)):
+            if failed[j]:
+                yield ConvergenceError(
+                    f"no KKT certificate <= {tol:g} within {opts.max_iter} iterations "
+                    f"(best residual {resid[i]:g})",
+                    beta=Coefficients(beta[:, i], partition),
+                    kkt_residual=float(resid[i]), iterations=opts.max_iter)
+            else:
+                yield Solution(beta=Coefficients(beta[:, i], partition),
+                               support=supports[i], objective=float(objective[i]),
+                               kkt_residual=float(resid[i]), iterations=int(iters_out[j]),
+                               objective_history=history, factor=factors[i])
+        lo = hi
 
 
-def _finish(problem, beta, resid, iterations, history, scale) -> Solution:
-    support = block_support(Coefficients(beta, problem.partition))
-    factor = None
-    if not support.is_empty:
-        beta, resid, factor = _polish(problem, support, beta, resid, scale)
-    return Solution(
-        beta=Coefficients(beta, problem.partition),
-        support=support,
-        objective=problem.objective(beta),
-        kkt_residual=resid,
-        iterations=iterations,
-        objective_history=tuple(history) if history is not None else None,
-        factor=factor,
-    )
-
-
-def _system_factor(gram_ii, lam, beta_i, support):
-    """Lower Cholesky factor of X_I'X_I + lambda * deltaP(beta_I), as a
-    `scipy.linalg.cho_factor` pair (LAPACK directly: this runs per solve)."""
-    low, info = scipy.linalg.lapack.dpotrf(gram_ii + lam * delta_P_matrix(beta_i, support),
-                                           lower=1)
-    if info != 0:
-        raise scipy.linalg.LinAlgError("system matrix is not positive definite")
-    return low, True
+def _cholesky(a):
+    """Lower Cholesky factor of a symmetric matrix as a `scipy.linalg.cho_factor`
+    pair (LAPACK `dpotrf` directly), or None if it is not positive definite."""
+    low, info = scipy.linalg.lapack.dpotrf(a, lower=1)
+    return (low, True) if info == 0 else None
 
 
 def factor_solve(factor, rhs) -> np.ndarray:
@@ -417,35 +434,66 @@ def factor_solve(factor, rhs) -> np.ndarray:
     return scipy.linalg.lapack.dpotrs(factor[0], rhs, lower=1)[0]
 
 
-def _polish(problem, support, beta, resid, scale):
-    """Newton steps on X_I'(X_I b - y) + lambda * b_b/||b_b|| = 0 over `support`.
-
-    Differencing divides the per-solve coefficient error by the step, so
-    even a 1e-12 certificate leaves visible noise in finite-difference
-    Jacobians; a few Newton steps from the certified point remove it.  The
-    polished point is accepted only if its independently evaluated KKT
-    certificate is no worse, so the result stays a certified minimizer.
-    Returns (beta, residual, factor) with the system factor at that beta.
+def _newton(gram, partition, xty, lam, beta, resid, active, scales):
+    """Up to NEWTON_STEPS Newton steps on X_I'(X_I b - y) + lambda * b_b/||b_b||
+    = 0, to a residual of 1e-15 * s(y), for each certified column of `beta`
+    on its support `active`: differencing divides the coefficient error by
+    the step, so even a 1e-12 certificate leaves visible noise in
+    finite-difference Jacobians.  A column keeps its FISTA point and start
+    factor if a step zeroes a block or is not positive definite, or if its
+    polished certificate (`_residuals`) is worse.  Returns the points kept
+    and their certificates, supports and factors.
     """
-    idx = support.indices
-    gram_ii = problem.design.gram[idx[:, None], idx]
-    xty_i = problem.xty()[idx]
-    lam = problem.lam
-    beta_i = support.restrict(beta)
-    start = factor = _system_factor(gram_ii, lam, beta_i, support)
-    floor = 1e-15 * scale
-    for _ in range(NEWTON_STEPS):
-        stat = gram_ii @ beta_i - xty_i + lam * normalize_blocks(beta_i, support)
-        if np.max(np.abs(stat)) <= floor:
+    g = beta.shape[1]
+    live = active.any(axis=0)
+    point = np.where(active[partition.block_index], beta, 0.0)
+    supports, factors = [BlockSupport(partition, ())] * g, [None] * g
+    fell, by_support, groups = np.zeros(g, dtype=bool), {}, []
+    for j in np.flatnonzero(live):
+        by_support.setdefault(active[:, j].tobytes(), []).append(j)
+    for js in by_support.values():
+        # columns sharing a support share X_I'X_I
+        support = BlockSupport(partition, tuple(np.flatnonzero(active[:, js[0]])))
+        idx = support.indices
+        groups.append((support, np.array(js), idx, gram[idx[:, None], idx], xty[idx]))
+        for j in js:
+            supports[j] = support
+    for it in range(NEWTON_STEPS + 1):
+        if it:
+            # a column whose step zeroed a block falls back
+            zero = ((partition.block_norms(point) == 0.0) & active).any(axis=0)
+            fell |= live & zero
+            live &= ~zero
+        for support, js, idx, gram_ii, xty_ii in groups:
+            js = js[live[js]]
+            if not js.size:
+                continue
+            # each column's system matrix and stationarity residual at its point
+            b = point[idx][:, js].T
+            unit, entries = unit_and_delta_P(b, support)
+            rows, cols = support.block_pairs
+            mats = np.repeat(gram_ii[None], js.size, axis=0)
+            mats[:, rows, cols] = gram_ii[rows, cols] + lam[js, None] * entries
+            stat = b @ gram_ii - xty_ii[:, js].T + lam[js, None] * unit
+            move = np.abs(stat).max(axis=1) > 1e-15 * scales[js]
+            for j, a, s, m in zip(js, mats, stat, move):
+                factor = factors[j] = _cholesky(a)
+                if factor is None and not it:
+                    raise scipy.linalg.LinAlgError("system matrix is not positive definite")
+                fell[j] = factor is None
+                if factor is not None and m and it < NEWTON_STEPS:
+                    point[idx, j] -= factor_solve(factor, s)
+                else:
+                    live[j] = False
+        if not it:
+            start = list(factors)
+        if not live.any():
             break
-        beta_i = beta_i - factor_solve(factor, stat)
-        try:
-            factor = _system_factor(gram_ii, lam, beta_i, support)
-        except (ValueError, scipy.linalg.LinAlgError):
-            # a block collapsed to zero or the step left the SPD region
-            return beta, resid, start
-    candidate = support.embed(beta_i)
-    polished_resid, _ = kkt_check(problem, candidate)
-    if polished_resid <= resid:
-        return candidate, polished_resid, factor
-    return beta, resid, start
+    tried = np.flatnonzero(active.any(axis=0) & ~fell)
+    polished = _residuals(partition, gram, xty[:, tried], point[:, tried], lam[tried],
+                          scales[tried])
+    better = polished <= resid[tried]
+    keep, resid = np.zeros(g, dtype=bool), resid.copy()
+    keep[tried[better]], resid[tried[better]] = True, polished[better]
+    return (np.where(keep, point, beta), resid, supports,
+            [factors[j] if keep[j] else start[j] for j in range(g)])

@@ -6,12 +6,13 @@ import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import block_soft_threshold, duality_gap, kkt_residual, random_problem
+from helpers import block_soft_threshold, duality_gap, kkt_residual, polish, random_problem
 
 from gldof import solver
-from gldof.core import BlockPartition, Design, delta_P_matrix
+from gldof.core import BlockPartition, BlockSupport, Design, delta_P_matrix
 from gldof.datagen import ScenarioSpec, generate
 from gldof.dof import dof_estimate
+from gldof.risk import default_lambda_grid
 from gldof.solver import (
     ConvergenceError,
     Problem,
@@ -355,7 +356,9 @@ class TestPolishAndFactor:
         opts = SolverOptions(kkt_tol=1e-6)
         polished = solve(problem, opts)
         # every polished point now looks worse than the FISTA point
-        monkeypatch.setattr(solver, "kkt_check", lambda *args: (np.inf, False))
+        monkeypatch.setattr(solver, "_residuals",
+                            lambda partition, gram, xty, beta, lam, scales:
+                            np.full(beta.shape[1:], np.inf))
         kept = solve(problem, opts)
         assert kept.iterations == polished.iterations
         assert kept.kkt_residual > polished.kkt_residual
@@ -364,6 +367,126 @@ class TestPolishAndFactor:
         a = system_matrix(problem, kept)
         err = np.linalg.norm(rebuilt_from_factor(kept) - a) / np.linalg.norm(a)
         assert err <= 1e-12
+
+
+
+def mixed_batch():
+    """One design (a near-duplicate column makes small lambdas slow) and a
+    batch mixing: an empty support (column 0), eight fd-like probes sharing
+    one support (1-8), singleton supports at four lambdas (9-12), y = 0 (13),
+    a column sharing column 9's support (14) and one that needs about 430
+    iterations (15)."""
+    rng = np.random.default_rng(3)
+    sizes = [3, 3, 2, 4, 1, 3]
+    x = rng.standard_normal((40, sum(sizes))) / np.sqrt(40)
+    x[:, -1] = x[:, 0] + 1e-2 * rng.standard_normal(40) / np.sqrt(40)
+    design, partition = Design(x), BlockPartition.from_sizes(sizes)
+    y = rng.standard_normal(40)
+    probes = np.repeat(y[:, None], 8, axis=1)
+    probes[np.arange(4), np.arange(4)] += 1e-6
+    probes[np.arange(4), 4 + np.arange(4)] -= 1e-6
+    ys = np.column_stack([y, probes, np.repeat(y[:, None], 4, axis=1), np.zeros(40), y, y])
+    fracs = [1.5] + [0.35] * 8 + [0.9, 0.5, 0.25, 0.15, 0.35, 0.7, 1e-3]
+    return design, partition, ys, np.array(fracs) * lambda_max(design, y, partition)
+
+
+def per_column_finish(design, ys, lams, certificate):
+    """A stand-in for `solver._newton` that finishes the columns one at a
+    time with the reference `helpers.polish` (columns arrive in order)."""
+    done = []
+
+    def finish(gram, partition, xty, lam, beta, resid, active, scales):
+        out = []
+        for b, r, on in zip(beta.T, resid, active.T):
+            j = len(done)
+            done.append(j)
+            if on.any():
+                out.append(polish(Problem(design, ys[:, j], lams[j], partition), b, r,
+                                  certificate(j)))
+            else:
+                out.append((b, r, BlockSupport(partition, ()), None))
+        points, resids, supports, factors = zip(*out)
+        return np.column_stack(points), np.array(resids), list(supports), list(factors)
+
+    return finish
+
+
+class TestBatchedFinish:
+    def test_mixed_batch_matches_a_per_column_finish(self, monkeypatch):
+        design, partition, ys, lams = mixed_batch()
+        opts = SolverOptions(max_iter=200)
+        # column 14's polished point is made to look worse than its FISTA point
+        rejected = lams[14]
+        residuals, cholesky, factored = solver._residuals, solver._cholesky, []
+
+        def rejecting(partition, gram, xty, beta, lam, scales):
+            return np.where(lam == rejected, np.inf, residuals(partition, gram, xty, beta,
+                                                                lam, scales))
+
+        def factoring(a):
+            factored.append((a.copy(), cholesky(a)))
+            return factored[-1][1]
+
+        monkeypatch.setattr(solver, "_newton", per_column_finish(
+            design, ys, lams, lambda j: (lambda *args: (np.inf, False)) if j == 14 else kkt_check))
+        reference = list(solve_batch(design, ys, lams, partition, opts))
+        monkeypatch.undo()
+        monkeypatch.setattr(solver, "_residuals", rejecting)
+        monkeypatch.setattr(solver, "_cholesky", factoring)
+        batch = list(solve_batch(design, ys, lams, partition, opts))
+        monkeypatch.undo()
+
+        assert [sol.support.active for sol in batch[:1] + batch[9:15]] == [
+            (), (3,), (3, 5), (0, 2, 3, 5), (0, 1, 2, 3, 5), (), (3,)]
+        assert {sol.support.active for sol in batch[1:9]} == {(0, 3, 5)}
+        assert isinstance(batch[15], ConvergenceError) and batch[15].iterations == 200
+        assert np.array_equal(batch[15].beta.values, reference[15].beta.values)
+        assert batch[15].kkt_residual == reference[15].kkt_residual
+        for j, (sol, ref) in enumerate(zip(batch[:15], reference[:15], strict=True)):
+            problem = Problem(design, ys[:, j], lams[j], partition)
+            assert sol.support == ref.support
+            assert sol.iterations == ref.iterations
+            assert np.max(np.abs(sol.beta.values - ref.beta.values)) <= \
+                1e-12 * np.max(np.abs(ref.beta.values))
+            assert sol.kkt_residual <= opts.kkt_tol
+            assert dof_estimate(problem, sol).divergence == pytest.approx(
+                dof_estimate(problem, ref).divergence, rel=1e-10, abs=1e-14)
+            if sol.support.is_empty:
+                assert sol.factor is None and ref.factor is None
+                continue
+            # the factor rebuilds the system matrix at the returned beta, and
+            # the matrix it factors is X_I'X_I + lambda * deltaP to the bit
+            a = system_matrix(problem, sol)
+            assert np.linalg.norm(rebuilt_from_factor(sol) - a) <= 1e-12 * np.linalg.norm(a)
+            (assembled,) = [m for m, f in factored if f is sol.factor]
+            idx = sol.support.indices
+            beta_i = sol.support.restrict(sol.beta.values)
+            assert np.array_equal(assembled, design.gram[idx[:, None], idx]
+                                  + lams[j] * delta_P_matrix(beta_i, sol.support))
+        # the rejected column keeps its FISTA point, certificate and start
+        # factor, as the reference does
+        assert np.array_equal(batch[14].beta.values, reference[14].beta.values)
+        assert batch[14].kkt_residual == reference[14].kkt_residual
+        assert np.array_equal(batch[14].factor[0], reference[14].factor[0])
+
+    def test_first_column_is_yielded_before_the_last_is_factored(self, monkeypatch):
+        # the lambda path's shape: 50 lambdas on N = 200 hold far more system
+        # matrix entries than N x BATCH_COLUMNS, so the finish goes in chunks
+        scenario = generate(ScenarioSpec(Q=220, N=200, block_sizes=(4,) * 50, k_active=10,
+                                         sigma=0.5, seed=11))
+        y = scenario.draw_y(seed=11, replicate=0)
+        lams = default_lambda_grid(lambda_max(scenario.design, y, scenario.partition))
+        factored, cholesky = [], solver._cholesky
+        monkeypatch.setattr(solver, "_cholesky", lambda a: factored.append(a.shape[0])
+                            or cholesky(a))
+        batch = solve_batch(scenario.design, np.repeat(y[:, None], 50, axis=1), lams,
+                            scenario.partition)
+        first = next(batch)
+        at_first_yield = len(factored)
+        rest = list(batch)
+        assert first.support.is_empty and len(rest) == 49
+        assert rest[-1].support.active_dim == 200
+        assert at_first_yield < len(factored)
 
 
 # (s y, s lambda) must give s beta and the same DOF from 1e-9 to 1e9; an

@@ -2,17 +2,18 @@
 
     python3 scripts/bench_record.py --base REV --head REV --out BENCH_12.json \
         --runs mc:1-5 --runs path:1-5 --runs fd:1-5,316 --runs oneshot:1-5 \
-        [--seconds 25] [--workdir DIR]
+        [--workdir DIR]
 
 Each commit is exported with `git archive` and `bench/run.py` runs from its
-own copy, so both sides run their own benchmark code.  Every (workload,
-seed) is one pair: a run of each commit, the base first on even pairs and
-the head first on odd ones.  An existing --out file with the same two
-commits and run length is extended, so workloads can be recorded in
-separate invocations.  The file holds every run's end-to-end metrics and
-checks, and per workload each side's median and quartiles, the head's
-ratio to the base median and the pairs the head won, together with nproc,
-both commits and the Python, numpy and scipy versions.
+own copy, so both sides run their own benchmark code, each run lasting the
+`run_seconds` of the head's BENCHMARK.json.  Every (workload, seed) is one
+pair: a run of each commit, the base first on even pairs and the head first
+on odd ones.  An existing --out file with the same two commits is extended,
+so workloads can be recorded in separate invocations.  The file holds every
+run's end-to-end metrics and checks, and per workload each side's median
+and quartiles, the head's ratio to the base median and the pairs the head
+won, together with nproc, both commits and the Python, numpy and scipy
+versions.
 """
 
 import argparse
@@ -91,7 +92,6 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True)
     p.add_argument("--runs", action="append", required=True,
                    help="WORKLOAD:SEEDS, seeds as a comma list of numbers and ranges")
-    p.add_argument("--seconds", type=float, default=25.0)
     p.add_argument("--workdir", default=None)
     args = p.parse_args(argv)
 
@@ -99,28 +99,29 @@ def main(argv=None) -> int:
     import scipy
 
     base, head = git("rev-parse", args.base), git("rev-parse", args.head)
-    doc = {"commits": {"base": base, "head": head}, "seconds": args.seconds,
+    workdir = args.workdir or tempfile.mkdtemp(prefix="bench-record-")
+    trees = {"base": export(base, workdir), "head": export(head, workdir)}
+    with open(os.path.join(trees["head"], "BENCHMARK.json")) as fh:
+        bench = json.load(fh)
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
+    doc = {"commits": {"base": base, "head": head}, "seconds": seconds,
            "nproc": os.cpu_count(), "machine": platform.machine(),
            "python": platform.python_version(), "numpy": numpy.__version__,
            "scipy": scipy.__version__, "workloads": {}}
     if os.path.exists(args.out):
         with open(args.out) as fh:
             old = json.load(fh)
-        if old["commits"] != doc["commits"] or old["seconds"] != args.seconds:
-            sys.exit(f"{args.out} records other commits or another run length")
+        if old["commits"] != doc["commits"]:
+            sys.exit(f"{args.out} records other commits")
         doc["workloads"] = old["workloads"]
-
-    workdir = args.workdir or tempfile.mkdtemp(prefix="bench-record-")
-    trees = {"base": export(base, workdir), "head": export(head, workdir)}
-    with open(os.path.join(trees["head"], "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
 
     for workload, seed in parse_runs(args.runs):
         entry = doc["workloads"].setdefault(workload, {"runs": {"base": [], "head": []}})
         runs = entry["runs"]
         order = ("base", "head") if len(runs["base"]) % 2 == 0 else ("head", "base")
         for side in order:
-            runs[side].append(run(trees[side], workload, seed, args.seconds))
+            runs[side].append(run(trees[side], workload, seed, seconds))
             print(workload, seed, side, json.dumps(runs[side][-1]), flush=True)
         entry["summary"] = summarize(runs, better)
         with open(args.out, "w") as fh:

@@ -298,10 +298,9 @@ def delta_P_matrix(beta_I, support: BlockSupport) -> np.ndarray:
 
 
 def unit_and_delta_P(beta_I, support: BlockSupport):
-    """`normalize_blocks` of a stacked on-support vector, or of each row of
-    a g x m stack of them, and the entries of `delta_P_matrix` at
-    `support.block_pairs` (all others are zero), from one set of block
-    norms.  Raises DegenerateBlockError on a zero block."""
+    """`normalize_blocks` of a stacked on-support vector, or of each row of a
+    g x m stack, and the `delta_P_matrix` entries at `support.block_pairs`
+    (all others are zero).  Raises DegenerateBlockError on a zero block."""
     v = np.asarray(beta_I, dtype=float)
     norms = np.sqrt(np.add.reduceat(v * v, support.offsets[:-1], axis=-1))
     if not norms.all():

@@ -39,6 +39,8 @@ def criteria(residual_sq, dof, sigma: float | None, Q: int):
 
 def sure(residual_sq, dof, sigma: float, Q: int):
     """Stein unbiased risk estimate of E ||Xb(y) - mu0||^2 (`criteria`)."""
+    if sigma is None:
+        raise ValueError("sigma is required")
     return criteria(residual_sq, dof, sigma, Q)[0]
 
 
@@ -51,12 +53,16 @@ def gcv(residual_sq, dof, Q: int):
 
 def cp(residual_sq, dof, sigma: float, Q: int):
     """Mallows' Cp; equals SURE / sigma^2 (`criteria`)."""
+    if sigma is None:
+        raise ValueError("sigma is required")
     return criteria(residual_sq, dof, sigma, Q)[2]
 
 
 def aic(residual_sq, dof, sigma: float, Q: int):
     """AIC for Gaussian noise with known sigma, up to constants; Cp + Q
     (`criteria`)."""
+    if sigma is None:
+        raise ValueError("sigma is required")
     return criteria(residual_sq, dof, sigma, Q)[3]
 
 

@@ -17,14 +17,12 @@ solution's local differential; its Cholesky factor is kept on the solution.
 on the K columns of a Q x K matrix of observations sharing the design and
 the partition, at one lambda (Monte Carlo replicates, finite-difference
 probes) or at one lambda per column (a lambda path), with per-column
-momentum, restart, threshold and certificate.  The finish is batched too:
-the support rule and the certificate of the polished points run over all
-columns at once, columns sharing a support share X_I'X_I, and the columns
-are finished and yielded in order, in chunks whose system matrices fit in
-O(N x BATCH_COLUMNS) entries.  `solve` is that same code at K = 1: there is
-one FISTA iteration, one prox, one certificate (`_violation`, which
-`kkt_check` evaluates too) and one finish, equal to a column-by-column
-finish up to round-off.
+momentum, restart, threshold and certificate, and one batched finish:
+columns sharing a support share X_I'X_I, and columns are finished and
+yielded in order, in chunks of O(N x BATCH_COLUMNS) system-matrix entries.
+`solve` is that same code at K = 1: one FISTA iteration, one prox, one
+certificate (`_violation`, which `kkt_check` evaluates too) and one finish,
+equal to a column-by-column finish up to round-off.
 
 Tolerance policy.  Solving (s y, s lambda) gives s beta(y) and the same DOF,
 so no tolerance is absolute:
@@ -210,12 +208,11 @@ def solve(problem: Problem, opts: SolverOptions | None = None) -> Solution:
         The certified minimizer.  `support` is `block_support` of the
         certified point.  On that support up to NEWTON_STEPS Newton steps
         polish beta toward machine precision; the polished point is kept
-        only if its KKT certificate is no worse (the batched finish of
-        `solve_batch`, on one column).  `iterations` counts the
-        FISTA iterations alone.  Raises ConvergenceError (carrying the best
-        iterate and its residual) if the budget runs out uncertified, and
-        LinAlgError if the system matrix at the returned beta is not
-        numerically positive definite.
+        only if its KKT certificate is no worse (the finish of `solve_batch`
+        at K = 1).  `iterations` counts the FISTA iterations alone.  Raises
+        ConvergenceError (carrying the best iterate and its residual) if the
+        budget runs out uncertified, and LinAlgError if the system matrix at
+        the returned beta is not numerically positive definite.
     """
     opts = opts or SolverOptions()
     start = None
@@ -238,21 +235,18 @@ def solve_batch(design: Design, ys, lam: float | np.ndarray, partition: BlockPar
     lambdas, one per column.  The FISTA of `solve` runs on up to
     BATCH_COLUMNS columns of ys (Q x K) at once, each column with its own
     lambda, momentum, monotone restart and certificate relative to its own
-    s(y).  A column is frozen at the first iteration at which it certifies.
-    The certified columns then get the support rule, Newton polish and
-    factor of `solve` at their own lambda, all at once: columns sharing a
-    support share X_I'X_I, and the columns are finished and yielded in
-    order, a chunk at a time, so that the system matrices held at once have
-    at most N x BATCH_COLUMNS entries (or one column's).  Only `kkt_tol`
-    and `max_iter` of `opts` apply.
+    s(y).  A column is frozen at the first iteration at which it certifies;
+    the certified columns then get the support rule, Newton polish and
+    factor of `solve` at their own lambda, together (module docstring), a
+    chunk of at most N x BATCH_COLUMNS system-matrix entries (or one
+    column's) at a time.  Only `kkt_tol` and `max_iter` of `opts` apply.
 
     Returns an iterator over the columns in order, yielding the Solution of
     each certified column and, for a column that does not certify within
     `max_iter`, the ConvergenceError `solve` would raise (yielded, not
     raised, so the other columns still finish).  Results are bit-identical
     run to run for the same input and K.  `solve` is this code at K = 1,
-    so a column agrees with `solve`, and with a column-by-column finish, up
-    to round-off, not bit for bit.
+    so a column agrees with `solve` up to round-off, not bit for bit.
     """
     opts = opts or SolverOptions()
     if opts.warm_start is not None or opts.track_objective:
@@ -278,11 +272,10 @@ def _solve_columns(problems, opts, start=None):
     """The one FISTA loop, on problems sharing a design and a partition.
 
     Iterates on all columns at once from `start` (N x K, zeros when None),
-    then yields, in order, each column's Solution, polished by `_newton`
-    a chunk of columns at a time, or the ConvergenceError of a column still
-    uncertified after `max_iter`.  With
-    `track_objective` the first column's objective is recorded at each
-    iteration (`solve`, K = 1).
+    then yields, in order, each column's Solution, finished by `_newton` a
+    chunk at a time, or the ConvergenceError of a column still uncertified
+    after `max_iter`.  With `track_objective` the first column's objective
+    is recorded at each iteration (`solve`, K = 1).
     """
     design, partition = problems[0].design, problems[0].partition
     block, indicator = partition.block_index, partition.indicator
@@ -400,13 +393,12 @@ def _solve_columns(problems, opts, start=None):
         # matrices hold at most N x BATCH_COLUMNS entries (or one column's)
         hi = lo + 1 + int(np.searchsorted(np.cumsum(entries[lo + 1:]),
                                           n * BATCH_COLUMNS - entries[lo], side="right"))
-        chunk = slice(lo, hi)
         beta, resid, supports, factors = _newton(
-            gram, partition, xty[:, chunk], lams[chunk], beta_out[:, chunk],
-            resid_out[chunk], active[:, chunk], scales[chunk])
-        fit = ys[:, chunk] - design.matrix @ beta
+            gram, partition, xty[:, lo:hi], lams[lo:hi], beta_out[:, lo:hi],
+            resid_out[lo:hi], active[:, lo:hi], scales[lo:hi])
+        fit = ys[:, lo:hi] - design.matrix @ beta
         objective = (0.5 * np.einsum("ij,ij->j", fit, fit)
-                     + lams[chunk] * partition.block_norms(beta).sum(axis=0))
+                     + lams[lo:hi] * partition.block_norms(beta).sum(axis=0))
         for i, j in enumerate(range(lo, hi)):
             if failed[j]:
                 yield ConvergenceError(
@@ -445,55 +437,48 @@ def _newton(gram, partition, xty, lam, beta, resid, active, scales):
     and their certificates, supports and factors.
     """
     g = beta.shape[1]
-    live = active.any(axis=0)
     point = np.where(active[partition.block_index], beta, 0.0)
-    supports, factors = [BlockSupport(partition, ())] * g, [None] * g
-    fell, by_support, groups = np.zeros(g, dtype=bool), {}, []
-    for j in np.flatnonzero(live):
-        by_support.setdefault(active[:, j].tobytes(), []).append(j)
-    for js in by_support.values():
-        # columns sharing a support share X_I'X_I
+    supports, start, factors = [BlockSupport(partition, ())] * g, [None] * g, [None] * g
+    groups = {}
+    for j in np.flatnonzero(active.any(axis=0)):
+        groups.setdefault(active[:, j].tobytes(), []).append(j)
+    for js in map(np.array, groups.values()):
+        # columns sharing a support share X_I'X_I; `js` keeps the columns still
+        # stepping, and a column that falls back is left without a factor
         support = BlockSupport(partition, tuple(np.flatnonzero(active[:, js[0]])))
-        idx = support.indices
-        groups.append((support, np.array(js), idx, gram[idx[:, None], idx], xty[idx]))
-        for j in js:
-            supports[j] = support
-    for it in range(NEWTON_STEPS + 1):
-        if it:
-            # a column whose step zeroed a block falls back
-            zero = ((partition.block_norms(point) == 0.0) & active).any(axis=0)
-            fell |= live & zero
-            live &= ~zero
-        for support, js, idx, gram_ii, xty_ii in groups:
-            js = js[live[js]]
-            if not js.size:
-                continue
+        idx, (rows, cols) = support.indices, support.block_pairs
+        gram_ii = gram[idx[:, None], idx]
+        for it in range(NEWTON_STEPS + 1):
             # each column's system matrix and stationarity residual at its point
-            b = point[idx][:, js].T
+            b = point[idx[:, None], js].T
             unit, entries = unit_and_delta_P(b, support)
-            rows, cols = support.block_pairs
             mats = np.repeat(gram_ii[None], js.size, axis=0)
             mats[:, rows, cols] = gram_ii[rows, cols] + lam[js, None] * entries
-            stat = b @ gram_ii - xty_ii[:, js].T + lam[js, None] * unit
+            stat = b @ gram_ii - xty[idx[:, None], js].T + lam[js, None] * unit
             move = np.abs(stat).max(axis=1) > 1e-15 * scales[js]
+            stepped = []
             for j, a, s, m in zip(js, mats, stat, move):
-                factor = factors[j] = _cholesky(a)
-                if factor is None and not it:
-                    raise scipy.linalg.LinAlgError("system matrix is not positive definite")
-                fell[j] = factor is None
-                if factor is not None and m and it < NEWTON_STEPS:
-                    point[idx, j] -= factor_solve(factor, s)
-                else:
-                    live[j] = False
-        if not it:
-            start = list(factors)
-        if not live.any():
-            break
-    tried = np.flatnonzero(active.any(axis=0) & ~fell)
-    polished = _residuals(partition, gram, xty[:, tried], point[:, tried], lam[tried],
-                          scales[tried])
-    better = polished <= resid[tried]
-    keep, resid = np.zeros(g, dtype=bool), resid.copy()
-    keep[tried[better]], resid[tried[better]] = True, polished[better]
-    return (np.where(keep, point, beta), resid, supports,
-            [factors[j] if keep[j] else start[j] for j in range(g)])
+                supports[j], factors[j] = support, _cholesky(a)
+                if not it:
+                    if factors[j] is None:
+                        raise scipy.linalg.LinAlgError("system matrix is not positive definite")
+                    start[j] = factors[j]
+                if m and it < NEWTON_STEPS and factors[j] is not None:
+                    point[idx, j] -= factor_solve(factors[j], s)
+                    stepped.append(j)
+            js = np.array(stepped, dtype=int)
+            if not js.size:
+                break
+            # a column whose step zeroed a block falls back
+            zero = ~np.add.reduceat(np.square(point[idx[:, None], js]),
+                                    support.offsets[:-1]).all(axis=0)
+            for j in js[zero]:
+                factors[j] = None
+            js = js[~zero]
+    tried = np.array([f is not None for f in factors])
+    polished = np.full(g, math.inf)
+    polished[tried] = _residuals(partition, gram, xty[:, tried], point[:, tried], lam[tried],
+                                 scales[tried])
+    keep = polished <= resid
+    return (np.where(keep, point, beta), np.where(keep, polished, resid), supports,
+            [f if k else s for f, s, k in zip(factors, start, keep)])

@@ -3,8 +3,8 @@
 import numpy as np
 import scipy.linalg
 
-from gldof.core import (BlockPartition, BlockSupport, Coefficients, Design, block_support,
-                        delta_P_matrix, normalize_blocks)
+from gldof.core import (BlockPartition, BlockSupport, Coefficients, DegenerateBlockError, Design,
+                        block_support, normalize_blocks)
 from gldof.solver import NEWTON_STEPS, Problem, factor_solve, kkt_check, lambda_max
 
 
@@ -126,11 +126,28 @@ def kkt_residual(problem, beta):
     return 0.0 if worst == 0.0 else np.inf
 
 
+def unit_and_dense_delta_P(beta_i, support):
+    """The blockwise unit vector u of a stacked on-support vector and deltaP
+    as a dense matrix, (I - u u' on same-block pairs) / ||beta_b|| row by
+    row: the formula the solver's block-diagonal assembly must reproduce to
+    the bit.  Raises DegenerateBlockError on a zero block."""
+    v = np.asarray(beta_i, dtype=float)
+    norms = np.sqrt(np.add.reduceat(v * v, support.offsets[:-1]))
+    if not norms.all():
+        raise DegenerateBlockError(f"zero block at active position {np.argmin(norms)}")
+    norms = np.repeat(norms, support.sizes)
+    block = np.repeat(np.arange(support.n_active), support.sizes)
+    same_block = (block[:, None] == block).astype(float)
+    u = v / norms
+    return u, (np.eye(v.size) - u[:, None] * u * same_block) / norms[:, None]
+
+
 def system_factor(gram_ii, lam, beta_i, support):
     """Lower Cholesky factor of X_I'X_I + lambda * deltaP(beta_I) as a
-    `scipy.linalg.cho_factor` pair, built with the dense `delta_P_matrix`."""
-    low, info = scipy.linalg.lapack.dpotrf(gram_ii + lam * delta_P_matrix(beta_i, support),
-                                           lower=1)
+    `scipy.linalg.cho_factor` pair, built with the dense deltaP of
+    `unit_and_dense_delta_P`."""
+    low, info = scipy.linalg.lapack.dpotrf(
+        gram_ii + lam * unit_and_dense_delta_P(beta_i, support)[1], lower=1)
     if info != 0:
         raise scipy.linalg.LinAlgError("system matrix is not positive definite")
     return low, True
@@ -155,7 +172,7 @@ def polish(problem, beta, resid, certificate=kkt_check):
     start = factor = system_factor(gram_ii, lam, beta_i, support)
     floor = 1e-15 * lambda_max(problem.design, problem.y, problem.partition)
     for _ in range(NEWTON_STEPS):
-        stat = gram_ii @ beta_i - xty_i + lam * normalize_blocks(beta_i, support)
+        stat = gram_ii @ beta_i - xty_i + lam * unit_and_dense_delta_P(beta_i, support)[0]
         if np.max(np.abs(stat)) <= floor:
             break
         beta_i = beta_i - factor_solve(factor, stat)

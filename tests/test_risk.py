@@ -57,6 +57,12 @@ class TestCriteria:
             with pytest.raises(ValueError):
                 f(1.0, 1.0, 0.0, 10)
 
+    def test_sigma_is_required(self):
+        # only the lambda path reports sigma-free criteria, as NaN
+        for f in (sure, cp, aic):
+            with pytest.raises(ValueError, match="sigma is required"):
+                f(1.0, 1.0, None, 10)
+
     @given(finite, finite, finite, st.integers(5, 200))
     def test_sure_equals_sigma_sq_times_cp(self, rss, dof, sigma, q):
         lhs = sure(rss, dof, sigma, q)

@@ -6,7 +6,8 @@ import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import block_soft_threshold, duality_gap, kkt_residual, polish, random_problem
+from helpers import (block_soft_threshold, duality_gap, kkt_residual, polish, random_problem,
+                     unit_and_dense_delta_P)
 
 from gldof import solver
 from gldof.core import BlockPartition, BlockSupport, Design, delta_P_matrix
@@ -455,19 +456,76 @@ class TestBatchedFinish:
                 assert sol.factor is None and ref.factor is None
                 continue
             # the factor rebuilds the system matrix at the returned beta, and
-            # the matrix it factors is X_I'X_I + lambda * deltaP to the bit
+            # the matrix it factors is X_I'X_I + lambda * deltaP to the bit,
+            # deltaP by the dense formula
             a = system_matrix(problem, sol)
             assert np.linalg.norm(rebuilt_from_factor(sol) - a) <= 1e-12 * np.linalg.norm(a)
             (assembled,) = [m for m, f in factored if f is sol.factor]
             idx = sol.support.indices
             beta_i = sol.support.restrict(sol.beta.values)
             assert np.array_equal(assembled, design.gram[idx[:, None], idx]
-                                  + lams[j] * delta_P_matrix(beta_i, sol.support))
+                                  + lams[j] * unit_and_dense_delta_P(beta_i, sol.support)[1])
         # the rejected column keeps its FISTA point, certificate and start
         # factor, as the reference does
         assert np.array_equal(batch[14].beta.values, reference[14].beta.values)
         assert batch[14].kkt_residual == reference[14].kkt_residual
         assert np.array_equal(batch[14].factor[0], reference[14].factor[0])
+
+    @pytest.mark.parametrize("fault", ["zero_block", "not_positive_definite"])
+    def test_a_failed_step_falls_back_for_its_column_alone(self, monkeypatch, fault):
+        design, partition, ys, lams = mixed_batch()
+        ys, lams = ys[:, 1:9], lams[1:9]  # the eight probes sharing one support
+        newton, fista = solver._newton, {}
+
+        def capture(gram, partition, xty, lam, beta, resid, active, scales):
+            fista.update(beta=beta.copy(), resid=resid.copy())
+            return newton(gram, partition, xty, lam, beta, resid, active, scales)
+
+        monkeypatch.setattr(solver, "_newton", capture)
+        clean = list(solve_batch(design, ys, lams, partition))
+        # every probe steps at the first pass, so calls come in column order:
+        # column 3 gets the 4th step and the 12th factorization (second pass)
+        victim, calls = 3, []
+        factor_solve, cholesky = solver.factor_solve, solver._cholesky
+
+        def zeroing(factor, rhs):
+            calls.append(rhs)
+            if len(calls) != victim + 1:
+                return factor_solve(factor, rhs)
+            # a step that lands exactly on zero in the first active block
+            first = clean[victim].support.indices[:clean[victim].support.sizes[0]]
+            out = np.zeros_like(rhs)
+            out[:first.size] = fista["beta"][first, victim]
+            return out
+
+        def failing(a):
+            calls.append(a)
+            return None if len(calls) == len(lams) + victim + 1 else cholesky(a)
+
+        if fault == "zero_block":
+            monkeypatch.setattr(solver, "factor_solve", zeroing)
+        else:
+            monkeypatch.setattr(solver, "_cholesky", failing)
+        # every polished point passes its certificate, so only the fallback
+        # itself can keep a FISTA point
+        monkeypatch.setattr(solver, "_residuals", lambda partition, gram, xty, beta, lam,
+                            scales: np.zeros(beta.shape[1:]))
+        batch = list(solve_batch(design, ys, lams, partition))
+        monkeypatch.undo()
+
+        for j, (sol, ref) in enumerate(zip(batch, clean, strict=True)):
+            assert sol.support == ref.support and sol.iterations == ref.iterations
+            if j != victim:
+                assert np.max(np.abs(sol.beta.values - ref.beta.values)) <= \
+                    1e-12 * np.max(np.abs(ref.beta.values))
+        # the victim keeps its FISTA point, its certificate and the factor there
+        kept = batch[victim]
+        assert np.array_equal(kept.beta.values, fista["beta"][:, victim])
+        assert kept.kkt_residual == fista["resid"][victim]
+        assert not np.array_equal(kept.beta.values, clean[victim].beta.values)
+        problem = Problem(design, ys[:, victim], lams[victim], partition)
+        a = system_matrix(problem, kept)
+        assert np.linalg.norm(rebuilt_from_factor(kept) - a) <= 1e-12 * np.linalg.norm(a)
 
     def test_first_column_is_yielded_before_the_last_is_factored(self, monkeypatch):
         # the lambda path's shape: 50 lambdas on N = 200 hold far more system

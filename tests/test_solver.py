@@ -370,7 +370,6 @@ class TestPolishAndFactor:
         assert err <= 1e-12
 
 
-
 def mixed_batch():
     """One design (a near-duplicate column makes small lambdas slow) and a
     batch mixing: an empty support (column 0), eight fd-like probes sharing

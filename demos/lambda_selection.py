@@ -10,12 +10,11 @@ write the full table as CSV.
 import numpy as np
 
 from gldof import (
-    Problem,
     ScenarioSpec,
     SolverOptions,
     generate,
     lambda_path,
-    solve,
+    solve_batch,
 )
 
 scenario = generate(ScenarioSpec(Q=40, N=12, block_sizes=(3, 3, 3, 3),
@@ -27,13 +26,13 @@ curve = lambda_path(scenario.design, y, scenario.partition,
                     sigma=scenario.sigma, n_points=40, decades=2.0)
 
 # the ground truth risk ||X beta(y) - mu0||^2, computable here only because
-# the data is synthetic
-true_risk = np.empty(len(curve))
-for i, lam in enumerate(curve.lambdas):
-    sol = solve(Problem(scenario.design, y, lam, scenario.partition),
-                SolverOptions(kkt_tol=1e-10))
-    mu_hat = scenario.design.matrix @ sol.beta.values
-    true_risk[i] = np.sum((mu_hat - scenario.mu0) ** 2)
+# the data is synthetic: one batch of solves, a column of y per lambda,
+# each solution's beta a plain length-N array
+ys = np.repeat(y[:, None], len(curve), axis=1)
+solutions = solve_batch(scenario.design, ys, curve.lambdas, scenario.partition,
+                        SolverOptions(kkt_tol=1e-10))
+true_risk = np.array([np.sum((scenario.design.matrix @ sol.beta - scenario.mu0) ** 2)
+                      for sol in solutions])
 
 best_sure = curve.select("sure")
 best_gcv = curve.select("gcv")

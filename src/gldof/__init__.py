@@ -3,7 +3,6 @@
 from .core import (
     BlockPartition,
     BlockSupport,
-    Coefficients,
     DegenerateBlockError,
     Design,
     block_support,
@@ -53,7 +52,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockPartition",
     "BlockSupport",
-    "Coefficients",
     "ConvergenceError",
     "DegenerateBlockError",
     "Design",

@@ -152,14 +152,13 @@ def cmd_solve(args) -> int:
     warm = None
     if args.warm_start:
         with open(args.warm_start) as fh:
-            warm = np.asarray(json.load(fh)["beta"], dtype=float)
+            warm = json.load(fh)["beta"]
         inputs.append(args.warm_start)
-    opts = SolverOptions(kkt_tol=args.tol, max_iter=args.max_iter, warm_start=warm)
-    sol = solve(problem, opts)
+    sol = solve(problem, SolverOptions(kkt_tol=args.tol, max_iter=args.max_iter), warm)
     payload = {
         "manifest": build_manifest(args, inputs),
         "lambda": problem.lam,
-        "beta": [float(v) for v in sol.beta.values],
+        "beta": [float(v) for v in sol.beta],
         "active_blocks": list(sol.support.active),
         "active_dim": sol.support.active_dim,
         "objective": sol.objective,

@@ -183,25 +183,6 @@ class BlockSupport:
 
 
 @dataclass(frozen=True)
-class Coefficients:
-    """A coefficient vector together with its block partition."""
-
-    values: np.ndarray
-    partition: BlockPartition
-
-    def __post_init__(self):
-        v = _as_vector(self.values, self.partition.total_dim).copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def block(self, i: int) -> np.ndarray:
-        return self.values[np.array(self.partition.blocks[i], dtype=int)]
-
-    def support(self) -> "BlockSupport":
-        return block_support(self)
-
-
-@dataclass(frozen=True)
 class Design:
     """A full-column-rank design matrix with cached Gram factorization.
 
@@ -259,14 +240,14 @@ class Design:
         return self.matrix[:, np.asarray(indices, dtype=int)]
 
 
-def block_support(beta: Coefficients) -> BlockSupport:
-    """Blocks of `beta` whose Euclidean norm exceeds 1e-8 * max|beta|.
+def block_support(partition: BlockPartition, values) -> BlockSupport:
+    """Blocks of `values` whose Euclidean norm exceeds 1e-8 * max|values|.
 
     The cutoff is relative, so near-zeros left behind by an iterative solver
     are screened at any scale; an exactly zero block is never in the support.
     """
-    return BlockSupport(beta.partition,
-                        tuple(np.flatnonzero(support_mask(beta.partition, beta.values))))
+    v = _as_vector(values, partition.total_dim)
+    return BlockSupport(partition, tuple(np.flatnonzero(support_mask(partition, v))))
 
 
 def support_mask(partition: BlockPartition, values) -> np.ndarray:

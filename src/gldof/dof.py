@@ -94,7 +94,7 @@ def differential(problem: Problem, solution: Solution) -> np.ndarray:
 def _room(problem: Problem, solution: Solution):
     """(active, room): the active-block mask and each block's room before
     the support changes, ||beta_b|| if active and lambda - ||X_b'r|| if not."""
-    partition, beta = problem.partition, solution.beta.values
+    partition, beta = problem.partition, solution.beta
     active = np.zeros(partition.n_blocks, dtype=bool)
     active[list(solution.support.active)] = True
     corr_norms = partition.block_norms(problem.xty() - problem.design.gram @ beta)
@@ -117,7 +117,7 @@ def transition_proximity(problem: Problem, solution: Solution,
     active, room = _room(problem, solution)
     transition_margin = float(np.min(room[~active], initial=math.inf))
     support_margin = float(np.min(room[active], initial=math.inf))
-    scale = np.max(np.abs(solution.beta.values))
+    scale = np.max(np.abs(solution.beta))
     warning = bool(transition_margin < transition_rtol * problem.lam
                    or support_margin < support_rtol * scale)
     return max(transition_margin, 0.0), max(support_margin, 0.0), warning

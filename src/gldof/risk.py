@@ -150,8 +150,6 @@ def lambda_path(design: Design, y, partition: BlockPartition, lambdas=None, *,
     are consumed as the batch yields them, never held as a list, so their
     factors do not pile up.  A solve that fails to certify is recorded as
     NaN and the sweep continues.
-    Only `kkt_tol` and `max_iter` of `opts` apply: `warm_start` and
-    `track_objective` raise ValueError.
     """
     y = np.asarray(y, dtype=float)
     if lambdas is None:
@@ -175,7 +173,7 @@ def lambda_path(design: Design, y, partition: BlockPartition, lambdas=None, *,
             failed.append(i)
             continue
         report = dof_estimate(Problem(design, y, lambdas[i], partition), sol)
-        resid = y - design.matrix @ sol.beta.values
+        resid = y - design.matrix @ sol.beta
         dof_v[i], rss[i] = report.divergence, float(resid @ resid)
         adim[i], warn[i] = report.support.active_dim, report.warning
 

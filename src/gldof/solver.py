@@ -46,8 +46,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 
-from .core import (BlockPartition, BlockSupport, Coefficients, Design, support_mask,
-                   unit_and_delta_P)
+from .core import BlockPartition, BlockSupport, Design, support_mask, unit_and_delta_P
 
 # Newton steps on the active-block equations after the certified solve
 NEWTON_STEPS = 4
@@ -58,8 +57,8 @@ BATCH_COLUMNS = 256
 class ConvergenceError(RuntimeError):
     """Iteration budget exhausted before the KKT certificate was met.
 
-    Carries the best iterate seen (`beta`), its relative certificate value
-    (`kkt_residual`) and the iteration count.
+    Carries the best iterate seen (`beta`, a read-only length-N array), its
+    relative certificate value (`kkt_residual`) and the iteration count.
     """
 
     def __init__(self, message, beta, kkt_residual, iterations):
@@ -80,10 +79,10 @@ class Problem:
 
     def __post_init__(self):
         y = np.ascontiguousarray(self.y, dtype=float)
-        if y.ndim != 1 or y.size != self.design.Q:
-            raise ValueError(f"y must have length Q={self.design.Q}")
-        if not self.lam > 0:
-            raise ValueError("lambda must be positive")
+        if y.ndim != 1 or y.size != self.design.Q or not np.isfinite(y).all():
+            raise ValueError(f"y must be a finite vector of length Q={self.design.Q}")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError("lambda must be positive and finite")
         if self.partition.total_dim != self.design.N:
             raise ValueError("partition dimension does not match design columns")
         y = y.copy()
@@ -102,29 +101,34 @@ class Problem:
 
     def objective(self, values) -> float:
         """0.5 ||y - X b||^2 + lambda * sum of block norms, from scratch."""
-        resid = self.y - self.design.matrix @ np.asarray(values, dtype=float)
-        penalty = self.partition.block_norms(values).sum()
-        return 0.5 * float(resid @ resid) + self.lam * float(penalty)
+        b = np.asarray(values, dtype=float)[:, None]
+        return float(_objective(self.design, self.partition, self.y[:, None], self.lam, b)[0])
+
+
+def _objective(design: Design, partition: BlockPartition, ys, lams, beta):
+    """`Problem.objective` at each column of an N x K matrix of points, with
+    the observations ys (Q x K) and one lambda per column."""
+    fit = ys - design.matrix @ beta
+    return 0.5 * np.einsum("ij,ij->j", fit, fit) + lams * partition.block_norms(beta).sum(axis=0)
 
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """The tolerance policy (module docstring) of every solve."""
+
     kkt_tol: float = 1e-8
     max_iter: int = 100_000
-    warm_start: np.ndarray | None = None
-    track_objective: bool = False
 
 
 @dataclass(frozen=True)
 class Solution:
     """Certified minimizer with support, objective, and diagnostics."""
 
-    beta: Coefficients
+    beta: np.ndarray  # read-only, length N
     support: BlockSupport
     objective: float
     kkt_residual: float
     iterations: int
-    objective_history: tuple[float, ...] | None = None
     # scipy.linalg.cho_factor pair of X_I'X_I + lambda * deltaP(beta_I) at
     # `beta`, lower triangle; None when the support is empty
     factor: tuple[np.ndarray, bool] | None = field(default=None, compare=False,
@@ -169,9 +173,9 @@ def kkt_check(problem: Problem, beta, tol: float = 0.0):
     to s(y) = max_b ||X_b'y|| (see the module docstring).  Returns
     (kkt_residual, is_optimal) with is_optimal = residual <= tol.
     """
-    values = beta.values if isinstance(beta, Coefficients) else np.asarray(beta, dtype=float)
     partition, xty = problem.partition, problem.xty()
-    resid = float(_residuals(partition, problem.design.gram, xty, values, problem.lam,
+    resid = float(_residuals(partition, problem.design.gram, xty,
+                             np.asarray(beta, dtype=float), problem.lam,
                              partition.block_norms(xty).max()))
     return resid, resid <= tol
 
@@ -181,7 +185,7 @@ def lambda_max(design: Design, y, partition: BlockPartition) -> float:
     return float(partition.block_norms(design.matrix.T @ np.asarray(y, dtype=float)).max())
 
 
-def solve(problem: Problem, opts: SolverOptions | None = None) -> Solution:
+def solve(problem: Problem, opts: SolverOptions | None = None, start=None) -> Solution:
     """Minimize the group lasso objective to a certified KKT residual.
 
     FISTA with step 1/L and monotone restart: whenever an accelerated step
@@ -198,30 +202,29 @@ def solve(problem: Problem, opts: SolverOptions | None = None) -> Solution:
         kkt_tol : relative certificate tolerance, default 1e-8.  Support
         blocks and downstream sensitivity analysis rely on a tight solve.
         max_iter : iteration budget, default 100_000.
-        warm_start : initial coefficients (default zero), as read by
-        `gldof solve --warm-start`.
-        track_objective : record the objective sequence in the solution.
+    start : finite array of length N, optional
+        Initial coefficients (default zero), as read by `gldof solve
+        --warm-start`.
 
     Returns
     -------
     Solution
-        The certified minimizer.  `support` is `block_support` of the
-        certified point.  On that support up to NEWTON_STEPS Newton steps
-        polish beta toward machine precision; the polished point is kept
-        only if its KKT certificate is no worse (the finish of `solve_batch`
-        at K = 1).  `iterations` counts the FISTA iterations alone.  Raises
+        The certified minimizer, `beta` a read-only length-N array.
+        `support` is `block_support` of the certified point.  On that
+        support up to NEWTON_STEPS Newton steps polish beta toward machine
+        precision; the polished point is kept only if its KKT certificate
+        is no worse (the finish of `solve_batch` at K = 1).  `iterations` counts the FISTA iterations alone.  Raises
         ConvergenceError (carrying the best iterate and its residual) if the
         budget runs out uncertified, and LinAlgError if the system matrix at
         the returned beta is not numerically positive definite.
     """
-    opts = opts or SolverOptions()
-    start = None
-    if opts.warm_start is not None:
-        start = np.array(opts.warm_start, dtype=float)
-        if start.shape != (problem.design.N,):
-            raise ValueError("warm start has wrong length")
+    if start is not None:
+        start = np.array(start, dtype=float)
+        if start.shape != (problem.design.N,) or not np.isfinite(start).all():
+            raise ValueError(f"warm start must be a finite vector of length N={problem.design.N}")
         start = start[:, None]
-    (result,) = _solve_columns([problem], opts, start)
+    (result,) = _solve_columns(problem.design, problem.partition, problem.y[:, None],
+                               np.array([problem.lam]), opts or SolverOptions(), start)
     if isinstance(result, ConvergenceError):
         raise result
     return result
@@ -231,15 +234,15 @@ def solve_batch(design: Design, ys, lam: float | np.ndarray, partition: BlockPar
                 opts: SolverOptions | None = None):
     """Certified solves of one design for each column of `ys`.
 
-    `lam` is one lambda for every column or a length-K vector of positive
-    lambdas, one per column.  The FISTA of `solve` runs on up to
-    BATCH_COLUMNS columns of ys (Q x K) at once, each column with its own
-    lambda, momentum, monotone restart and certificate relative to its own
-    s(y).  A column is frozen at the first iteration at which it certifies;
+    `ys` (Q x K) must be finite, and `lam` is one lambda for every column
+    or a length-K vector of lambdas, one per column, positive and finite.
+    The FISTA of `solve` runs on up to BATCH_COLUMNS columns at once, each
+    column with its own lambda, momentum, monotone restart and certificate
+    relative to its own s(y).  A column is frozen at the first iteration at which it certifies;
     the certified columns then get the support rule, Newton polish and
     factor of `solve` at their own lambda, together (module docstring), a
     chunk of at most N x BATCH_COLUMNS system-matrix entries (or one
-    column's) at a time.  Only `kkt_tol` and `max_iter` of `opts` apply.
+    column's) at a time.
 
     Returns an iterator over the columns in order, yielding the Solution of
     each certified column and, for a column that does not certify within
@@ -248,36 +251,33 @@ def solve_batch(design: Design, ys, lam: float | np.ndarray, partition: BlockPar
     run to run for the same input and K.  `solve` is this code at K = 1,
     so a column agrees with `solve` up to round-off, not bit for bit.
     """
-    opts = opts or SolverOptions()
-    if opts.warm_start is not None or opts.track_objective:
-        raise ValueError("solve_batch takes neither warm_start nor track_objective")
-    ys = np.asarray(ys, dtype=float)
-    if ys.ndim != 2 or ys.shape[0] != design.Q:
-        raise ValueError(f"ys must be a Q x K matrix with Q={design.Q}")
-    lams = np.asarray(lam, dtype=float)
-    if lams.ndim == 0:
-        lams = np.full(ys.shape[1], lams)
+    # private copies: the finish reads them lazily, between yields
+    ys = np.array(ys, dtype=float, order="C")
+    if ys.ndim != 2 or ys.shape[0] != design.Q or not np.isfinite(ys).all():
+        raise ValueError(f"ys must be a finite Q x K matrix with Q={design.Q}")
+    if partition.total_dim != design.N:
+        raise ValueError("partition dimension does not match design columns")
+    lams = np.array(lam, dtype=float)
+    lams = np.full(ys.shape[1], lams) if lams.ndim == 0 else lams
     if lams.shape != ys.shape[1:]:
         raise ValueError(f"lambda must be a scalar or one value per column (K={ys.shape[1]})")
-    if not np.all(lams > 0):
-        raise ValueError("lambda must be positive")
+    if not np.all((lams > 0) & (lams < math.inf)):
+        raise ValueError("lambda must be positive and finite")
     return itertools.chain.from_iterable(
-        _solve_columns([Problem(design, y, lam, partition)
-                        for y, lam in zip(ys[:, start:start + BATCH_COLUMNS].T,
-                                          lams[start:start + BATCH_COLUMNS])], opts)
-        for start in range(0, ys.shape[1], BATCH_COLUMNS))
+        _solve_columns(design, partition, ys[:, lo:lo + BATCH_COLUMNS],
+                       lams[lo:lo + BATCH_COLUMNS], opts or SolverOptions())
+        for lo in range(0, ys.shape[1], BATCH_COLUMNS))
 
 
-def _solve_columns(problems, opts, start=None):
-    """The one FISTA loop, on problems sharing a design and a partition.
+def _solve_columns(design, partition, ys, lams, opts, start=None):
+    """The one FISTA loop, on the columns of ys (Q x K), one lambda each
+    (`lams`), sharing a design and a partition.
 
     Iterates on all columns at once from `start` (N x K, zeros when None),
     then yields, in order, each column's Solution, finished by `_newton` a
     chunk at a time, or the ConvergenceError of a column still uncertified
-    after `max_iter`.  With `track_objective` the first column's objective
-    is recorded at each iteration (`solve`, K = 1).
+    after `max_iter`.
     """
-    design, partition = problems[0].design, problems[0].partition
     block, indicator = partition.block_index, partition.indicator
     gram, step, tol = design.gram, 1.0 / design.lipschitz, opts.kkt_tol
 
@@ -294,8 +294,6 @@ def _solve_columns(problems, opts, start=None):
         # the objective less its constant 0.5 ||y||^2, per column
         return np.einsum("ij,ij->j", b, 0.5 * gb - c) + lam * bn.sum(axis=0)
 
-    lam = lams = np.array([p.lam for p in problems])
-    ys = np.column_stack([p.y for p in problems])
     xty = c = design.matrix.T @ ys
     scales = norms(c).max(axis=0)
     n, k = c.shape
@@ -307,7 +305,7 @@ def _solve_columns(problems, opts, start=None):
     # yet frozen; the frozen ones are dropped once they are half of the
     # working set.  A column certifies when its violation is at most
     # kkt_tol * s(y) (for s(y) = 0: exactly 0); a frozen column's bound is -inf.
-    cols, thresh, bound = np.arange(k), step * lam, tol * scales
+    cols, lam, thresh, bound = np.arange(k), lams, step * lams, tol * scales
     if start is None:
         beta, gbeta = np.zeros((n, k)), np.zeros((n, k))
         bnorms, obj = np.zeros((partition.n_blocks, k)), np.zeros(k)
@@ -320,10 +318,6 @@ def _solve_columns(problems, opts, start=None):
         viol = _violation(partition, c - gbeta, beta, bnorms, lam)
     t_mom, live = np.ones(k), np.ones(k, dtype=bool)
     best_beta, best_viol = beta, viol
-    history = None
-    if opts.track_objective:
-        const = 0.5 * float(problems[0].y @ problems[0].y)
-        history = [float(obj[0]) + const]
     z, gz = beta, gbeta
     for it in range(opts.max_iter + 1):
         new = viol <= bound
@@ -365,8 +359,6 @@ def _solve_columns(problems, opts, start=None):
         z = cand + m * (cand - beta)
         gz = gcand + m * (gcand - gbeta)
         beta, gbeta, bnorms, obj, t_mom = cand, gcand, cand_norms, cand_obj, t_next
-        if history is not None:
-            history.append(float(obj[0]) + const)
 
         viol = _violation(partition, c - gbeta, beta, bnorms, lam)
         better = viol < best_viol
@@ -383,7 +375,6 @@ def _solve_columns(problems, opts, start=None):
     failed[cols[live]] = True
     beta_out[:, cols[live]], viol_out[cols[live]] = best_beta[:, live], best_viol[live]
     resid_out = _relative(viol_out, scales)
-    history = tuple(history) if history is not None else None
     # the support rule of `core.block_support`, on every certified column
     active = support_mask(partition, beta_out) & ~failed
     entries = (partition.block_sizes @ active) ** 2
@@ -396,21 +387,20 @@ def _solve_columns(problems, opts, start=None):
         beta, resid, supports, factors = _newton(
             gram, partition, xty[:, lo:hi], lams[lo:hi], beta_out[:, lo:hi],
             resid_out[lo:hi], active[:, lo:hi], scales[lo:hi])
-        fit = ys[:, lo:hi] - design.matrix @ beta
-        objective = (0.5 * np.einsum("ij,ij->j", fit, fit)
-                     + lams[lo:hi] * partition.block_norms(beta).sum(axis=0))
+        objective = _objective(design, partition, ys[:, lo:hi], lams[lo:hi], beta)
         for i, j in enumerate(range(lo, hi)):
+            # a copy, so that no result pins its chunk
+            b = beta[:, i].copy()
+            b.setflags(write=False)
             if failed[j]:
                 yield ConvergenceError(
                     f"no KKT certificate <= {tol:g} within {opts.max_iter} iterations "
                     f"(best residual {resid[i]:g})",
-                    beta=Coefficients(beta[:, i], partition),
-                    kkt_residual=float(resid[i]), iterations=opts.max_iter)
+                    beta=b, kkt_residual=float(resid[i]), iterations=opts.max_iter)
             else:
-                yield Solution(beta=Coefficients(beta[:, i], partition),
-                               support=supports[i], objective=float(objective[i]),
+                yield Solution(beta=b, support=supports[i], objective=float(objective[i]),
                                kkt_residual=float(resid[i]), iterations=int(iters_out[j]),
-                               objective_history=history, factor=factors[i])
+                               factor=factors[i])
         lo = hi
 
 
@@ -448,33 +438,37 @@ def _newton(gram, partition, xty, lam, beta, resid, active, scales):
         support = BlockSupport(partition, tuple(np.flatnonzero(active[:, js[0]])))
         idx, (rows, cols) = support.indices, support.block_pairs
         gram_ii = gram[idx[:, None], idx]
-        for it in range(NEWTON_STEPS + 1):
-            # each column's system matrix and stationarity residual at its point
+
+        def factor(js):
+            # each column's factor and stationarity residual at its point
             b = point[idx[:, None], js].T
             unit, entries = unit_and_delta_P(b, support)
             mats = np.repeat(gram_ii[None], js.size, axis=0)
             mats[:, rows, cols] = gram_ii[rows, cols] + lam[js, None] * entries
-            stat = b @ gram_ii - xty[idx[:, None], js].T + lam[js, None] * unit
-            move = np.abs(stat).max(axis=1) > 1e-15 * scales[js]
-            stepped = []
-            for j, a, s, m in zip(js, mats, stat, move):
-                supports[j], factors[j] = support, _cholesky(a)
-                if not it:
-                    if factors[j] is None:
-                        raise scipy.linalg.LinAlgError("system matrix is not positive definite")
-                    start[j] = factors[j]
-                if m and it < NEWTON_STEPS and factors[j] is not None:
-                    point[idx, j] -= factor_solve(factors[j], s)
-                    stepped.append(j)
-            js = np.array(stepped, dtype=int)
-            if not js.size:
-                break
+            for j, a in zip(js, mats):
+                factors[j] = _cholesky(a)
+            return b @ gram_ii - xty[idx[:, None], js].T + lam[js, None] * unit
+
+        stat = factor(js)
+        for j in js:
+            if factors[j] is None:
+                raise scipy.linalg.LinAlgError("system matrix is not positive definite")
+            supports[j], start[j] = support, factors[j]
+        for _ in range(NEWTON_STEPS):
+            move = [factors[j] is not None and r > 1e-15 * scales[j]
+                    for j, r in zip(js, np.abs(stat).max(axis=1))]
+            js, stat = js[move], stat[move]
+            for j, s in zip(js, stat):
+                point[idx, j] -= factor_solve(factors[j], s)
             # a column whose step zeroed a block falls back
             zero = ~np.add.reduceat(np.square(point[idx[:, None], js]),
                                     support.offsets[:-1]).all(axis=0)
             for j in js[zero]:
                 factors[j] = None
             js = js[~zero]
+            if not js.size:
+                break
+            stat = factor(js)
     tried = np.array([f is not None for f in factors])
     polished = np.full(g, math.inf)
     polished[tried] = _residuals(partition, gram, xty[:, tried], point[:, tried], lam[tried],

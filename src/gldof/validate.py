@@ -66,7 +66,7 @@ def fd_oracle(problem: Problem, h: float | None = None, *, base: Solution | None
                 raise sol
             if sol.support.active != support.active:
                 raise TransitionCrossingError(f"support changed at probe y[{i}] {sign} h")
-        plus, minus = (support.restrict(sol.beta.values) for sol in pair)
+        plus, minus = (support.restrict(sol.beta) for sol in pair)
         jac[:, i] = (plus - minus) / (2.0 * h)
     # on the fixed support x_i'(beta+ - beta-) / 2h is x_{i,I}' jac[:, i]
     divergence = float(np.sum(problem.design.columns(support.indices) * jac.T))
@@ -141,7 +141,7 @@ def mc_dof(scenario, lam: float, replicates: int, seed: int = 0, *,
         if isinstance(sol, ConvergenceError):
             continue
         report = dof_estimate(Problem(design, y, lam, partition), sol)
-        stein = float((y - mu0) @ (design.matrix @ sol.beta.values)) / sigma**2
+        stein = float((y - mu0) @ (design.matrix @ sol.beta)) / sigma**2
         kept.append((stein, report.divergence, report.warning))
     n_failed = replicates - len(kept)
     n_warned = sum(1 for o in kept if o[2])

@@ -3,8 +3,8 @@
 import numpy as np
 import scipy.linalg
 
-from gldof.core import (BlockPartition, BlockSupport, Coefficients, DegenerateBlockError, Design,
-                        block_support, normalize_blocks)
+from gldof.core import (BlockPartition, BlockSupport, DegenerateBlockError, Design, block_support,
+                        normalize_blocks)
 from gldof.solver import NEWTON_STEPS, Problem, factor_solve, kkt_check, lambda_max
 
 
@@ -161,7 +161,7 @@ def polish(problem, beta, resid, certificate=kkt_check):
     leaves the positive definite region, or a polished point whose
     `certificate(problem, point)[0]` is worse, keeps the FISTA point and its
     factor.  Returns (beta, resid, support, factor)."""
-    support = block_support(Coefficients(beta, problem.partition))
+    support = block_support(problem.partition, beta)
     if support.is_empty:
         return beta, resid, support, None
     idx = support.indices

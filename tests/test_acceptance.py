@@ -190,7 +190,7 @@ def test_criterion_7_risk_identities(mc_scenario):
         y = scenario.mu0 + sigma * replicate_rng(11, k).standard_normal(q)
         problem = Problem(scenario.design, y, lam, scenario.partition)
         sol = solve(problem)
-        mu_hat = scenario.design.matrix @ sol.beta.values
+        mu_hat = scenario.design.matrix @ sol.beta
         rss = float(np.sum((y - mu_hat) ** 2))
         div = dof_estimate(problem, sol).divergence
         loss = float(np.sum((mu_hat - scenario.mu0) ** 2))

@@ -133,6 +133,16 @@ class TestDof:
                     "condition_estimate", "warning"):
             assert key in d
 
+    @pytest.mark.parametrize("command", [["solve"], ["dof"], ["path"], ["validate", "fd"]])
+    def test_non_finite_observations_are_a_usage_error(self, problem_file, tmp_path, command):
+        d = json.loads(problem_file.read_text())
+        d["y"][3] = float("nan")
+        problem_file.write_text(json.dumps(d))
+        out = tmp_path / "out.json"
+        # rejected at once, not after the whole iteration budget (exit 3)
+        assert main(command + ["--problem", str(problem_file), "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestPath:
     def test_csv_and_manifest_sidecar(self, problem_file, tmp_path):

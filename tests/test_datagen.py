@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gldof.core import BlockPartition, Coefficients, block_support
+from gldof.core import BlockPartition, block_support
 from gldof.datagen import (
     LoadedProblem,
     ScenarioSpec,
@@ -55,8 +55,7 @@ class TestGenerate:
 
     def test_exactly_k_active_blocks(self):
         scenario = generate(spec(k_active=3))
-        beta = Coefficients(scenario.beta0, scenario.partition)
-        assert block_support(beta).n_active == 3
+        assert block_support(scenario.partition, scenario.beta0).n_active == 3
 
     def test_active_blocks_have_signal_scale_norm(self):
         scenario = generate(spec(signal_scale=2.5))

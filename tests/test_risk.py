@@ -161,18 +161,11 @@ class TestLambdaPath:
             p = problem.with_lam(lam)
             sol = solve(p)
             report = dof_estimate(p, sol)
-            resid = p.y - p.design.matrix @ sol.beta.values
+            resid = p.y - p.design.matrix @ sol.beta
             assert curve.dof[i] == pytest.approx(report.divergence, rel=1e-10)
             assert curve.residual_sq[i] == pytest.approx(float(resid @ resid), rel=1e-12)
             assert curve.active_dim[i] == report.support.active_dim
             assert curve.warning[i] == report.warning
-
-    def test_rejects_per_solve_options(self):
-        problem = random_problem(11, 10, 4, [2, 2])
-        for opts in (SolverOptions(warm_start=np.zeros(4)),
-                     SolverOptions(track_objective=True)):
-            with pytest.raises(ValueError):
-                lambda_path(problem.design, problem.y, problem.partition, opts=opts)
 
     def test_failed_lambdas_recorded_and_skipped(self):
         problem = random_problem(10, 16, 6, [3, 3])

@@ -43,7 +43,7 @@ def cvxpy_solve(problem):
 
 def assert_gap_closed(problem, sol):
     """The independent duality gap confirms the certified minimizer."""
-    gap, primal = duality_gap(problem, sol.beta.values)
+    gap, primal = duality_gap(problem, sol.beta)
     assert gap <= 1e-10 * primal
 
 
@@ -56,7 +56,28 @@ def prox_by_solve(v, t):
     identity design, where the first proximal step is already exact."""
     v = np.asarray(v, dtype=float)
     problem = Problem(Design.identity(v.size), v, t, BlockPartition.from_sizes([v.size]))
-    return solve(problem, SolverOptions(kkt_tol=1e-13)).beta.values
+    return solve(problem, SolverOptions(kkt_tol=1e-13)).beta
+
+
+def fista_iterates(monkeypatch):
+    """Record, for a `solve`, each point at which the FISTA loop evaluates its
+    certificate (`solver._violation`): the start point when one is given,
+    then every accepted iterate.  Calls made by the finish are left out."""
+    points, finishing = [], []
+    violation, newton = solver._violation, solver._newton
+
+    def recording(partition, corr, beta, beta_norms, lam):
+        if not finishing:
+            points.append(beta[:, 0].copy())
+        return violation(partition, corr, beta, beta_norms, lam)
+
+    def finish(*args):
+        finishing.append(True)
+        return newton(*args)
+
+    monkeypatch.setattr(solver, "_violation", recording)
+    monkeypatch.setattr(solver, "_newton", finish)
+    return points
 
 
 class TestBlockSoftThreshold:
@@ -119,7 +140,7 @@ class TestLambdaMax:
         problem = random_problem(11, 12, 6, [3, 3])
         lmax = lambda_max(problem.design, problem.y, problem.partition)
         sol = solve(problem.with_lam(factor * lmax))
-        assert np.all(sol.beta.values == 0.0)
+        assert np.all(sol.beta == 0.0)
         assert sol.support.is_empty
         assert_gap_closed(problem.with_lam(factor * lmax), sol)
 
@@ -132,7 +153,7 @@ class TestSolve:
         sol = solve(problem)
         exact = np.concatenate([block_soft_threshold(y[:2], 1.0),
                                 block_soft_threshold(y[2:], 1.0)])
-        assert np.max(np.abs(sol.beta.values - exact)) < 1e-12
+        assert np.max(np.abs(sol.beta - exact)) < 1e-12
         assert_gap_closed(problem, sol)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -144,7 +165,7 @@ class TestSolve:
         problem = Problem(Design.identity(8), y, lam, p)
         sol = solve(problem)
         exact = np.concatenate([block_soft_threshold(y[list(b)], lam) for b in p])
-        assert np.max(np.abs(sol.beta.values - exact)) < 1e-12
+        assert np.max(np.abs(sol.beta - exact)) < 1e-12
         assert_gap_closed(problem, sol)
 
     def test_matches_independent_convex_solver(self):
@@ -152,7 +173,7 @@ class TestSolve:
         problem = random_problem(7, 12, 6, [3, 3])
         sol = solve(problem, SolverOptions(kkt_tol=1e-10))
         oracle = cvxpy_solve(problem)
-        assert np.max(np.abs(sol.beta.values - oracle)) < 1e-6
+        assert np.max(np.abs(sol.beta - oracle)) < 1e-6
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_oracle_various_instances(self, seed):
@@ -160,60 +181,71 @@ class TestSolve:
         problem = random_problem(seed, 20, 9, [3, 3, 3], lam_frac=0.4)
         sol = solve(problem, SolverOptions(kkt_tol=1e-10))
         oracle = cvxpy_solve(problem)
-        assert np.max(np.abs(sol.beta.values - oracle)) < 1e-6
+        assert np.max(np.abs(sol.beta - oracle)) < 1e-6
 
     def test_objective_recomputed_matches_definition(self):
         problem = random_problem(5, 15, 6, [2, 2, 2])
         sol = solve(problem)
-        resid = problem.y - problem.design.matrix @ sol.beta.values
-        pen = sum(np.linalg.norm(sol.beta.block(i)) for i in range(3))
+        resid = problem.y - problem.design.matrix @ sol.beta
+        pen = sum(np.linalg.norm(sol.beta[list(b)]) for b in problem.partition)
         assert sol.objective == pytest.approx(0.5 * resid @ resid + problem.lam * pen)
         assert_gap_closed(problem, sol)
 
-    def test_objective_history_monotone(self):
+    def test_objective_history_monotone(self, monkeypatch):
         problem = random_problem(9, 30, 12, [3, 3, 3, 3], lam_frac=0.1)
-        sol = solve(problem, SolverOptions(kkt_tol=1e-12, track_objective=True))
-        hist = np.array(sol.objective_history)
+        iterates = fista_iterates(monkeypatch)
+        sol = solve(problem, SolverOptions(kkt_tol=1e-12))
+        # a cold start is at beta = 0, where the loop evaluates no certificate
+        assert len(iterates) == sol.iterations
+        hist = np.array([problem.objective(b) for b in [np.zeros(12)] + iterates])
         increases = np.diff(hist)
         assert np.all(increases <= 1e-14 * np.abs(hist[:-1]))
 
     def test_warm_start_shortcut(self):
         problem = random_problem(13, 20, 8, [2, 2, 2, 2])
         sol = solve(problem, SolverOptions(kkt_tol=1e-10))
-        again = solve(problem, SolverOptions(kkt_tol=1e-8,
-                                             warm_start=sol.beta.values))
+        again = solve(problem, SolverOptions(kkt_tol=1e-8), sol.beta)
         assert again.iterations == 0
-        assert np.allclose(again.beta.values, sol.beta.values)
+        assert np.allclose(again.beta, sol.beta)
         assert_gap_closed(problem, again)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_warm_start_from_a_nearby_point(self, seed):
+    def test_warm_start_from_a_nearby_point(self, seed, monkeypatch):
         problem = random_problem(seed, 30, 12, [3, 3, 2, 4], lam_frac=0.2)
         cold = solve(problem, SolverOptions(kkt_tol=1e-10))
         rng = np.random.default_rng(seed)
-        start = cold.beta.values + 1e-3 * rng.standard_normal(12)
-        warm = solve(problem, SolverOptions(kkt_tol=1e-10, warm_start=start,
-                                            track_objective=True))
+        start = cold.beta + 1e-3 * rng.standard_normal(12)
+        iterates = fista_iterates(monkeypatch)
+        warm = solve(problem, SolverOptions(kkt_tol=1e-10), start)
         assert warm.support == cold.support
-        assert np.max(np.abs(warm.beta.values - cold.beta.values)) <= \
-            1e-12 * np.max(np.abs(cold.beta.values))
+        assert np.max(np.abs(warm.beta - cold.beta)) <= \
+            1e-12 * np.max(np.abs(cold.beta))
         assert warm.kkt_residual <= 1e-10
         assert_gap_closed(problem, warm)
-        # the trace starts at the start point's objective, one entry per iteration
-        assert warm.objective_history[0] == pytest.approx(problem.objective(start))
-        assert len(warm.objective_history) == warm.iterations + 1
+        # the loop evaluates the start point, then each iteration's iterate
+        assert np.array_equal(iterates[0], start)
+        assert len(iterates) == warm.iterations + 1
 
     def test_warm_start_of_wrong_length_rejected(self):
         problem = random_problem(13, 20, 8, [2, 2, 2, 2])
         with pytest.raises(ValueError):
-            solve(problem, SolverOptions(warm_start=np.zeros(7)))
+            solve(problem, start=np.zeros(7))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_warm_start_rejected(self, bad):
+        # rejected at once: the loop would spend its whole budget on it
+        problem = random_problem(13, 20, 8, [2, 2, 2, 2])
+        start = np.zeros(8)
+        start[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solve(problem, start=start)
 
     def test_iteration_budget_exhaustion_carries_best_iterate(self):
         problem = random_problem(21, 40, 16, [4, 4, 4, 4], lam_frac=0.05)
         with pytest.raises(ConvergenceError) as err:
             solve(problem, SolverOptions(kkt_tol=1e-13, max_iter=3))
         assert err.value.kkt_residual > 0
-        assert err.value.beta.values.shape == (16,)
+        assert err.value.beta.shape == (16,) and not err.value.beta.flags.writeable
         assert err.value.iterations == 3
 
     def test_certified_point_is_the_unique_minimizer(self):
@@ -221,9 +253,8 @@ class TestSolve:
         problem = random_problem(17, 18, 8, [2, 2, 4], lam_frac=0.3)
         a = solve(problem, SolverOptions(kkt_tol=1e-11))
         rng = np.random.default_rng(0)
-        b = solve(problem, SolverOptions(kkt_tol=1e-11,
-                                         warm_start=rng.standard_normal(8)))
-        assert np.max(np.abs(a.beta.values - b.beta.values)) < 1e-9
+        b = solve(problem, SolverOptions(kkt_tol=1e-11), rng.standard_normal(8))
+        assert np.max(np.abs(a.beta - b.beta)) < 1e-9
         assert_gap_closed(problem, a)
         assert_gap_closed(problem, b)
 
@@ -233,7 +264,7 @@ class TestSolve:
         sol = solve(problem)
         assert_gap_closed(problem, sol)
         # the oracle is not blind: moving off the minimizer opens the gap
-        nudged = sol.beta.values + 1e-3 * np.random.default_rng(seed).standard_normal(12)
+        nudged = sol.beta + 1e-3 * np.random.default_rng(seed).standard_normal(12)
         gap, primal = duality_gap(problem, nudged)
         assert gap > 1e-8 * primal
 
@@ -272,8 +303,8 @@ class TestKktCheck:
         assert kkt_check(problem, np.zeros(4)) == (0.0, True)
         resid, ok = kkt_check(problem, [1.0, 0.0, 0.0, 0.0], tol=1e-8)
         assert resid == np.inf and not ok
-        sol = solve(problem, SolverOptions(warm_start=np.ones(4)))
-        assert np.all(sol.beta.values == 0.0) and sol.kkt_residual == 0.0
+        sol = solve(problem, start=np.ones(4))
+        assert np.all(sol.beta == 0.0) and sol.kkt_residual == 0.0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_blockwise_reference(self, seed):
@@ -283,7 +314,7 @@ class TestKktCheck:
         point = rng.standard_normal(9)
         sparse = point.copy()
         sparse[[0, 1, 2, 4, 5, 6, 7]] = 0.0
-        for beta in (point, sparse, np.zeros(9), solve(problem).beta.values):
+        for beta in (point, sparse, np.zeros(9), solve(problem).beta):
             resid, _ = kkt_check(problem, beta)
             assert resid == pytest.approx(kkt_residual(problem, beta), rel=1e-12, abs=1e-15)
 
@@ -315,12 +346,22 @@ class TestProblemValidation:
             Problem(Design.identity(3), [1.0, 2.0, 3.0], 1.0,
                     BlockPartition.from_sizes([2]))
 
+    @pytest.mark.parametrize("y", [[1.0, np.nan], [np.inf, 2.0], [1.0, -np.inf]])
+    def test_y_finite(self, y):
+        with pytest.raises(ValueError, match="finite"):
+            Problem(Design.identity(2), y, 1.0, BlockPartition.from_sizes([2]))
+
+    def test_lambda_finite(self):
+        # rejected before any arithmetic, which would warn of inf * 0
+        with pytest.raises(ValueError, match="finite"):
+            Problem(Design.identity(2), [1.0, 2.0], np.inf, BlockPartition.from_sizes([2]))
+
 
 def system_matrix(problem, sol):
     """X_I'X_I + lambda * deltaP at the returned beta, built from scratch."""
     idx = sol.support.indices
     xi = problem.design.columns(idx)
-    beta_i = sol.support.restrict(sol.beta.values)
+    beta_i = sol.support.restrict(sol.beta)
     return xi.T @ xi + problem.lam * delta_P_matrix(beta_i, sol.support)
 
 
@@ -349,7 +390,7 @@ class TestPolishAndFactor:
         loose = solve(problem, SolverOptions(kkt_tol=1e-4))
         tight = solve(problem, SolverOptions(kkt_tol=1e-13))
         assert loose.kkt_residual <= 1e-12
-        assert np.max(np.abs(loose.beta.values - tight.beta.values)) <= 1e-12
+        assert np.max(np.abs(loose.beta - tight.beta)) <= 1e-12
         assert_gap_closed(problem, loose)
 
     def test_rejected_polish_keeps_fista_point_with_its_factor(self, monkeypatch):
@@ -363,7 +404,7 @@ class TestPolishAndFactor:
         kept = solve(problem, opts)
         assert kept.iterations == polished.iterations
         assert kept.kkt_residual > polished.kkt_residual
-        assert not np.array_equal(kept.beta.values, polished.beta.values)
+        assert not np.array_equal(kept.beta, polished.beta)
         assert kept.support.active == polished.support.active
         a = system_matrix(problem, kept)
         err = np.linalg.norm(rebuilt_from_factor(kept) - a) / np.linalg.norm(a)
@@ -440,14 +481,14 @@ class TestBatchedFinish:
             (), (3,), (3, 5), (0, 2, 3, 5), (0, 1, 2, 3, 5), (), (3,)]
         assert {sol.support.active for sol in batch[1:9]} == {(0, 3, 5)}
         assert isinstance(batch[15], ConvergenceError) and batch[15].iterations == 200
-        assert np.array_equal(batch[15].beta.values, reference[15].beta.values)
+        assert np.array_equal(batch[15].beta, reference[15].beta)
         assert batch[15].kkt_residual == reference[15].kkt_residual
         for j, (sol, ref) in enumerate(zip(batch[:15], reference[:15], strict=True)):
             problem = Problem(design, ys[:, j], lams[j], partition)
             assert sol.support == ref.support
             assert sol.iterations == ref.iterations
-            assert np.max(np.abs(sol.beta.values - ref.beta.values)) <= \
-                1e-12 * np.max(np.abs(ref.beta.values))
+            assert np.max(np.abs(sol.beta - ref.beta)) <= \
+                1e-12 * np.max(np.abs(ref.beta))
             assert sol.kkt_residual <= opts.kkt_tol
             assert dof_estimate(problem, sol).divergence == pytest.approx(
                 dof_estimate(problem, ref).divergence, rel=1e-10, abs=1e-14)
@@ -461,12 +502,12 @@ class TestBatchedFinish:
             assert np.linalg.norm(rebuilt_from_factor(sol) - a) <= 1e-12 * np.linalg.norm(a)
             (assembled,) = [m for m, f in factored if f is sol.factor]
             idx = sol.support.indices
-            beta_i = sol.support.restrict(sol.beta.values)
+            beta_i = sol.support.restrict(sol.beta)
             assert np.array_equal(assembled, design.gram[idx[:, None], idx]
                                   + lams[j] * unit_and_dense_delta_P(beta_i, sol.support)[1])
         # the rejected column keeps its FISTA point, certificate and start
         # factor, as the reference does
-        assert np.array_equal(batch[14].beta.values, reference[14].beta.values)
+        assert np.array_equal(batch[14].beta, reference[14].beta)
         assert batch[14].kkt_residual == reference[14].kkt_residual
         assert np.array_equal(batch[14].factor[0], reference[14].factor[0])
 
@@ -515,13 +556,13 @@ class TestBatchedFinish:
         for j, (sol, ref) in enumerate(zip(batch, clean, strict=True)):
             assert sol.support == ref.support and sol.iterations == ref.iterations
             if j != victim:
-                assert np.max(np.abs(sol.beta.values - ref.beta.values)) <= \
-                    1e-12 * np.max(np.abs(ref.beta.values))
+                assert np.max(np.abs(sol.beta - ref.beta)) <= \
+                    1e-12 * np.max(np.abs(ref.beta))
         # the victim keeps its FISTA point, its certificate and the factor there
         kept = batch[victim]
-        assert np.array_equal(kept.beta.values, fista["beta"][:, victim])
+        assert np.array_equal(kept.beta, fista["beta"][:, victim])
         assert kept.kkt_residual == fista["resid"][victim]
-        assert not np.array_equal(kept.beta.values, clean[victim].beta.values)
+        assert not np.array_equal(kept.beta, clean[victim].beta)
         problem = Problem(design, ys[:, victim], lams[victim], partition)
         a = system_matrix(problem, kept)
         assert np.linalg.norm(rebuilt_from_factor(kept) - a) <= 1e-12 * np.linalg.norm(a)
@@ -578,8 +619,8 @@ class TestScaleEquivariance:
             sol = solve(scaled)
             assert not base.support.is_empty
             assert sol.support == base.support
-            err = np.max(np.abs(sol.beta.values / s - base.beta.values))
-            assert err <= 1e-12 * np.max(np.abs(base.beta.values))
+            err = np.max(np.abs(sol.beta / s - base.beta))
+            assert err <= 1e-12 * np.max(np.abs(base.beta))
             assert dof_estimate(scaled, sol).divergence == pytest.approx(dof, rel=1e-10)
 
     @pytest.mark.parametrize("s", SCALES)
@@ -637,8 +678,8 @@ def assert_batch_matches_single_solves(problems, batch, again):
     assume(not any(dof_estimate(p, r).warning for p, r in zip(problems, refs)))
     for problem, ref, sol, rerun in zip(problems, refs, batch, again, strict=True):
         assert sol.support == ref.support
-        err = np.max(np.abs(sol.beta.values - ref.beta.values))
-        assert err <= 1e-12 * np.max(np.abs(ref.beta.values))
+        err = np.max(np.abs(sol.beta - ref.beta))
+        assert err <= 1e-12 * np.max(np.abs(ref.beta))
         dof = dof_estimate(problem, sol).divergence
         assert dof == pytest.approx(dof_estimate(problem, ref).divergence, rel=1e-10)
         assert sol.kkt_residual <= SolverOptions().kkt_tol
@@ -647,7 +688,7 @@ def assert_batch_matches_single_solves(problems, batch, again):
         if problem.lam >= 1e-6 * lambda_max(problem.design, problem.y, problem.partition):
             assert_gap_closed(problem, sol)
         # bit-identical run to run for the same input and K
-        assert np.array_equal(rerun.beta.values, sol.beta.values)
+        assert np.array_equal(rerun.beta, sol.beta)
         assert dof_estimate(problem, rerun).divergence == dof
 
 
@@ -672,7 +713,8 @@ class TestSolveBatch:
             list(solve_batch(design, ys, lams, partition)))
 
     @pytest.mark.parametrize("lams", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [1.0, 0.0, 2.0],
-                                      [1.0, -2.0, 2.0], [1.0, np.nan, 2.0]])
+                                      [1.0, -2.0, 2.0], [1.0, np.nan, 2.0], np.inf,
+                                      [1.0, np.inf, 2.0]])
     def test_rejects_bad_lambda_vectors(self, lams):
         problem = random_problem(3, 10, 4, [2, 2])
         ys = np.repeat(problem.y[:, None], 3, axis=1)
@@ -687,7 +729,8 @@ class TestSolveBatch:
         failed, solved = solve_batch(problem.design, ys, problem.lam, problem.partition, opts)
         assert isinstance(failed, ConvergenceError)
         assert failed.iterations == 5 and failed.kkt_residual > opts.kkt_tol
-        assert failed.beta.values.shape == (16,)
+        assert failed.beta.shape == solved.beta.shape == (16,)
+        assert not failed.beta.flags.writeable and not solved.beta.flags.writeable
         assert solved.support.is_empty and solved.iterations == 0
 
     def test_columns_beyond_one_chunk_keep_their_order(self, monkeypatch):
@@ -697,16 +740,33 @@ class TestSolveBatch:
         monkeypatch.setattr(solver, "BATCH_COLUMNS", 3)
         chunked = list(solve_batch(problem.design, ys, problem.lam, problem.partition))
         for a, b in zip(whole, chunked, strict=True):
-            assert np.max(np.abs(a.beta.values - b.beta.values)) <= \
-                1e-12 * np.max(np.abs(a.beta.values))
+            assert np.max(np.abs(a.beta - b.beta)) <= \
+                1e-12 * np.max(np.abs(a.beta))
 
-    @pytest.mark.parametrize("opts", [SolverOptions(warm_start=np.zeros(4)),
-                                      SolverOptions(track_objective=True)])
-    def test_rejects_per_solve_options(self, opts):
+    def test_observations_are_copied(self):
+        # the finish reads the observations lazily, after the call returns
+        problem = random_problem(8, 20, 9, [3, 3, 3], lam_frac=0.2)
+        ys = problem.y[:, None] * np.linspace(0.5, 2.0, 4)
+        lams = problem.lam * np.linspace(1.0, 0.5, 4)
+        expected = list(solve_batch(problem.design, ys, lams, problem.partition))
+        batch = solve_batch(problem.design, ys, lams, problem.partition)
+        ys[:], lams[:] = 0.0, 1.0
+        for sol, ref in zip(batch, expected, strict=True):
+            assert np.array_equal(sol.beta, ref.beta) and sol.objective == ref.objective
+
+    def test_rejects_a_partition_of_another_dimension(self):
         problem = random_problem(3, 10, 4, [2, 2])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="partition"):
             solve_batch(problem.design, problem.y[:, None], problem.lam,
-                        problem.partition, opts)
+                        BlockPartition.from_sizes([2, 3]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_observations(self, bad):
+        problem = random_problem(3, 10, 4, [2, 2])
+        ys = np.repeat(problem.y[:, None], 3, axis=1)
+        ys[4, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solve_batch(problem.design, ys, problem.lam, problem.partition)
 
     def test_rejects_misshapen_observations(self):
         problem = random_problem(3, 10, 4, [2, 2])

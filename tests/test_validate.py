@@ -102,8 +102,8 @@ class TestFdJacobian:
         for i in range(problem.design.Q):
             step = np.zeros(problem.design.Q)
             step[i] = h
-            plus = solve(problem.with_y(problem.y + step), opts).beta.values
-            minus = solve(problem.with_y(problem.y - step), opts).beta.values
+            plus = solve(problem.with_y(problem.y + step), opts).beta
+            minus = solve(problem.with_y(problem.y - step), opts).beta
             ref[:, i] = (support.restrict(plus) - support.restrict(minus)) / (2.0 * h)
         jac = fd_oracle(problem)[0]
         assert np.max(np.abs(jac - ref)) <= 1e-9 * np.max(np.abs(ref))
@@ -161,7 +161,7 @@ class TestMcDof:
             problem = Problem(design, y, lam, scenario.partition)
             sol = solve(problem)
             report = dof_estimate(problem, sol)
-            stein.append((y - mu0) @ (design.matrix @ sol.beta.values) / sigma**2)
+            stein.append((y - mu0) @ (design.matrix @ sol.beta) / sigma**2)
             divs.append(report.divergence)
             warned.append(report.warning)
         result = mc_dof(scenario, lam, replicates=80, seed=9)

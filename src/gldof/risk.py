@@ -152,6 +152,9 @@ def lambda_path(design: Design, y, partition: BlockPartition, lambdas=None, *,
     NaN and the sweep continues.
     """
     y = np.asarray(y, dtype=float)
+    # checked before the default grid, which a NaN lambda_max would break
+    if y.shape != (design.Q,) or not np.isfinite(y).all():
+        raise ValueError(f"y must be finite and of length Q={design.Q}")
     if lambdas is None:
         lambdas = default_lambda_grid(lambda_max(design, y, partition), n_points, decades)
     lambdas = np.sort(np.asarray(lambdas, dtype=float))[::-1]

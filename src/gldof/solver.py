@@ -1,17 +1,22 @@
 """Group lasso solver: accelerated proximal gradient with a KKT certificate.
 
 The objective  0.5 ||y - X b||^2 + lambda * sum_b ||b_b||  is strictly convex
-for a full-column-rank design, so there is exactly one minimizer.  The solver
-iterates FISTA with step 1/L (L the largest eigenvalue of X'X) and a monotone
-restart, and terminates only when the exact first-order conditions hold to
-``kkt_tol``:
+for a full-column-rank design, so there is exactly one minimizer.  A solution
+is returned only when the exact first-order conditions hold to ``kkt_tol``:
 
   * on every active block b:      X_b'(y - X b) = lambda * b_b / ||b_b||
   * on every inactive block b:  ||X_b'(y - X b)|| <= lambda
 
-The certified point is then polished by Newton steps on the active-block
-equations, whose Jacobian X_I'X_I + lambda * deltaP(b_I) is the matrix of the
-solution's local differential; its Cholesky factor is kept on the solution.
+The solver first identifies the block support: it iterates FISTA with step
+1/L (L the largest eigenvalue of X'X) and a monotone restart until the
+conditions hold to the looser of ``kkt_tol`` and IDENTIFY_TOL, by when
+forward-backward methods have found the support.  On that support the
+conditions are smooth equations, and Newton steps on them, whose Jacobian
+X_I'X_I + lambda * deltaP(b_I) is the matrix of the solution's local
+differential, converge quadratically; the Cholesky factor of that matrix is
+kept on the solution.  A point whose finish misses ``kkt_tol``, as when
+FISTA stopped before the support was identified, resumes FISTA at
+``kkt_tol`` and is finished again.
 
 `solve` takes one right-hand side.  `solve_batch` runs the same iteration
 on the K columns of a Q x K matrix of observations sharing the design and
@@ -31,6 +36,8 @@ so no tolerance is absolute:
     s(y) = max_b ||X_b'y|| (`lambda_max` of y), the unit of `kkt_tol`,
     `kkt_residual` and `kkt_check`; when s(y) = 0 it is 0 at beta = 0, the
     solution, and +inf elsewhere;
+  * support identification: FISTA's first stop, a certificate of at most
+    max(kkt_tol, IDENTIFY_TOL) = 1e-5 by default, in the same unit;
   * active blocks: a block is active in the certificate exactly when its
     norm is nonzero (the prox sets inactive blocks to exact zeros);
   * support: norm above 1e-8 * max|beta|, the one rule, `core.block_support`;
@@ -48,10 +55,15 @@ import scipy.linalg
 
 from .core import BlockPartition, BlockSupport, Design, support_mask, unit_and_delta_P
 
-# Newton steps on the active-block equations after the certified solve
+# Newton steps on the active-block equations after FISTA
 NEWTON_STEPS = 4
 # columns `solve_batch` iterates on at once: its working memory is O(N x this)
 BATCH_COLUMNS = 256
+# FISTA stops at this certificate, relative to s(y), when kkt_tol is tighter:
+# the support is identified by then, and the Newton finish certifies.  From
+# 1e-5, two Newton steps reach the 1e-15 stop; from 1e-4 a third is often
+# needed, which costs more than the few FISTA iterations in between.
+IDENTIFY_TOL = 1e-5
 
 
 class ConvergenceError(RuntimeError):
@@ -192,7 +204,9 @@ def solve(problem: Problem, opts: SolverOptions | None = None, start=None) -> So
     would increase the objective, momentum is dropped and a plain proximal
     gradient step (guaranteed descent) is taken instead.  All iterations run
     in Gram coordinates (X'X, X'y), so the per-iteration cost is O(N^2)
-    independent of Q.  This is the loop of `solve_batch` on one column.
+    independent of Q.  FISTA stops at max(kkt_tol, IDENTIFY_TOL), and Newton
+    steps on the support finish the solve (module docstring).  This is the
+    code of `solve_batch` on one column.
 
     Parameters
     ----------
@@ -210,13 +224,15 @@ def solve(problem: Problem, opts: SolverOptions | None = None, start=None) -> So
     -------
     Solution
         The certified minimizer, `beta` a read-only length-N array.
-        `support` is `block_support` of the certified point.  On that
-        support up to NEWTON_STEPS Newton steps polish beta toward machine
-        precision; the polished point is kept only if its KKT certificate
-        is no worse (the finish of `solve_batch` at K = 1).  `iterations` counts the FISTA iterations alone.  Raises
-        ConvergenceError (carrying the best iterate and its residual) if the
-        budget runs out uncertified, and LinAlgError if the system matrix at
-        the returned beta is not numerically positive definite.
+        `support` is `block_support` of the FISTA point.  On that support up
+        to NEWTON_STEPS Newton steps polish beta toward machine precision;
+        the polished point is kept only if its KKT certificate is no worse.
+        If the point kept misses kkt_tol, FISTA resumes from its FISTA point
+        until it certifies at kkt_tol, and that point is finished the same
+        way.  `iterations` counts the FISTA iterations of both phases alone.
+        Raises ConvergenceError (carrying the best iterate and its residual)
+        if the budget runs out uncertified, and LinAlgError if the system
+        matrix at the returned beta is not numerically positive definite.
     """
     if start is not None:
         start = np.array(start, dtype=float)
@@ -238,11 +254,15 @@ def solve_batch(design: Design, ys, lam: float | np.ndarray, partition: BlockPar
     or a length-K vector of lambdas, one per column, positive and finite.
     The FISTA of `solve` runs on up to BATCH_COLUMNS columns at once, each
     column with its own lambda, momentum, monotone restart and certificate
-    relative to its own s(y).  A column is frozen at the first iteration at which it certifies;
-    the certified columns then get the support rule, Newton polish and
-    factor of `solve` at their own lambda, together (module docstring), a
-    chunk of at most N x BATCH_COLUMNS system-matrix entries (or one
-    column's) at a time.
+    relative to its own s(y).  A column is frozen at the first iteration at
+    which its certificate is at most max(kkt_tol, IDENTIFY_TOL); the frozen
+    columns then get the support rule, Newton polish and factor of `solve`
+    at their own lambda, together (module docstring), a chunk of at most
+    N x BATCH_COLUMNS system-matrix entries (or one column's) at a time.
+    Within its chunk, before the chunk yields, a column whose finished
+    point misses kkt_tol resumes FISTA from its FISTA point, at kkt_tol and
+    with what is left of `max_iter`, and is finished again; so memory stays
+    bounded by the chunk.
 
     Returns an iterator over the columns in order, yielding the Solution of
     each certified column and, for a column that does not certify within
@@ -270,16 +290,81 @@ def solve_batch(design: Design, ys, lam: float | np.ndarray, partition: BlockPar
 
 
 def _solve_columns(design, partition, ys, lams, opts, start=None):
-    """The one FISTA loop, on the columns of ys (Q x K), one lambda each
-    (`lams`), sharing a design and a partition.
+    """Certified solves of the columns of ys (Q x K), one lambda each
+    (`lams`), sharing a design and a partition, from `start` (N x K, zeros
+    when None).
 
-    Iterates on all columns at once from `start` (N x K, zeros when None),
-    then yields, in order, each column's Solution, finished by `_newton` a
-    chunk at a time, or the ConvergenceError of a column still uncertified
-    after `max_iter`.
+    `_fista` iterates on all columns at once to the looser of kkt_tol and
+    IDENTIFY_TOL.  Then, in order, a chunk at a time: `_newton` finishes the
+    chunk's columns; a column whose kept point misses kkt_tol resumes FISTA
+    from its FISTA point at kkt_tol, with what is left of `max_iter`, and is
+    finished again; and the chunk yields each column's Solution, or the
+    ConvergenceError of a column still uncertified after `max_iter`
+    iterations in all.
+    """
+    gram, tol, max_iter = design.gram, opts.kkt_tol, opts.max_iter
+    xty = design.matrix.T @ ys
+    scales = partition.block_norms(xty).max(axis=0)
+    fista, fista_resid, iters, failed = _fista(design, partition, xty, lams, scales,
+                                               max(tol, IDENTIFY_TOL), max_iter, start)
+    # the support rule of `core.block_support`, on every certified column
+    active = support_mask(partition, fista) & ~failed
+    entries = (partition.block_sizes @ active) ** 2
+    n, k = fista.shape
+    lo = 0
+    while lo < k:
+        # finish in column order, a chunk of columns at a time whose system
+        # matrices hold at most N x BATCH_COLUMNS entries (or one column's)
+        hi = lo + 1 + int(np.searchsorted(np.cumsum(entries[lo + 1:]),
+                                          n * BATCH_COLUMNS - entries[lo], side="right"))
+        beta, resid, supports, factors = _newton(
+            gram, partition, xty[:, lo:hi], lams[lo:hi], fista[:, lo:hi],
+            fista_resid[lo:hi], active[:, lo:hi], scales[lo:hi])
+        miss = np.flatnonzero((resid > tol) & ~failed[lo:hi])
+        if miss.size:
+            js = lo + miss
+            left = max_iter - iters[js]
+            # columns with the same budget left resume together
+            for budget in np.unique(left):
+                g = js[left == budget]
+                fista[:, g], fista_resid[g], more, failed[g] = _fista(
+                    design, partition, xty[:, g], lams[g], scales[g], tol, budget, fista[:, g])
+                iters[g] += more
+            beta[:, miss], resid[miss], again, again_factors = _newton(
+                gram, partition, xty[:, js], lams[js], fista[:, js], fista_resid[js],
+                support_mask(partition, fista[:, js]) & ~failed[js], scales[js])
+            for i, support, factor in zip(miss, again, again_factors):
+                supports[i], factors[i] = support, factor
+        objective = _objective(design, partition, ys[:, lo:hi], lams[lo:hi], beta)
+        for i, j in enumerate(range(lo, hi)):
+            # a copy, so that no result pins its chunk
+            b = beta[:, i].copy()
+            b.setflags(write=False)
+            if failed[j]:
+                yield ConvergenceError(
+                    f"no KKT certificate <= {tol:g} within {max_iter} iterations "
+                    f"(best residual {resid[i]:g})",
+                    beta=b, kkt_residual=float(resid[i]), iterations=max_iter)
+            else:
+                yield Solution(beta=b, support=supports[i], objective=float(objective[i]),
+                               kkt_residual=float(resid[i]), iterations=int(iters[j]),
+                               factor=factors[i])
+        lo = hi
+
+
+def _fista(design, partition, c, lams, scales, tol, max_iter, start=None):
+    """The one FISTA loop, on the columns of c = X'Y (N x K), one lambda
+    (`lams`) and one s(y) (`scales`) each, from `start` (N x K, zeros when
+    None).
+
+    A column is frozen at the first iteration at which its `_violation` is
+    at most tol * s(y) (for s(y) = 0: exactly 0).  Returns each column's
+    frozen point, its certificate (`_relative`) and iteration count, and
+    which columns failed: a column still above its bound after `max_iter`
+    iterations reports its best iterate, its certificate and `max_iter`.
     """
     block, indicator = partition.block_index, partition.indicator
-    gram, step, tol = design.gram, 1.0 / design.lipschitz, opts.kkt_tol
+    gram, step = design.gram, 1.0 / design.lipschitz
 
     def norms(a):
         return np.sqrt(indicator @ np.square(a))
@@ -294,17 +379,14 @@ def _solve_columns(design, partition, ys, lams, opts, start=None):
         # the objective less its constant 0.5 ||y||^2, per column
         return np.einsum("ij,ij->j", b, 0.5 * gb - c) + lam * bn.sum(axis=0)
 
-    xty = c = design.matrix.T @ ys
-    scales = norms(c).max(axis=0)
     n, k = c.shape
     beta_out = np.zeros((n, k))
     viol_out = np.zeros(k)
-    iters_out = np.zeros(k, dtype=int)
+    iters_out = np.full(k, max_iter)
 
     # working columns: `cols` maps them to the output, `live` marks those not
     # yet frozen; the frozen ones are dropped once they are half of the
-    # working set.  A column certifies when its violation is at most
-    # kkt_tol * s(y) (for s(y) = 0: exactly 0); a frozen column's bound is -inf.
+    # working set, and a frozen column's bound is -inf
     cols, lam, thresh, bound = np.arange(k), lams, step * lams, tol * scales
     if start is None:
         beta, gbeta = np.zeros((n, k)), np.zeros((n, k))
@@ -319,7 +401,7 @@ def _solve_columns(design, partition, ys, lams, opts, start=None):
     t_mom, live = np.ones(k), np.ones(k, dtype=bool)
     best_beta, best_viol = beta, viol
     z, gz = beta, gbeta
-    for it in range(opts.max_iter + 1):
+    for it in range(max_iter + 1):
         new = viol <= bound
         if np.count_nonzero(new):
             beta_out[:, cols[new]] = beta[:, new]
@@ -336,7 +418,7 @@ def _solve_columns(design, partition, ys, lams, opts, start=None):
                 cols, lam, thresh, bound, obj, t_mom, viol, best_viol, live = (
                     a[live] for a in (cols, lam, thresh, bound, obj, t_mom, viol,
                                       best_viol, live))
-        if it == opts.max_iter:
+        if it == max_iter:
             break
         cand, cand_norms = prox(z - step * (gz - c), thresh)
         gcand = gram @ cand
@@ -374,34 +456,7 @@ def _solve_columns(design, partition, ys, lams, opts, start=None):
     failed = np.zeros(k, dtype=bool)
     failed[cols[live]] = True
     beta_out[:, cols[live]], viol_out[cols[live]] = best_beta[:, live], best_viol[live]
-    resid_out = _relative(viol_out, scales)
-    # the support rule of `core.block_support`, on every certified column
-    active = support_mask(partition, beta_out) & ~failed
-    entries = (partition.block_sizes @ active) ** 2
-    lo = 0
-    while lo < k:
-        # finish in column order, a chunk of columns at a time whose system
-        # matrices hold at most N x BATCH_COLUMNS entries (or one column's)
-        hi = lo + 1 + int(np.searchsorted(np.cumsum(entries[lo + 1:]),
-                                          n * BATCH_COLUMNS - entries[lo], side="right"))
-        beta, resid, supports, factors = _newton(
-            gram, partition, xty[:, lo:hi], lams[lo:hi], beta_out[:, lo:hi],
-            resid_out[lo:hi], active[:, lo:hi], scales[lo:hi])
-        objective = _objective(design, partition, ys[:, lo:hi], lams[lo:hi], beta)
-        for i, j in enumerate(range(lo, hi)):
-            # a copy, so that no result pins its chunk
-            b = beta[:, i].copy()
-            b.setflags(write=False)
-            if failed[j]:
-                yield ConvergenceError(
-                    f"no KKT certificate <= {tol:g} within {opts.max_iter} iterations "
-                    f"(best residual {resid[i]:g})",
-                    beta=b, kkt_residual=float(resid[i]), iterations=opts.max_iter)
-            else:
-                yield Solution(beta=b, support=supports[i], objective=float(objective[i]),
-                               kkt_residual=float(resid[i]), iterations=int(iters_out[j]),
-                               factor=factors[i])
-        lo = hi
+    return beta_out, _relative(viol_out, scales), iters_out, failed
 
 
 def _cholesky(a):
@@ -418,9 +473,9 @@ def factor_solve(factor, rhs) -> np.ndarray:
 
 def _newton(gram, partition, xty, lam, beta, resid, active, scales):
     """Up to NEWTON_STEPS Newton steps on X_I'(X_I b - y) + lambda * b_b/||b_b||
-    = 0, to a residual of 1e-15 * s(y), for each certified column of `beta`
-    on its support `active`: differencing divides the coefficient error by
-    the step, so even a 1e-12 certificate leaves visible noise in
+    = 0, to a residual of 1e-15 * s(y), for each column of `beta` (a FISTA
+    point) on its support `active`: differencing divides the coefficient
+    error by the step, so even a 1e-12 certificate leaves visible noise in
     finite-difference Jacobians.  A column keeps its FISTA point and start
     factor if a step zeroes a block or is not positive definite, or if its
     polished certificate (`_residuals`) is worse.  Returns the points kept

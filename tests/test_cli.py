@@ -145,6 +145,16 @@ class TestDof:
 
 
 class TestPath:
+    def test_non_finite_observations_name_y(self, problem_file, tmp_path, capsys):
+        # without --grid the default grid needs lambda_max of y
+        d = json.loads(problem_file.read_text())
+        d["y"][3] = float("nan")
+        problem_file.write_text(json.dumps(d))
+        out = tmp_path / "curve.csv"
+        assert main(["path", "--problem", str(problem_file), "--out", str(out)]) == 2
+        assert "y must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_csv_and_manifest_sidecar(self, problem_file, tmp_path):
         out = tmp_path / "curve.csv"
         code = main(["path", "--problem", str(problem_file),

@@ -177,6 +177,15 @@ class TestLambdaPath:
         assert np.isnan(curve.dof[1]) and np.isnan(curve.residual_sq[1])
         assert np.isfinite(curve.dof[0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_observations(self, bad):
+        # named as y, before the default grid reads a non-finite lambda_max
+        problem = random_problem(11, 10, 4, [2, 2])
+        y = problem.y.copy()
+        y[3] = bad
+        with pytest.raises(ValueError, match="y must be finite"):
+            lambda_path(problem.design, y, problem.partition)
+
     def test_rejects_bad_grids(self):
         problem = random_problem(11, 10, 4, [2, 2])
         for bad in ([], [1.0, 1.0], [0.5, -1.0]):

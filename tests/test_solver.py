@@ -395,7 +395,8 @@ class TestPolishAndFactor:
 
     def test_rejected_polish_keeps_fista_point_with_its_factor(self, monkeypatch):
         problem = random_problem(2, 20, 9, [3, 3, 3], lam_frac=0.2)
-        opts = SolverOptions(kkt_tol=1e-6)
+        # at IDENTIFY_TOL the FISTA point meets kkt_tol, so no column resumes
+        opts = SolverOptions(kkt_tol=solver.IDENTIFY_TOL)
         polished = solve(problem, opts)
         # every polished point now looks worse than the FISTA point
         monkeypatch.setattr(solver, "_residuals",
@@ -415,8 +416,8 @@ def mixed_batch():
     """One design (a near-duplicate column makes small lambdas slow) and a
     batch mixing: an empty support (column 0), eight fd-like probes sharing
     one support (1-8), singleton supports at four lambdas (9-12), y = 0 (13),
-    a column sharing column 9's support (14) and one that needs about 430
-    iterations (15)."""
+    a column sharing column 9's support (14) and one that needs about 160
+    iterations to identify its support and 430 to certify in FISTA (15)."""
     rng = np.random.default_rng(3)
     sizes = [3, 3, 2, 4, 1, 3]
     x = rng.standard_normal((40, sum(sizes))) / np.sqrt(40)
@@ -433,14 +434,15 @@ def mixed_batch():
 
 def per_column_finish(design, ys, lams, certificate):
     """A stand-in for `solver._newton` that finishes the columns one at a
-    time with the reference `helpers.polish` (columns arrive in order)."""
-    done = []
+    time with the reference `helpers.polish`.  A column is known by its
+    lambda and X'y, as a resumed column is finished again on its own."""
+    xtys = design.matrix.T @ ys
 
     def finish(gram, partition, xty, lam, beta, resid, active, scales):
         out = []
-        for b, r, on in zip(beta.T, resid, active.T):
-            j = len(done)
-            done.append(j)
+        for c, l, b, r, on in zip(xty.T, lam, beta.T, resid, active.T):
+            j = int(np.argmin(np.where(lams == l, np.abs(xtys - c[:, None]).max(axis=0),
+                                       np.inf)))
             if on.any():
                 out.append(polish(Problem(design, ys[:, j], lams[j], partition), b, r,
                                   certificate(j)))
@@ -455,7 +457,8 @@ def per_column_finish(design, ys, lams, certificate):
 class TestBatchedFinish:
     def test_mixed_batch_matches_a_per_column_finish(self, monkeypatch):
         design, partition, ys, lams = mixed_batch()
-        opts = SolverOptions(max_iter=200)
+        # column 15 fails: 100 iterations are too few to identify its support
+        opts = SolverOptions(max_iter=100)
         # column 14's polished point is made to look worse than its FISTA point
         rejected = lams[14]
         residuals, cholesky, factored = solver._residuals, solver._cholesky, []
@@ -480,7 +483,7 @@ class TestBatchedFinish:
         assert [sol.support.active for sol in batch[:1] + batch[9:15]] == [
             (), (3,), (3, 5), (0, 2, 3, 5), (0, 1, 2, 3, 5), (), (3,)]
         assert {sol.support.active for sol in batch[1:9]} == {(0, 3, 5)}
-        assert isinstance(batch[15], ConvergenceError) and batch[15].iterations == 200
+        assert isinstance(batch[15], ConvergenceError) and batch[15].iterations == 100
         assert np.array_equal(batch[15].beta, reference[15].beta)
         assert batch[15].kkt_residual == reference[15].kkt_residual
         for j, (sol, ref) in enumerate(zip(batch[:15], reference[:15], strict=True)):
@@ -505,8 +508,8 @@ class TestBatchedFinish:
             beta_i = sol.support.restrict(sol.beta)
             assert np.array_equal(assembled, design.gram[idx[:, None], idx]
                                   + lams[j] * unit_and_dense_delta_P(beta_i, sol.support)[1])
-        # the rejected column keeps its FISTA point, certificate and start
-        # factor, as the reference does
+        # the rejected column resumes FISTA to kkt_tol and keeps that FISTA
+        # point, its certificate and start factor, as the reference does
         assert np.array_equal(batch[14].beta, reference[14].beta)
         assert batch[14].kkt_residual == reference[14].kkt_residual
         assert np.array_equal(batch[14].factor[0], reference[14].factor[0])
@@ -515,6 +518,8 @@ class TestBatchedFinish:
     def test_a_failed_step_falls_back_for_its_column_alone(self, monkeypatch, fault):
         design, partition, ys, lams = mixed_batch()
         ys, lams = ys[:, 1:9], lams[1:9]  # the eight probes sharing one support
+        # at IDENTIFY_TOL a FISTA point meets kkt_tol, so the victim does not resume
+        opts = SolverOptions(kkt_tol=solver.IDENTIFY_TOL)
         newton, fista = solver._newton, {}
 
         def capture(gram, partition, xty, lam, beta, resid, active, scales):
@@ -522,7 +527,7 @@ class TestBatchedFinish:
             return newton(gram, partition, xty, lam, beta, resid, active, scales)
 
         monkeypatch.setattr(solver, "_newton", capture)
-        clean = list(solve_batch(design, ys, lams, partition))
+        clean = list(solve_batch(design, ys, lams, partition, opts))
         # every probe steps at the first pass, so calls come in column order:
         # column 3 gets the 4th step and the 12th factorization (second pass)
         victim, calls = 3, []
@@ -550,7 +555,7 @@ class TestBatchedFinish:
         # itself can keep a FISTA point
         monkeypatch.setattr(solver, "_residuals", lambda partition, gram, xty, beta, lam,
                             scales: np.zeros(beta.shape[1:]))
-        batch = list(solve_batch(design, ys, lams, partition))
+        batch = list(solve_batch(design, ys, lams, partition, opts))
         monkeypatch.undo()
 
         for j, (sol, ref) in enumerate(zip(batch, clean, strict=True)):
@@ -587,6 +592,69 @@ class TestBatchedFinish:
         assert at_first_yield < len(factored)
 
 
+class TestResume:
+    """FISTA stops at IDENTIFY_TOL; a column whose finished point misses
+    kkt_tol resumes FISTA from its FISTA point and is finished again."""
+
+    VICTIM = 2
+
+    def run(self, monkeypatch, opts):
+        """The batch with the victim's first polished point rejected, and the
+        iteration counts returned by each `_fista` call."""
+        problem = random_problem(8, 20, 9, [3, 3, 3], lam_frac=0.2)
+        ys = problem.y[:, None] * np.linspace(0.8, 1.2, 5)
+        victim_scale = lambda_max(problem.design, ys[:, self.VICTIM], problem.partition)
+        residuals, fista, phases = solver._residuals, solver._fista, []
+
+        def rejecting(partition, gram, xty, beta, lam, scales):
+            out = residuals(partition, gram, xty, beta, lam, scales)
+            hit = np.isclose(scales, victim_scale, rtol=1e-9, atol=0.0)
+            return np.where(hit, np.inf, out) if len(phases) == 1 else out
+
+        def recording(*args):
+            out = fista(*args)
+            phases.append(out[2].copy())
+            return out
+
+        monkeypatch.setattr(solver, "_residuals", rejecting)
+        monkeypatch.setattr(solver, "_fista", recording)
+        batch = list(solve_batch(problem.design, ys, problem.lam, problem.partition, opts))
+        monkeypatch.undo()
+        clean = list(solve_batch(problem.design, ys, problem.lam, problem.partition, opts))
+        return batch, clean, phases
+
+    def test_rejected_column_resumes_to_kkt_tol(self, monkeypatch):
+        opts = SolverOptions(kkt_tol=1e-10)
+        batch, clean, (first, resumed) = self.run(monkeypatch, opts)
+        victim = self.VICTIM
+        assert first.size == len(batch) and resumed.size == 1 and resumed[0] > 0
+        sol, ref = batch[victim], clean[victim]
+        assert sol.kkt_residual <= opts.kkt_tol and sol.support == ref.support
+        assert np.max(np.abs(sol.beta - ref.beta)) <= 1e-12 * np.max(np.abs(ref.beta))
+        # both phases count
+        assert ref.iterations == first[victim]
+        assert sol.iterations == first[victim] + resumed[0]
+        for j, (sol, ref) in enumerate(zip(batch, clean, strict=True)):
+            if j != victim:
+                assert sol.iterations == ref.iterations and sol.support == ref.support
+                assert np.max(np.abs(sol.beta - ref.beta)) <= 1e-12 * np.max(np.abs(ref.beta))
+
+    def test_resume_within_the_budget_left(self, monkeypatch):
+        opts = SolverOptions(kkt_tol=1e-10)
+        _, _, (first, resumed) = self.run(monkeypatch, opts)
+        # every column identifies its support, but the victim cannot finish
+        budget = int(first.max()) + 1
+        assert resumed[0] > budget - first[self.VICTIM]
+        tight = SolverOptions(kkt_tol=1e-10, max_iter=budget)
+        batch, clean, _ = self.run(monkeypatch, tight)
+        failed = batch[self.VICTIM]
+        assert isinstance(failed, ConvergenceError) and failed.iterations == budget
+        assert failed.kkt_residual > tight.kkt_tol and not failed.beta.flags.writeable
+        for j, (sol, ref) in enumerate(zip(batch, clean, strict=True)):
+            if j != self.VICTIM:
+                assert np.array_equal(sol.beta, ref.beta)
+
+
 # (s y, s lambda) must give s beta and the same DOF from 1e-9 to 1e9; an
 # absolute certificate accepts beta = 0 at 1e-9 and never certifies at 1e8
 SCALES = [1e-9, 1e-7, 1e-3, 1e3, 1e6, 1e8, 1e9]
@@ -619,6 +687,8 @@ class TestScaleEquivariance:
             sol = solve(scaled)
             assert not base.support.is_empty
             assert sol.support == base.support
+            # FISTA's bounds, kkt_tol and IDENTIFY_TOL, are both relative to s(y)
+            assert sol.iterations == base.iterations
             err = np.max(np.abs(sol.beta / s - base.beta))
             assert err <= 1e-12 * np.max(np.abs(base.beta))
             assert dof_estimate(scaled, sol).divergence == pytest.approx(dof, rel=1e-10)

@@ -1,19 +1,22 @@
 import dataclasses
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
 from helpers import random_problem, transition_instance
 
+from gldof import validate
 from gldof.core import BlockPartition, Design
-from gldof.datagen import ScenarioSpec, generate
-from gldof.dof import differential, dof_estimate, dof_identity_closed_form
+from gldof.datagen import ScenarioSpec, generate, load_problem
+from gldof.dof import coordinate_radius, differential, dof_estimate, dof_identity_closed_form
 from gldof.solver import Problem, SolverOptions, solve
 from gldof.validate import (
     ORACLE_KKT_TOL,
     TransitionCrossingError,
     fd_oracle,
+    fd_step,
     mc_dof,
     replicate_rng,
 )
@@ -112,6 +115,29 @@ class TestFdJacobian:
         problem = transition_instance(1)
         with pytest.raises(TransitionCrossingError):
             fd_oracle(problem)[0]
+
+    def test_near_boundary_probes_are_certified_at_the_oracle_tolerance(self, monkeypatch):
+        # fd at seed 316: its probes sit 2e-6 lambda from a transition, where a
+        # FISTA point short of kkt_tol is likeliest to carry another support
+        loaded = load_problem(str(pathlib.Path(__file__).parent / "fixtures"
+                                  / "fd_seed316_round62.json"))
+        problem = loaded.problem(loaded.lam)
+        base = solve(problem, SolverOptions(kkt_tol=ORACLE_KKT_TOL))
+        probes, batch = [], validate.solve_batch
+
+        def recording(*args):
+            for sol in batch(*args):
+                probes.append(sol)
+                yield sol
+
+        monkeypatch.setattr(validate, "solve_batch", recording)
+        # the step of `validate fd`
+        fd_oracle(problem, min(fd_step(problem), 0.5 * coordinate_radius(problem, base)),
+                  base=base)
+        assert len(probes) == 2 * problem.design.Q
+        for sol in probes:
+            assert sol.kkt_residual <= ORACLE_KKT_TOL
+            assert sol.support == base.support
 
 
 def small_scenario(seed=3, sizes=(2, 2, 2, 2, 2), q=20, sigma=0.5):

@@ -1,8 +1,9 @@
 """Command-line surface: gen / solve / dof / path / validate subcommands.
 
 Every output embeds (JSON) or is accompanied by (CSV) a run manifest with
-the resolved options, seeds, input digests, and tool version, so results
-are reproducible from the artifact alone.  Numeric output is printed with
+the resolved options, seeds, input digests, and the versions of gldof,
+Python, numpy and scipy, so results are reproducible from the artifact
+alone.  Numeric output is printed with
 17 significant digits.
 
 Exit codes: 0 success (and, for validate, check passed); 2 usage error;
@@ -17,9 +18,11 @@ import functools
 import hashlib
 import json
 import os
+import platform
 import sys
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .core import BlockPartition, Design
@@ -62,6 +65,9 @@ def build_manifest(args: argparse.Namespace, inputs: list[str]) -> dict:
         "command": "gldof " + args.command
                    + (f" {args.mode}" if getattr(args, "mode", None) else ""),
         "version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
         "options": options,
         "input_digests": {p: _digest(p) for p in inputs if p},
     }

@@ -164,13 +164,6 @@ class BlockSupport:
         """Size of each active block, in block order."""
         return np.diff(self.offsets)
 
-    @cached_property
-    def block_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, cols) of the stacked on-support coordinate pairs that lie
-        in the same active block: the block-diagonal pattern of deltaP."""
-        block = self.partition.block_index[self.indices]
-        return np.nonzero(block[:, None] == block)
-
     def restrict(self, values) -> np.ndarray:
         """Extract the stacked on-support subvector of a full-length vector."""
         return _as_vector(values, self.partition.total_dim)[self.indices]
@@ -257,12 +250,22 @@ def support_mask(partition: BlockPartition, values) -> np.ndarray:
     return partition.block_norms(v) > 1e-8 * np.max(np.abs(v), axis=0)
 
 
+def _stacked_norms(beta_I, support: BlockSupport) -> np.ndarray:
+    """The norm of each coordinate's block, for a stacked on-support vector.
+    Raises DegenerateBlockError on a zero block."""
+    v = _as_vector(beta_I, support.active_dim)
+    norms = np.sqrt(np.add.reduceat(v * v, support.offsets[:-1]))
+    if not norms.all():
+        raise DegenerateBlockError(f"zero block at active position {np.argmin(norms)}")
+    return np.repeat(norms, support.sizes)
+
+
 def normalize_blocks(beta_I, support: BlockSupport) -> np.ndarray:
     """Rescale each active block of a stacked on-support vector to unit norm.
 
     Raises DegenerateBlockError if any active block is zero.
     """
-    return unit_and_delta_P(_as_vector(beta_I, support.active_dim), support)[0]
+    return _as_vector(beta_I, support.active_dim) / _stacked_norms(beta_I, support)
 
 
 def delta_P_matrix(beta_I, support: BlockSupport) -> np.ndarray:
@@ -273,20 +276,7 @@ def delta_P_matrix(beta_I, support: BlockSupport) -> np.ndarray:
     size-1 blocks.  Raises DegenerateBlockError on a zero block.
     """
     v = _as_vector(beta_I, support.active_dim)
-    out = np.zeros((v.size, v.size))
-    out[support.block_pairs] = unit_and_delta_P(v, support)[1]
-    return out
-
-
-def unit_and_delta_P(beta_I, support: BlockSupport):
-    """`normalize_blocks` of a stacked on-support vector, or of each row of a
-    g x m stack, and the `delta_P_matrix` entries at `support.block_pairs`
-    (all others are zero).  Raises DegenerateBlockError on a zero block."""
-    v = np.asarray(beta_I, dtype=float)
-    norms = np.sqrt(np.add.reduceat(v * v, support.offsets[:-1], axis=-1))
-    if not norms.all():
-        raise DegenerateBlockError(f"zero block at active position {np.argmin(norms)}")
-    norms = np.repeat(norms, support.sizes, axis=-1)
+    norms = _stacked_norms(v, support)
     u = v / norms
-    rows, cols = support.block_pairs
-    return u, ((rows == cols) - u[..., rows] * u[..., cols]) / norms[..., rows]
+    block = np.repeat(np.arange(support.n_active), support.sizes)
+    return np.where(block[:, None] == block, np.eye(v.size) - u[:, None] * u, 0.0) / norms[:, None]

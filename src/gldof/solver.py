@@ -23,8 +23,11 @@ on the K columns of a Q x K matrix of observations sharing the design and
 the partition, at one lambda (Monte Carlo replicates, finite-difference
 probes) or at one lambda per column (a lambda path), with per-column
 momentum, restart, threshold and certificate, and one batched finish:
-columns sharing a support share X_I'X_I, and columns are finished and
-yielded in order, in chunks of O(N x BATCH_COLUMNS) system-matrix entries.
+columns are finished and yielded in order, a chunk at a time, and each
+Newton step of a chunk is one pass over all its columns whatever their
+supports, their system matrices zero-padded to the chunk's largest support
+(c x m_max^2 entries, at most N x BATCH_COLUMNS) and X_I'X_I gathered once
+per distinct support.
 `solve` is that same code at K = 1: one FISTA iteration, one prox, one
 certificate (`_violation`, which `kkt_check` evaluates too) and one finish,
 equal to a column-by-column finish up to round-off.
@@ -53,7 +56,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 
-from .core import BlockPartition, BlockSupport, Design, support_mask, unit_and_delta_P
+from .core import BlockPartition, BlockSupport, Design, support_mask
 
 # Newton steps on the active-block equations after FISTA
 NEWTON_STEPS = 4
@@ -257,8 +260,10 @@ def solve_batch(design: Design, ys, lam: float | np.ndarray, partition: BlockPar
     relative to its own s(y).  A column is frozen at the first iteration at
     which its certificate is at most max(kkt_tol, IDENTIFY_TOL); the frozen
     columns then get the support rule, Newton polish and factor of `solve`
-    at their own lambda, together (module docstring), a chunk of at most
-    N x BATCH_COLUMNS system-matrix entries (or one column's) at a time.
+    at their own lambda, a chunk at a time: c columns whose supports have
+    at most m_max coordinates, with c x m_max^2 <= N x BATCH_COLUMNS (or
+    one column), take each Newton step in one padded pass (module
+    docstring).
     Within its chunk, before the chunk yields, a column whose finished
     point misses kkt_tol resumes FISTA from its FISTA point, at kkt_tol and
     with what is left of `max_iter`, and is finished again; so memory stays
@@ -309,14 +314,15 @@ def _solve_columns(design, partition, ys, lams, opts, start=None):
                                                max(tol, IDENTIFY_TOL), max_iter, start)
     # the support rule of `core.block_support`, on every certified column
     active = support_mask(partition, fista) & ~failed
-    entries = (partition.block_sizes @ active) ** 2
+    dims = partition.block_sizes @ active
     n, k = fista.shape
     lo = 0
     while lo < k:
-        # finish in column order, a chunk of columns at a time whose system
-        # matrices hold at most N x BATCH_COLUMNS entries (or one column's)
-        hi = lo + 1 + int(np.searchsorted(np.cumsum(entries[lo + 1:]),
-                                          n * BATCH_COLUMNS - entries[lo], side="right"))
+        # finish in column order, a chunk of c columns at a time whose padded
+        # system matrices, c x m_max^2 entries, hold at most N x BATCH_COLUMNS
+        # (or one column's)
+        padded = np.arange(1, k - lo + 1) * np.maximum.accumulate(dims[lo:]) ** 2
+        hi = lo + max(1, int(np.searchsorted(padded, n * BATCH_COLUMNS, side="right")))
         beta, resid, supports, factors = _newton(
             gram, partition, xty[:, lo:hi], lams[lo:hi], fista[:, lo:hi],
             fista_resid[lo:hi], active[:, lo:hi], scales[lo:hi])
@@ -480,50 +486,107 @@ def _newton(gram, partition, xty, lam, beta, resid, active, scales):
     factor if a step zeroes a block or is not positive definite, or if its
     polished certificate (`_residuals`) is worse.  Returns the points kept
     and their certificates, supports and factors.
+
+    The columns step together whatever their supports.  Each column's point
+    is a row of a stack m_max wide: its m active coordinates first, in the
+    block order of `BlockSupport.indices`, then zeros.  Its support's
+    X_I'X_I, gathered once per distinct support, is zero-padded the same
+    way, and columns with one support share its BlockSupport.  A pass is
+    then one gather of X_I'X_I, one computation of the unit vectors and of
+    the deltaP entries on same-block pairs and one assembly, over all the
+    columns; the stationarity product X_I'X_I b is made on the unpadded
+    m x m block, one product per distinct support, which rounds as the
+    column-by-column finish does, so that the 1e-15 stop takes the same
+    steps; a column's Cholesky factorization and its step's solve use its
+    leading m x m slice.
     """
     g = beta.shape[1]
     point = np.where(active[partition.block_index], beta, 0.0)
     supports, start, factors = [BlockSupport(partition, ())] * g, [None] * g, [None] * g
-    groups = {}
-    for j in np.flatnonzero(active.any(axis=0)):
-        groups.setdefault(active[:, j].tobytes(), []).append(j)
-    for js in map(np.array, groups.values()):
-        # columns sharing a support share X_I'X_I; `js` keeps the columns still
-        # stepping, and a column that falls back is left without a factor
-        support = BlockSupport(partition, tuple(np.flatnonzero(active[:, js[0]])))
-        idx, (rows, cols) = support.indices, support.block_pairs
-        gram_ii = gram[idx[:, None], idx]
+    on = np.flatnonzero(active.any(axis=0))
+    if on.size:
+        # the distinct supports, and which of them each column has
+        bits = np.packbits(active[:, on], axis=0)
+        keys = np.ascontiguousarray(bits.T).view(np.dtype((np.void, bits.shape[0])))
+        _, first, which = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+        distinct = [BlockSupport(partition, tuple(np.flatnonzero(active[:, j])))
+                    for j in on[first]]
+        # per distinct support, once: its coordinates and X_I'X_I, padded
+        # with zeros to the widest support's m_max
+        dims = np.array([s.active_dim for s in distinct])
+        width = dims.max()
+        idx = np.zeros((dims.size, width), dtype=int)
+        gram_ii = np.zeros((dims.size, width, width))
+        for d, s in enumerate(distinct):
+            i = s.indices
+            idx[d, :i.size], gram_ii[d, :i.size, :i.size] = i, gram[i[:, None], i]
 
-        def factor(js):
-            # each column's factor and stationarity residual at its point
-            b = point[idx[:, None], js].T
-            unit, entries = unit_and_delta_P(b, support)
-            mats = np.repeat(gram_ii[None], js.size, axis=0)
-            mats[:, rows, cols] = gram_ii[rows, cols] + lam[js, None] * entries
-            for j, a in zip(js, mats):
-                factors[j] = _cholesky(a)
-            return b @ gram_ii - xty[idx[:, None], js].T + lam[js, None] * unit
+        # the stack, a row per column: its point, X'y and the block of each
+        # position, -1 on pads; the runs of one label along the flattened
+        # stack are the blocks, and the pads, of every row: `run` numbers
+        # them by position, and `at` is where each starts
+        c, dim_c, idx_c = on.size, dims[which], idx[which]
+        real = np.arange(width) < dim_c[:, None]
+        b = np.where(real, beta[idx_c, on[:, None]], 0.0)
+        xty_c = np.where(real, xty[idx_c, on[:, None]], 0.0)
+        label = np.where(real, partition.block_index[idx_c], -1)
+        new = np.ones(b.shape, dtype=bool)
+        new[:, 1:] = label[:, 1:] != label[:, :-1]
+        at, label = np.flatnonzero(new), label.ravel()
+        run = np.cumsum(new).reshape(b.shape) - 1
+        # a block of z coordinates from flat position a holds the deltaP
+        # pairs (a + i, a + j), i, j < z: their flat positions r and c in
+        # the stack, and r * m_max + c % m_max in the stack of matrices
+        starts = at[label[at] >= 0]
+        z = partition.block_sizes[label[starts]]
+        area = z * z
+        within = np.arange(area.sum()) - np.repeat(np.cumsum(area) - area, area)
+        z, starts = np.repeat(z, area), np.repeat(starts, area)
+        at_r, at_c = starts + within // z, starts + within % z
+        at_rc, diag = at_r * width + at_c % width, at_r == at_c
+        lam_c, floor = lam[on, None], 1e-15 * scales[on]
+        lam_k = lam_c[at_r // width, 0]
+        by_support = [(m, np.flatnonzero(which == d), gram_ii[d, :m, :m])
+                      for d, m in enumerate(dims)]
+        alive = np.ones(c, dtype=bool)
 
-        stat = factor(js)
-        for j in js:
-            if factors[j] is None:
-                raise scipy.linalg.LinAlgError("system matrix is not positive definite")
-            supports[j], start[j] = support, factors[j]
+        def factor(mv):
+            # every column's stationarity residual at its point, and the
+            # factors of columns mv; one whose point has a zero block has none
+            sq = np.add.reduceat((b * b).ravel(), at)[run]
+            nil = sq == 0.0
+            zero = (nil & real).any(axis=1)
+            # pads, and the zero blocks of a column falling back, divide by 1
+            norms = np.sqrt(np.where(nil, 1.0, sq))
+            unit = b / norms
+            prod = np.zeros_like(b)
+            for m, sel, gram_m in by_support:
+                prod[sel, :m] = b[sel, :m] @ gram_m
+            stat = prod - xty_c + lam_c * unit
+            mats = gram_ii[which]
+            u, nr = unit.ravel(), norms.ravel()
+            mats.reshape(-1)[at_rc] += lam_k * ((diag - u[at_r] * u[at_c]) / nr[at_r])
+            for t in mv:
+                m = dim_c[t]
+                factors[on[t]] = None if zero[t] else _cholesky(mats[t, :m, :m])
+                alive[t] = factors[on[t]] is not None
+            return stat
+
+        stat = factor(range(c))
+        if not alive.all():
+            raise scipy.linalg.LinAlgError("system matrix is not positive definite")
+        for j, d in zip(on, which):
+            supports[j], start[j] = distinct[d], factors[j]
         for _ in range(NEWTON_STEPS):
-            move = [factors[j] is not None and r > 1e-15 * scales[j]
-                    for j, r in zip(js, np.abs(stat).max(axis=1))]
-            js, stat = js[move], stat[move]
-            for j, s in zip(js, stat):
-                point[idx, j] -= factor_solve(factors[j], s)
-            # a column whose step zeroed a block falls back
-            zero = ~np.add.reduceat(np.square(point[idx[:, None], js]),
-                                    support.offsets[:-1]).all(axis=0)
-            for j in js[zero]:
-                factors[j] = None
-            js = js[~zero]
-            if not js.size:
+            # a column that fell back is left without a factor, and stops
+            mv = np.flatnonzero(alive & (np.abs(stat).max(axis=1) > floor))
+            if not mv.size:
                 break
-            stat = factor(js)
+            for t in mv:
+                m = dim_c[t]
+                b[t, :m] -= factor_solve(factors[on[t]], stat[t, :m])
+            stat = factor(mv)
+        point[idx_c[real], np.repeat(on, dim_c)] = b[real]
     tried = np.array([f is not None for f in factors])
     polished = np.full(g, math.inf)
     polished[tried] = _residuals(partition, gram, xty[:, tried], point[:, tried], lam[tried],

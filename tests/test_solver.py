@@ -454,6 +454,23 @@ def per_column_finish(design, ys, lams, certificate):
     return finish
 
 
+def interleaved_batch():
+    """One design on a partition whose blocks interleave and differ in size,
+    ((0, 3), (1, 2, 5), (4,), (6, 9, 10, 11), (7, 8), (12, ..., 20)), so a
+    support's block order is not its coordinate order, and a batch whose
+    columns take five supports, of 9 to all 21 coordinates, at lambda = 0.9
+    to 0.02 lambda_max, two columns each: y and a probe of it."""
+    rng = np.random.default_rng(5)
+    partition = BlockPartition(((0, 3), (1, 2, 5), (4,), (6, 9, 10, 11), (7, 8),
+                                tuple(range(12, 21))))
+    design = Design(rng.standard_normal((40, 21)) / np.sqrt(40))
+    y = rng.standard_normal(40)
+    fracs = np.repeat([0.9, 0.4, 0.3, 0.2, 0.02], 2)
+    ys = np.repeat(y[:, None], fracs.size, axis=1)
+    ys[0, 1::2] += 1e-6
+    return design, partition, ys, fracs * lambda_max(design, y, partition)
+
+
 class TestBatchedFinish:
     def test_mixed_batch_matches_a_per_column_finish(self, monkeypatch):
         design, partition, ys, lams = mixed_batch()
@@ -513,6 +530,71 @@ class TestBatchedFinish:
         assert np.array_equal(batch[14].beta, reference[14].beta)
         assert batch[14].kkt_residual == reference[14].kkt_residual
         assert np.array_equal(batch[14].factor[0], reference[14].factor[0])
+
+    def test_mixed_supports_on_an_interleaved_partition(self, monkeypatch):
+        design, partition, ys, lams = interleaved_batch()
+        cholesky, factored, chunks = solver._cholesky, [], []
+        newton = solver._newton
+
+        def factoring(a):
+            factored.append((a.copy(), cholesky(a)))
+            return factored[-1][1]
+
+        def recording(gram, partition, xty, lam, beta, resid, active, scales):
+            chunks.append(active.shape[1])
+            return newton(gram, partition, xty, lam, beta, resid, active, scales)
+
+        monkeypatch.setattr(solver, "_newton", per_column_finish(design, ys, lams,
+                                                                 lambda j: kkt_check))
+        reference = list(solve_batch(design, ys, lams, partition))
+        monkeypatch.undo()
+        monkeypatch.setattr(solver, "_cholesky", factoring)
+        monkeypatch.setattr(solver, "_newton", recording)
+        batch = list(solve_batch(design, ys, lams, partition))
+        monkeypatch.undo()
+
+        # one chunk, holding supports of five sizes in block order
+        assert chunks == [len(batch)]
+        assert len({sol.support.active_dim for sol in batch}) == 5
+        assert any((np.diff(sol.support.indices) < 0).any() for sol in batch)
+        for j, (sol, ref) in enumerate(zip(batch, reference, strict=True)):
+            problem = Problem(design, ys[:, j], lams[j], partition)
+            assert sol.support == ref.support and sol.iterations == ref.iterations
+            assert np.max(np.abs(sol.beta - ref.beta)) <= 1e-12 * np.max(np.abs(ref.beta))
+            a = system_matrix(problem, sol)
+            assert np.linalg.norm(rebuilt_from_factor(sol) - a) <= 1e-12 * np.linalg.norm(a)
+            (assembled,) = [m for m, f in factored if f is sol.factor]
+            idx = sol.support.indices
+            beta_i = sol.support.restrict(sol.beta)
+            assert np.array_equal(assembled, design.gram[idx[:, None], idx]
+                                  + lams[j] * unit_and_dense_delta_P(beta_i, sol.support)[1])
+        # columns with one support share its BlockSupport
+        assert all(batch[j].support is batch[j + 1].support for j in range(0, len(batch), 2))
+
+    def test_padded_chunks_stay_within_the_bound(self, monkeypatch):
+        design, partition, ys, lams = interleaved_batch()
+        # from an empty support (above lambda_max) to the full one
+        lams = np.concatenate([[2.0 * lams[0]], lams])
+        ys = np.column_stack([ys[:, :1], ys])
+        whole = list(solve_batch(design, ys, lams, partition))
+        newton, chunks = solver._newton, []
+
+        def recording(gram, partition, xty, lam, beta, resid, active, scales):
+            chunks.append(active.shape[1] * np.max(partition.block_sizes @ active) ** 2
+                          if active.shape[1] > 1 else 0)
+            return newton(gram, partition, xty, lam, beta, resid, active, scales)
+
+        monkeypatch.setattr(solver, "BATCH_COLUMNS", 4)
+        monkeypatch.setattr(solver, "_newton", recording)
+        chunked = list(solve_batch(design, ys, lams, partition))
+        monkeypatch.undo()
+        assert whole[0].support.is_empty and whole[-1].support.active_dim == design.N
+        # a chunk's padded system matrices, c x m_max^2 entries, hold at most
+        # N x BATCH_COLUMNS, or are one column's
+        assert len(chunks) > 2 and max(chunks) <= design.N * 4
+        for a, b in zip(whole, chunked, strict=True):
+            assert a.support == b.support and a.iterations == b.iterations
+            assert np.max(np.abs(a.beta - b.beta)) <= 1e-12 * np.max(np.abs(a.beta), initial=0.0)
 
     @pytest.mark.parametrize("fault", ["zero_block", "not_positive_definite"])
     def test_a_failed_step_falls_back_for_its_column_alone(self, monkeypatch, fault):

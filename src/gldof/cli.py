@@ -3,8 +3,7 @@
 Every output embeds (JSON) or is accompanied by (CSV) a run manifest with
 the resolved options, seeds, input digests, and the versions of gldof,
 Python, numpy and scipy, so results are reproducible from the artifact
-alone.  Numeric output is printed with
-17 significant digits.
+alone.  Numeric output is printed with 17 significant digits.
 
 Exit codes: 0 success (and, for validate, check passed); 2 usage error;
 3 numerical failure; 4 validation failure.

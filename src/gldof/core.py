@@ -265,7 +265,8 @@ def normalize_blocks(beta_I, support: BlockSupport) -> np.ndarray:
 
     Raises DegenerateBlockError if any active block is zero.
     """
-    return _as_vector(beta_I, support.active_dim) / _stacked_norms(beta_I, support)
+    v = _as_vector(beta_I, support.active_dim)
+    return v / _stacked_norms(v, support)
 
 
 def delta_P_matrix(beta_I, support: BlockSupport) -> np.ndarray:
@@ -279,4 +280,5 @@ def delta_P_matrix(beta_I, support: BlockSupport) -> np.ndarray:
     norms = _stacked_norms(v, support)
     u = v / norms
     block = np.repeat(np.arange(support.n_active), support.sizes)
-    return np.where(block[:, None] == block, np.eye(v.size) - u[:, None] * u, 0.0) / norms[:, None]
+    same = block[:, None] == block
+    return np.where(same, np.eye(v.size) - u[:, None] * u, 0.0) / norms[:, None]

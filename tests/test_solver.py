@@ -553,7 +553,7 @@ class TestBatchedFinish:
         batch = list(solve_batch(design, ys, lams, partition))
         monkeypatch.undo()
 
-        # one chunk, holding supports of five sizes in block order
+        # one chunk, with supports of five sizes, some stacked out of coordinate order
         assert chunks == [len(batch)]
         assert len({sol.support.active_dim for sol in batch}) == 5
         assert any((np.diff(sol.support.indices) < 0).any() for sol in batch)

@@ -3,11 +3,8 @@
 from .core import (
     BlockPartition,
     BlockSupport,
-    DegenerateBlockError,
     Design,
     block_support,
-    delta_P_matrix,
-    normalize_blocks,
 )
 from .solver import (
     ConvergenceError,
@@ -29,13 +26,9 @@ from .dof import (
 )
 from .risk import (
     RiskCurve,
-    aic,
-    cp,
     default_lambda_grid,
     estimate_sigma,
-    gcv,
     lambda_path,
-    sure,
 )
 from .validate import McDofResult, fd_oracle, mc_dof
 from .datagen import (
@@ -53,7 +46,6 @@ __all__ = [
     "BlockPartition",
     "BlockSupport",
     "ConvergenceError",
-    "DegenerateBlockError",
     "Design",
     "DofReport",
     "GenerationError",
@@ -64,29 +56,23 @@ __all__ = [
     "ScenarioSpec",
     "Solution",
     "SolverOptions",
-    "aic",
     "block_support",
     "coordinate_radius",
-    "cp",
     "default_lambda_grid",
-    "delta_P_matrix",
     "differential",
     "dof_estimate",
     "dof_identity_closed_form",
     "estimate_sigma",
     "fd_oracle",
-    "gcv",
     "generate",
     "kkt_check",
     "lambda_max",
     "lambda_path",
     "load_problem",
     "mc_dof",
-    "normalize_blocks",
     "save_problem",
     "solve",
     "solve_batch",
-    "sure",
     "transition_proximity",
     "__version__",
 ]

@@ -1,15 +1,17 @@
-"""Block partitions and the block-structured operators behind group sparsity.
+"""Block partitions, block supports and the design matrix.
 
 Everything downstream (solver, sensitivity analysis, risk estimation) works
 with coefficient vectors segmented into disjoint index blocks.  This module
-owns that bookkeeping plus the two small linear operators built from a
-blockwise-nonzero vector: per-block normalization and the scaled orthogonal
-projector that appears in the solution's local differential.
+owns that bookkeeping: the partition, the active blocks of a solution and
+the one support rule, and the design with its cached Gram matrix and
+Lipschitz constant.  The operator deltaP of the solution's local
+differential is assembled by the solver's Newton finish.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,8 +19,11 @@ import numpy as np
 import scipy.linalg
 
 
-class DegenerateBlockError(ValueError):
-    """A block that must be nonzero has zero Euclidean norm."""
+def _index(i) -> int:
+    try:
+        return operator.index(i)
+    except TypeError:
+        raise ValueError(f"block index {i!r} is not an integer") from None
 
 
 def _as_vector(values, n=None):
@@ -42,9 +47,11 @@ class BlockPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if not self.blocks:
+            raise ValueError("partition has no blocks")
         canon = []
         for b in self.blocks:
-            idx = tuple(sorted(int(i) for i in b))
+            idx = tuple(sorted(_index(i) for i in b))
             if not idx:
                 raise ValueError("empty block")
             if len(set(idx)) != len(idx):
@@ -168,12 +175,6 @@ class BlockSupport:
         """Extract the stacked on-support subvector of a full-length vector."""
         return _as_vector(values, self.partition.total_dim)[self.indices]
 
-    def embed(self, stacked) -> np.ndarray:
-        """Scatter a stacked on-support vector into a full-length zero vector."""
-        out = np.zeros(self.partition.total_dim)
-        out[self.indices] = _as_vector(stacked, self.active_dim)
-        return out
-
 
 @dataclass(frozen=True)
 class Design:
@@ -248,37 +249,3 @@ def support_mask(partition: BlockPartition, values) -> np.ndarray:
     N x K matrix: a boolean mask over the blocks (n_blocks x K)."""
     v = np.asarray(values, dtype=float)
     return partition.block_norms(v) > 1e-8 * np.max(np.abs(v), axis=0)
-
-
-def _stacked_norms(beta_I, support: BlockSupport) -> np.ndarray:
-    """The norm of each coordinate's block, for a stacked on-support vector.
-    Raises DegenerateBlockError on a zero block."""
-    v = _as_vector(beta_I, support.active_dim)
-    norms = np.sqrt(np.add.reduceat(v * v, support.offsets[:-1]))
-    if not norms.all():
-        raise DegenerateBlockError(f"zero block at active position {np.argmin(norms)}")
-    return np.repeat(norms, support.sizes)
-
-
-def normalize_blocks(beta_I, support: BlockSupport) -> np.ndarray:
-    """Rescale each active block of a stacked on-support vector to unit norm.
-
-    Raises DegenerateBlockError if any active block is zero.
-    """
-    v = _as_vector(beta_I, support.active_dim)
-    return v / _stacked_norms(v, support)
-
-
-def delta_P_matrix(beta_I, support: BlockSupport) -> np.ndarray:
-    """Block-diagonal matrix of scaled projectors orthogonal to each block.
-
-    The block for b is (1/||beta_b||) (Id - beta_b beta_b' / ||beta_b||^2):
-    symmetric positive semi-definite, annihilates beta_b, and vanishes on
-    size-1 blocks.  Raises DegenerateBlockError on a zero block.
-    """
-    v = _as_vector(beta_I, support.active_dim)
-    norms = _stacked_norms(v, support)
-    u = v / norms
-    block = np.repeat(np.arange(support.n_active), support.sizes)
-    same = block[:, None] == block
-    return np.where(same, np.eye(v.size) - u[:, None] * u, 0.0) / norms[:, None]

@@ -6,7 +6,8 @@ is the solve
 
     (X_I' X_I + lambda * deltaP(beta_I))  d  =  X_I'
 
-where deltaP is the block-diagonal scaled-projector operator from `core`.
+where deltaP is block diagonal, (Id - u_b u_b') / ||beta_b|| on each active
+block b with u_b = beta_b / ||beta_b||, assembled by the solver's finish.
 The trace of X_I d is the divergence of the prediction map y -> X beta(y),
 which is an unbiased estimate of the degrees of freedom under Gaussian
 noise.  Near the exceptional set the formula is numerically fragile; the
@@ -101,9 +102,7 @@ def _room(problem: Problem, solution: Solution):
     return active, np.where(active, partition.block_norms(beta), problem.lam - corr_norms)
 
 
-def transition_proximity(problem: Problem, solution: Solution,
-                         transition_rtol: float = TRANSITION_RTOL,
-                         support_rtol: float = SUPPORT_RTOL):
+def transition_proximity(problem: Problem, solution: Solution):
     """Distance of a certified solution from a support-changing boundary.
 
     Returns (transition_margin, support_margin, warning):
@@ -118,8 +117,8 @@ def transition_proximity(problem: Problem, solution: Solution,
     transition_margin = float(np.min(room[~active], initial=math.inf))
     support_margin = float(np.min(room[active], initial=math.inf))
     scale = np.max(np.abs(solution.beta))
-    warning = bool(transition_margin < transition_rtol * problem.lam
-                   or support_margin < support_rtol * scale)
+    warning = bool(transition_margin < TRANSITION_RTOL * problem.lam
+                   or support_margin < SUPPORT_RTOL * scale)
     return max(transition_margin, 0.0), max(support_margin, 0.0), warning
 
 

@@ -37,35 +37,6 @@ def criteria(residual_sq, dof, sigma: float | None, Q: int):
             residual_sq / s2 + 2.0 * dof)
 
 
-def sure(residual_sq, dof, sigma: float, Q: int):
-    """Stein unbiased risk estimate of E ||Xb(y) - mu0||^2 (`criteria`)."""
-    if sigma is None:
-        raise ValueError("sigma is required")
-    return criteria(residual_sq, dof, sigma, Q)[0]
-
-
-def gcv(residual_sq, dof, Q: int):
-    """Generalized cross-validation score (sigma-free, `criteria`)."""
-    if np.any(np.asarray(dof) >= Q):
-        raise ValueError("gcv requires dof < Q")
-    return criteria(residual_sq, dof, None, Q)[1]
-
-
-def cp(residual_sq, dof, sigma: float, Q: int):
-    """Mallows' Cp; equals SURE / sigma^2 (`criteria`)."""
-    if sigma is None:
-        raise ValueError("sigma is required")
-    return criteria(residual_sq, dof, sigma, Q)[2]
-
-
-def aic(residual_sq, dof, sigma: float, Q: int):
-    """AIC for Gaussian noise with known sigma, up to constants; Cp + Q
-    (`criteria`)."""
-    if sigma is None:
-        raise ValueError("sigma is required")
-    return criteria(residual_sq, dof, sigma, Q)[3]
-
-
 def estimate_sigma(design: Design, y) -> float:
     """Unbiased noise estimate from full least-squares residuals, Q > N only."""
     q, n = design.Q, design.N

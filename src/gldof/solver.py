@@ -134,6 +134,12 @@ class SolverOptions:
     kkt_tol: float = 1e-8
     max_iter: int = 100_000
 
+    def __post_init__(self):
+        if not 0.0 < self.kkt_tol < math.inf:
+            raise ValueError("kkt_tol must be positive and finite")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 0:
+            raise ValueError("max_iter must be a non-negative integer")
+
 
 @dataclass(frozen=True)
 class Solution:

@@ -36,7 +36,6 @@ def fd_step(problem: Problem) -> float:
 
 
 def fd_oracle(problem: Problem, h: float | None = None, *, base: Solution | None = None,
-              kkt_tol: float = ORACLE_KKT_TOL,
               max_iter: int = ORACLE_MAX_ITER) -> tuple[np.ndarray, float]:
     """Central differences of y -> beta(y) on the support of `base`.
 
@@ -53,7 +52,7 @@ def fd_oracle(problem: Problem, h: float | None = None, *, base: Solution | None
     h = fd_step(problem) if h is None else h
     if not h > 0:
         raise ValueError("step h must be positive")
-    opts = SolverOptions(kkt_tol=kkt_tol, max_iter=max_iter)
+    opts = SolverOptions(kkt_tol=ORACLE_KKT_TOL, max_iter=max_iter)
     support = (base if base is not None else solve(problem, opts)).support
     q = problem.design.Q
     # columns y + h e_0, y - h e_0, y + h e_1, ...
@@ -113,8 +112,7 @@ def replicate_rng(seed: int, k: int) -> np.random.Generator:
 
 
 def mc_dof(scenario, lam: float, replicates: int, seed: int = 0, *,
-           exclude_warned: bool = False,
-           opts: SolverOptions | None = None) -> McDofResult:
+           exclude_warned: bool = False) -> McDofResult:
     """Monte Carlo DOF of the group lasso at fixed lambda, from known mu0.
 
     Draws y_k = mu0 + sigma * xi_k with a per-replicate derived RNG stream
@@ -137,7 +135,7 @@ def mc_dof(scenario, lam: float, replicates: int, seed: int = 0, *,
 
     # per kept replicate: Stein term, divergence, transition warning
     kept = []
-    for y, sol in zip(ys.T, solve_batch(design, ys, lam, partition, opts)):
+    for y, sol in zip(ys.T, solve_batch(design, ys, lam, partition)):
         if isinstance(sol, ConvergenceError):
             continue
         report = dof_estimate(Problem(design, y, lam, partition), sol)

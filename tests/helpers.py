@@ -3,8 +3,7 @@
 import numpy as np
 import scipy.linalg
 
-from gldof.core import (BlockPartition, BlockSupport, DegenerateBlockError, Design, block_support,
-                        normalize_blocks)
+from gldof.core import BlockPartition, BlockSupport, Design, block_support
 from gldof.solver import NEWTON_STEPS, Problem, factor_solve, kkt_check, lambda_max
 
 
@@ -37,7 +36,7 @@ def transition_instance(seed, q=12, sizes=(2, 2, 2), attempts=200):
     xi = design.columns(sup.indices)
     beta_i = rng.standard_normal(sup.active_dim)
     beta_i /= np.linalg.norm(beta_i)
-    unit = normalize_blocks(beta_i, sup)
+    unit = unit_and_dense_delta_P(beta_i, sup)[0]
 
     z = scipy.linalg.null_space(xi.T)
     tight = np.array(partition.blocks[1], dtype=int)
@@ -130,11 +129,11 @@ def unit_and_dense_delta_P(beta_i, support):
     """The blockwise unit vector u of a stacked on-support vector and deltaP
     as a dense matrix, (I - u u' on same-block pairs) / ||beta_b|| row by
     row: the formula the solver's block-diagonal assembly must reproduce to
-    the bit.  Raises DegenerateBlockError on a zero block."""
+    the bit.  Raises ValueError on a zero block."""
     v = np.asarray(beta_i, dtype=float)
     norms = np.sqrt(np.add.reduceat(v * v, support.offsets[:-1]))
     if not norms.all():
-        raise DegenerateBlockError(f"zero block at active position {np.argmin(norms)}")
+        raise ValueError(f"zero block at active position {np.argmin(norms)}")
     norms = np.repeat(norms, support.sizes)
     block = np.repeat(np.arange(support.n_active), support.sizes)
     same_block = (block[:, None] == block).astype(float)
@@ -180,7 +179,8 @@ def polish(problem, beta, resid, certificate=kkt_check):
             factor = system_factor(gram_ii, lam, beta_i, support)
         except (ValueError, scipy.linalg.LinAlgError):
             return beta, resid, support, start
-    candidate = support.embed(beta_i)
+    candidate = np.zeros(problem.design.N)
+    candidate[idx] = beta_i
     polished_resid, _ = certificate(problem, candidate)
     if polished_resid <= resid:
         return candidate, polished_resid, support, factor

@@ -19,7 +19,7 @@ from gldof.dof import (
     dof_identity_closed_form,
     transition_proximity,
 )
-from gldof.risk import aic, cp, sure
+from gldof.risk import criteria
 from gldof.solver import Problem, SolverOptions, lambda_max, solve
 from gldof.validate import fd_oracle, mc_dof, replicate_rng
 
@@ -172,9 +172,7 @@ def test_criterion_7_risk_identities(mc_scenario):
         dof = float(rng.uniform(0.0, 9.0))
         sigma = float(rng.uniform(0.1, 3.0))
         q = int(rng.integers(10, 200))
-        s = sure(rss, dof, sigma, q)
-        c = cp(rss, dof, sigma, q)
-        a = aic(rss, dof, sigma, q)
+        s, _, c, a = criteria(rss, dof, sigma, q)
         scale = abs(rss / sigma**2) + q + 2 * dof + 1.0
         worst_sure = max(worst_sure, abs(s - sigma**2 * c) / (sigma**2 * scale))
         worst_aic = max(worst_aic, abs((a - c) - q) / scale)
@@ -194,7 +192,7 @@ def test_criterion_7_risk_identities(mc_scenario):
         rss = float(np.sum((y - mu_hat) ** 2))
         div = dof_estimate(problem, sol).divergence
         loss = float(np.sum((mu_hat - scenario.mu0) ** 2))
-        diffs.append(sure(rss, div, sigma, q) - loss)
+        diffs.append(criteria(rss, div, sigma, q)[0] - loss)
     diffs = np.asarray(diffs)
     stderr = float(np.std(diffs, ddof=1) / np.sqrt(len(diffs)))
     bias = float(np.mean(diffs))

@@ -124,6 +124,27 @@ class TestSolve:
               "--out", str(path), "--no-timestamp"])
         assert main(["solve", "--problem", str(path)]) == 2
 
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command in (["solve"], ["dof"], ["path"])
+        for flag in (["--tol", "nan"], ["--tol", "-1"], ["--tol", "inf"], ["--max-iter", "-3"])
+    ] + [(["validate", "fd"], ["--max-iter", "-3"])])
+    def test_bad_solver_options_are_a_usage_error(self, problem_file, tmp_path, monkeypatch,
+                                                  capsys, command, flag):
+        # rejected before any iteration: the certificate is never evaluated
+        monkeypatch.setattr(solver, "_violation", None)
+        out = tmp_path / "out"
+        assert main(command + ["--problem", str(problem_file), "--out", str(out)] + flag) == 2
+        assert ("kkt_tol" if flag[0] == "--tol" else "max_iter") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_partition_with_a_fractional_index_is_a_usage_error(self, tmp_path, capsys):
+        xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
+        np.savetxt(xp, np.eye(3), delimiter=",")
+        np.savetxt(yp, np.ones(3), delimiter=",")
+        assert main(["solve", "--x-csv", str(xp), "--y-csv", str(yp),
+                     "--partition", "[[0, 1.5], [2]]", "--lambda", "0.5"]) == 2
+        assert "block index 1.5 is not an integer" in capsys.readouterr().err
+
     def test_budget_exhaustion_is_numerical_failure(self, problem_file):
         assert main(["solve", "--problem", str(problem_file),
                      "--lambda", "0.01", "--max-iter", "2"]) == 3

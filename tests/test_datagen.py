@@ -141,6 +141,14 @@ class TestProblemFiles:
         with pytest.raises(ValueError):
             problem_from_dict(d)
 
+    @pytest.mark.parametrize("partition", [[[0], [1.5]], [["0"], ["1"]], []])
+    def test_malformed_partition_rejected(self, partition):
+        # a fractional or string index used to be truncated to another partition
+        d = {"Q": 2, "N": 2, "partition": partition, "X": [[1.0, 0.0], [0.0, 1.0]],
+             "y": [1.0, 2.0]}
+        with pytest.raises(ValueError, match="not an integer|no blocks"):
+            problem_from_dict(d)
+
     def test_csv_loaders(self, tmp_path):
         x = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         y = np.array([1.5, -2.5, 0.0])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,16 +8,7 @@ from hypothesis import strategies as st
 from helpers import random_problem
 
 from gldof.core import BlockPartition, Design
-from gldof.risk import (
-    RiskCurve,
-    aic,
-    cp,
-    default_lambda_grid,
-    estimate_sigma,
-    gcv,
-    lambda_path,
-    sure,
-)
+from gldof.risk import RiskCurve, criteria, default_lambda_grid, estimate_sigma, lambda_path
 from gldof.dof import dof_estimate
 from gldof.solver import SolverOptions, lambda_max, solve
 
@@ -23,56 +16,57 @@ finite = st.floats(min_value=1e-3, max_value=1e3)
 
 
 class TestCriteria:
+    # criteria returns (SURE, GCV, Cp, AIC)
     def test_sure_zero_at_pure_noise_fit(self):
-        assert sure(20 * 0.5**2, 0.0, 0.5, 20) == 0.0
+        assert criteria(20 * 0.5**2, 0.0, 0.5, 20)[0] == 0.0
 
     def test_sure_at_lambda_max(self):
         # dof = 0 and residual ||y||^2: SURE = ||y||^2 - Q sigma^2
-        assert sure(7.3, 0.0, 0.5, 20) == pytest.approx(7.3 - 20 * 0.25)
+        assert criteria(7.3, 0.0, 0.5, 20)[0] == pytest.approx(7.3 - 20 * 0.25)
 
     def test_gcv_dof_zero(self):
-        assert gcv(10.0, 0.0, 20) == pytest.approx(0.5)
+        assert criteria(10.0, 0.0, None, 20)[1] == pytest.approx(0.5)
 
     def test_gcv_zero_residual(self):
-        assert gcv(0.0, 4.0, 20) == 0.0
+        assert criteria(0.0, 4.0, None, 20)[1] == 0.0
 
     def test_gcv_worked_example(self):
-        assert gcv(10.0, 4.0, 20) == pytest.approx(0.78125)
+        assert criteria(10.0, 4.0, None, 20)[1] == pytest.approx(0.78125)
 
-    def test_gcv_saturated_dof_rejected(self):
-        with pytest.raises(ValueError):
-            gcv(1.0, 20.0, 20)
+    def test_gcv_saturated_dof_is_infinite(self):
+        # a saturated fit is never the GCV choice, and computing it does not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert criteria(1.0, 20.0, None, 20)[1] == np.inf
 
     def test_cp_zero_at_pure_noise_fit(self):
-        assert cp(20 * 0.25, 0.0, 0.5, 20) == 0.0
+        assert criteria(20 * 0.25, 0.0, 0.5, 20)[2] == 0.0
 
     def test_cp_at_lambda_max(self):
-        assert cp(7.3, 0.0, 0.5, 20) == pytest.approx(7.3 / 0.25 - 20)
+        assert criteria(7.3, 0.0, 0.5, 20)[2] == pytest.approx(7.3 / 0.25 - 20)
 
     def test_aic_dof_zero(self):
-        assert aic(7.3, 0.0, 0.5, 20) == pytest.approx(7.3 / 0.25)
+        assert criteria(7.3, 0.0, 0.5, 20)[3] == pytest.approx(7.3 / 0.25)
 
     def test_sigma_must_be_positive(self):
-        for f in (sure, cp, aic):
-            with pytest.raises(ValueError):
-                f(1.0, 1.0, 0.0, 10)
+        for sigma in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="sigma must be positive"):
+                criteria(1.0, 1.0, sigma, 10)
 
-    def test_sigma_is_required(self):
-        # only the lambda path reports sigma-free criteria, as NaN
-        for f in (sure, cp, aic):
-            with pytest.raises(ValueError, match="sigma is required"):
-                f(1.0, 1.0, None, 10)
+    def test_sigma_free_criteria_are_nan(self):
+        sure, gcv, cp, aic = criteria(1.0, 1.0, None, 10)
+        assert np.isnan([sure, cp, aic]).all()
+        assert gcv == pytest.approx(0.1 / 0.81)
 
     @given(finite, finite, finite, st.integers(5, 200))
     def test_sure_equals_sigma_sq_times_cp(self, rss, dof, sigma, q):
-        lhs = sure(rss, dof, sigma, q)
-        rhs = sigma**2 * cp(rss, dof, sigma, q)
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+        sure, _, cp, _ = criteria(rss, dof, sigma, q)
+        assert sure == pytest.approx(sigma**2 * cp, rel=1e-12, abs=1e-12)
 
     @given(finite, finite, finite, st.integers(5, 200))
     def test_aic_minus_cp_is_q(self, rss, dof, sigma, q):
-        assert aic(rss, dof, sigma, q) - cp(rss, dof, sigma, q) == \
-            pytest.approx(q, rel=1e-12)
+        _, _, cp, aic = criteria(rss, dof, sigma, q)
+        assert aic - cp == pytest.approx(q, rel=1e-12)
 
 
 class TestEstimateSigma:

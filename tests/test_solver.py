@@ -10,7 +10,7 @@ from helpers import (block_soft_threshold, duality_gap, kkt_residual, polish, ra
                      unit_and_dense_delta_P)
 
 from gldof import solver
-from gldof.core import BlockPartition, BlockSupport, Design, delta_P_matrix
+from gldof.core import BlockPartition, BlockSupport, Design
 from gldof.datagen import ScenarioSpec, generate
 from gldof.dof import dof_estimate
 from gldof.risk import default_lambda_grid
@@ -356,13 +356,32 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="finite"):
             Problem(Design.identity(2), [1.0, 2.0], np.inf, BlockPartition.from_sizes([2]))
 
+    @pytest.mark.parametrize("kw, match", [
+        ({"kkt_tol": np.nan}, "kkt_tol"),
+        ({"kkt_tol": -1.0}, "kkt_tol"),
+        ({"kkt_tol": 0.0}, "kkt_tol"),
+        # an infinite tolerance would certify any point, beta = 0 included
+        ({"kkt_tol": np.inf}, "kkt_tol"),
+        ({"max_iter": -3}, "max_iter"),
+        ({"max_iter": 2.5}, "max_iter"),
+    ])
+    def test_solver_options_rejected(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            SolverOptions(**kw)
+
+    def test_solver_options_accept_a_zero_budget(self):
+        # no iteration: the start is returned when it already certifies
+        problem = Problem(Design.identity(2), [1.0, 2.0], 3.0, BlockPartition.from_sizes([2]))
+        sol = solve(problem, SolverOptions(max_iter=np.int64(0)))
+        assert sol.iterations == 0 and not sol.beta.any()
+
 
 def system_matrix(problem, sol):
     """X_I'X_I + lambda * deltaP at the returned beta, built from scratch."""
     idx = sol.support.indices
     xi = problem.design.columns(idx)
     beta_i = sol.support.restrict(sol.beta)
-    return xi.T @ xi + problem.lam * delta_P_matrix(beta_i, sol.support)
+    return xi.T @ xi + problem.lam * unit_and_dense_delta_P(beta_i, sol.support)[1]
 
 
 def rebuilt_from_factor(sol):
@@ -570,6 +589,29 @@ class TestBatchedFinish:
                                   + lams[j] * unit_and_dense_delta_P(beta_i, sol.support)[1])
         # columns with one support share its BlockSupport
         assert all(batch[j].support is batch[j + 1].support for j in range(0, len(batch), 2))
+
+    def test_factored_delta_P_is_a_scaled_projector(self):
+        # deltaP rebuilt from each solution's factor, (LL' - X_I'X_I) / lambda,
+        # is block diagonal, symmetric PSD, annihilates every beta_b, is zero
+        # on the size-1 block and has trace sum_b (|b| - 1) / ||beta_b||, up to
+        # the round-off of the subtraction
+        design, partition, ys, lams = interleaved_batch()
+        for lam, sol in zip(lams, solve_batch(design, ys, lams, partition), strict=True):
+            support, idx = sol.support, sol.support.indices
+            gram_ii = design.gram[idx[:, None], idx]
+            dp = (rebuilt_from_factor(sol) - gram_ii) / lam
+            tol = 1e-13 * np.abs(gram_ii).max() / lam
+            block = np.repeat(np.arange(support.n_active), support.sizes)
+            beta_i = support.restrict(sol.beta)
+            norms = partition.block_norms(sol.beta)[list(support.active)]
+            assert np.max(np.abs(dp[block[:, None] != block]), initial=0.0) <= tol
+            assert np.max(np.abs(dp - dp.T)) <= tol
+            assert np.linalg.eigvalsh(dp).min() >= -tol
+            assert np.max(np.abs(dp @ beta_i)) <= tol * np.max(np.abs(beta_i))
+            assert np.max(np.abs(dp[support.sizes[block] == 1]), initial=0.0) <= tol
+            assert np.trace(dp) == pytest.approx(np.sum((support.sizes - 1) / norms),
+                                                 abs=idx.size * tol)
+        assert 1 in support.sizes
 
     def test_padded_chunks_stay_within_the_bound(self, monkeypatch):
         design, partition, ys, lams = interleaved_batch()

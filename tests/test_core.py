@@ -137,11 +137,11 @@ class TestBlockSupportDetection:
 # the bit (test_solver), itself checked here against closed forms.
 
 
-def normalize_blocks(v, s):
+def reference_unit(v, s):
     return unit_and_dense_delta_P(v, s)[0]
 
 
-def delta_P_matrix(v, s):
+def reference_delta_P(v, s):
     return unit_and_dense_delta_P(v, s)[1]
 
 
@@ -149,19 +149,19 @@ class TestNormalizeBlocks:
     def test_scales_to_unit(self):
         p = BlockPartition.from_sizes([2])
         s = BlockSupport(p, (0,))
-        assert np.allclose(normalize_blocks([3.0, 4.0], s), [0.6, 0.8])
+        assert np.allclose(reference_unit([3.0, 4.0], s), [0.6, 0.8])
 
     def test_two_blocks(self):
         p = BlockPartition.from_sizes([2, 2])
         s = BlockSupport(p, (0, 1))
-        out = normalize_blocks([1.0, 0.0, 0.0, 2.0], s)
+        out = reference_unit([1.0, 0.0, 0.0, 2.0], s)
         assert np.allclose(out, [1.0, 0.0, 0.0, 1.0])
 
     def test_zero_block_raises(self):
         p = BlockPartition.from_sizes([2])
         s = BlockSupport(p, (0,))
         with pytest.raises(ValueError, match="zero block"):
-            normalize_blocks([0.0, 0.0], s)
+            reference_unit([0.0, 0.0], s)
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)
@@ -169,25 +169,25 @@ class TestNormalizeBlocks:
         s = BlockSupport(p, (0, 1, 2))
         for _ in range(20):
             v = rng.standard_normal(6) + 0.1
-            once = normalize_blocks(v, s)
-            assert np.allclose(normalize_blocks(once, s), once, atol=1e-15)
+            once = reference_unit(v, s)
+            assert np.allclose(reference_unit(once, s), once, atol=1e-15)
 
 
 class TestDeltaPMatrix:
     def test_size_one_block_is_zero(self):
         p = BlockPartition.from_sizes([1])
         s = BlockSupport(p, (0,))
-        assert delta_P_matrix([2.5], s) == pytest.approx(np.zeros((1, 1)))
+        assert reference_delta_P([2.5], s) == pytest.approx(np.zeros((1, 1)))
 
     def test_axis_aligned_block(self):
         p = BlockPartition.from_sizes([2])
         s = BlockSupport(p, (0,))
-        assert np.allclose(delta_P_matrix([1.0, 0.0], s), [[0.0, 0.0], [0.0, 1.0]])
+        assert np.allclose(reference_delta_P([1.0, 0.0], s), [[0.0, 0.0], [0.0, 1.0]])
 
     def test_three_four_block_against_eigendecomposition(self):
         p = BlockPartition.from_sizes([2])
         s = BlockSupport(p, (0,))
-        m = delta_P_matrix([3.0, 4.0], s)
+        m = reference_delta_P([3.0, 4.0], s)
         expected = (np.eye(2) - np.array([[9.0, 12.0], [12.0, 16.0]]) / 25.0) / 5.0
         assert np.allclose(m, expected, atol=1e-15)
         # independent check: spectrum is {0, 1/5} with kernel along (3, 4)
@@ -200,7 +200,7 @@ class TestDeltaPMatrix:
         p = BlockPartition.from_sizes([2, 1])
         s = BlockSupport(p, (0, 1))
         with pytest.raises(ValueError, match="zero block"):
-            delta_P_matrix([0.0, 0.0, 1.0], s)
+            reference_delta_P([0.0, 0.0, 1.0], s)
 
     @given(partitions(), st.integers(0, 2**32 - 1), st.sampled_from([1e-9, 1.0, 1e9]))
     def test_matches_blockwise_loop(self, p, seed, scale):
@@ -215,8 +215,9 @@ class TestDeltaPMatrix:
             unit[a:b] = v[a:b] / nrm
             dp[a:b, a:b] = (np.eye(b - a) - np.outer(unit[a:b], unit[a:b])) / nrm
         eps = 8 * np.finfo(float).eps
-        assert np.allclose(normalize_blocks(v, s), unit, rtol=eps, atol=0.0)
-        assert np.allclose(delta_P_matrix(v, s), dp, rtol=eps, atol=eps * np.abs(dp).max(initial=0.0))
+        assert np.allclose(reference_unit(v, s), unit, rtol=eps, atol=0.0)
+        assert np.allclose(reference_delta_P(v, s), dp, rtol=eps,
+                           atol=eps * np.abs(dp).max(initial=0.0))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_symmetric_psd_and_annihilates_input(self, seed):
@@ -225,7 +226,7 @@ class TestDeltaPMatrix:
         s = BlockSupport(p, (0, 1, 2, 3))
         v = rng.standard_normal(10)
         v[np.abs(v) < 1e-3] += 0.5
-        m = delta_P_matrix(v, s)
+        m = reference_delta_P(v, s)
         assert np.allclose(m, m.T, atol=1e-15)
         for _ in range(30):
             u = rng.standard_normal(10)

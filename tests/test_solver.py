@@ -356,18 +356,14 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="finite"):
             Problem(Design.identity(2), [1.0, 2.0], np.inf, BlockPartition.from_sizes([2]))
 
-    @pytest.mark.parametrize("kw, match", [
-        ({"kkt_tol": np.nan}, "kkt_tol"),
-        ({"kkt_tol": -1.0}, "kkt_tol"),
-        ({"kkt_tol": 0.0}, "kkt_tol"),
-        # an infinite tolerance would certify any point, beta = 0 included
-        ({"kkt_tol": np.inf}, "kkt_tol"),
-        ({"max_iter": -3}, "max_iter"),
-        ({"max_iter": 2.5}, "max_iter"),
+    # an infinite tolerance would certify any point, beta = 0 included
+    @pytest.mark.parametrize("field, value", [
+        ("kkt_tol", np.nan), ("kkt_tol", -1.0), ("kkt_tol", 0.0), ("kkt_tol", np.inf),
+        ("max_iter", -3), ("max_iter", 2.5),
     ])
-    def test_solver_options_rejected(self, kw, match):
-        with pytest.raises(ValueError, match=match):
-            SolverOptions(**kw)
+    def test_solver_options_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverOptions(**{field: value})
 
     def test_solver_options_accept_a_zero_budget(self):
         # no iteration: the start is returned when it already certifies
@@ -611,6 +607,7 @@ class TestBatchedFinish:
             assert np.max(np.abs(dp[support.sizes[block] == 1]), initial=0.0) <= tol
             assert np.trace(dp) == pytest.approx(np.sum((support.sizes - 1) / norms),
                                                  abs=idx.size * tol)
+        # the last, full support holds the size-1 block
         assert 1 in support.sizes
 
     def test_padded_chunks_stay_within_the_bound(self, monkeypatch):

@@ -18,10 +18,10 @@ from .solver import (
 )
 from .dof import (
     DofReport,
-    coordinate_radius,
     differential,
     dof_estimate,
     dof_identity_closed_form,
+    support_radius,
     transition_proximity,
 )
 from .risk import (
@@ -57,7 +57,6 @@ __all__ = [
     "Solution",
     "SolverOptions",
     "block_support",
-    "coordinate_radius",
     "default_lambda_grid",
     "differential",
     "dof_estimate",
@@ -73,6 +72,7 @@ __all__ = [
     "save_problem",
     "solve",
     "solve_batch",
+    "support_radius",
     "transition_proximity",
     "__version__",
 ]

@@ -28,11 +28,11 @@ from .core import BlockPartition, Design
 from .datagen import (GenerationError, LoadedProblem, ScenarioSpec, generate,
                       load_matrix_csv, load_problem, load_vector_csv,
                       save_problem)
-from .dof import coordinate_radius, differential, dof_estimate
+from .dof import differential, dof_estimate, fd_step, support_radius
 from .risk import estimate_sigma, lambda_path
 from .solver import ConvergenceError, Problem, SolverOptions, lambda_max, solve
 from .validate import (ORACLE_KKT_TOL, ORACLE_MAX_ITER, TransitionCrossingError, fd_oracle,
-                       fd_step, mc_dof)
+                       mc_dof)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -96,10 +96,6 @@ def _default_seed(value) -> int:
     return int(os.environ.get("GLDOF_SEED", "0"))
 
 
-class SystemExit2(Exception):
-    """Usage error discovered after argparse."""
-
-
 def _load_input(args) -> tuple:
     """Problem inputs from --problem JSON or the CSV alternative."""
     if args.problem:
@@ -111,7 +107,7 @@ def _load_input(args) -> tuple:
         partition = BlockPartition.from_json(args.partition)
         return (LoadedProblem(design=Design(x), y=y, partition=partition),
                 [args.x_csv, args.y_csv])
-    raise SystemExit2("need --problem FILE, or --x-csv, --y-csv and --partition")
+    raise ValueError("need --problem FILE, or --x-csv, --y-csv and --partition")
 
 
 def _scenario_from_args(args) -> ScenarioSpec:
@@ -119,7 +115,7 @@ def _scenario_from_args(args) -> ScenarioSpec:
         with open(args.spec) as fh:
             return ScenarioSpec.from_dict(json.load(fh))
     if args.block_sizes is None:
-        raise SystemExit2("need --block-sizes (or --spec FILE)")
+        raise ValueError("need --block-sizes (or --spec FILE)")
     sizes = tuple(int(s) for s in args.block_sizes.split(","))
     n = args.n if args.n is not None else sum(sizes)
     return ScenarioSpec(Q=args.q, N=n, block_sizes=sizes, k_active=args.k_active,
@@ -148,7 +144,7 @@ def _resolve_problem(args) -> tuple[Problem, list[str]]:
     loaded, inputs = _load_input(args)
     lam = args.lam if args.lam is not None else loaded.lam
     if lam is None:
-        raise SystemExit2("no lambda in the problem file; pass --lambda")
+        raise ValueError("no lambda in the problem file; pass --lambda")
     return loaded.problem(lam), inputs
 
 
@@ -223,8 +219,8 @@ def cmd_validate_fd(args) -> int:
 
     step = args.step
     if step is None:
-        # half the first-order radius keeps every probe on the support
-        step = min(fd_step(problem), 0.5 * coordinate_radius(problem, sol))
+        # half the certified radius keeps every probe on the support
+        step = min(fd_step(problem), 0.5 * support_radius(problem, sol))
         if step == 0.0:
             raise TransitionCrossingError("y lies on a support boundary: every step "
                                           "changes the support")
@@ -375,7 +371,7 @@ def make_parser() -> argparse.ArgumentParser:
     pf.add_argument("--lambda", dest="lam", type=float, default=None)
     pf.add_argument("--step", type=float, default=None,
                     help="fd step (default 1e-5 * max|y|, or 1e-5 when y = 0, "
-                         "cut to half the support's first-order coordinate radius)")
+                         "cut to half the support's certified radius)")
     pf.add_argument("--max-iter", type=int, default=ORACLE_MAX_ITER)
     pf.add_argument("--out", help="verdict JSON")
     pf.add_argument("--no-timestamp", action="store_true")
@@ -407,9 +403,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit2 as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except (ConvergenceError, GenerationError, TransitionCrossingError,
             np.linalg.LinAlgError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)

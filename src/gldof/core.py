@@ -19,11 +19,11 @@ import numpy as np
 import scipy.linalg
 
 
-def _index(i) -> int:
+def _index(i, what="block index") -> int:
     try:
         return operator.index(i)
     except TypeError:
-        raise ValueError(f"block index {i!r} is not an integer") from None
+        raise ValueError(f"{what} {i!r} is not an integer") from None
 
 
 def _as_vector(values, n=None):
@@ -51,6 +51,8 @@ class BlockPartition:
             raise ValueError("partition has no blocks")
         canon = []
         for b in self.blocks:
+            if not hasattr(b, "__iter__"):
+                raise ValueError(f"block {b!r} is not a sequence of indices")
             idx = tuple(sorted(_index(i) for i in b))
             if not idx:
                 raise ValueError("empty block")
@@ -68,7 +70,7 @@ class BlockPartition:
     @classmethod
     def from_sizes(cls, sizes) -> "BlockPartition":
         """Contiguous partition with the given block sizes, in order."""
-        sizes = [int(s) for s in sizes]
+        sizes = [_index(s, "block size") for s in sizes]
         if any(s <= 0 for s in sizes):
             raise ValueError("block sizes must be positive")
         edges = np.concatenate([[0], np.cumsum(sizes)])
@@ -113,7 +115,7 @@ class BlockPartition:
 
     @classmethod
     def from_json(cls, text: str) -> "BlockPartition":
-        return cls(tuple(tuple(b) for b in json.loads(text)))
+        return cls(tuple(json.loads(text)))
 
     def __iter__(self):
         return iter(self.blocks)
@@ -229,6 +231,12 @@ class Design:
         """Largest eigenvalue of X'X: the Lipschitz constant of the gradient."""
         n = self.N
         return float(scipy.linalg.eigvalsh(self.gram, subset_by_index=[n - 1, n - 1])[0])
+
+    @cached_property
+    def min_eigenvalue(self) -> float:
+        """Smallest eigenvalue of X'X, clipped at 0 so that a numerically
+        singular Gram gives 0, not an error; computed on first read."""
+        return max(float(scipy.linalg.eigvalsh(self.gram, subset_by_index=[0, 0])[0]), 0.0)
 
     def columns(self, indices) -> np.ndarray:
         return self.matrix[:, np.asarray(indices, dtype=int)]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlockPartition, Design
+from .core import BlockPartition, Design, _index
 from .solver import Problem
 from .validate import replicate_rng
 
@@ -39,7 +39,8 @@ class ScenarioSpec:
     identity: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "block_sizes", tuple(int(s) for s in self.block_sizes))
+        sizes = tuple(_index(s, "block size") for s in self.block_sizes)
+        object.__setattr__(self, "block_sizes", sizes)
         if sum(self.block_sizes) != self.N:
             raise ValueError("block sizes must sum to N")
         if self.identity:

@@ -27,10 +27,6 @@ import scipy.linalg
 from .core import BlockPartition, BlockSupport
 from .solver import Problem, Solution, factor_solve
 
-# margins below these relative thresholds flag the differential as fragile
-TRANSITION_RTOL = 1e-6
-SUPPORT_RTOL = 1e-6
-
 
 @dataclass(frozen=True)
 class DofReport:
@@ -92,14 +88,17 @@ def differential(problem: Problem, solution: Solution) -> np.ndarray:
     return factor_solve(solution.factor, xi.T)
 
 
-def _room(problem: Problem, solution: Solution):
-    """(active, room): the active-block mask and each block's room before
-    the support changes, ||beta_b|| if active and lambda - ||X_b'r|| if not."""
-    partition, beta = problem.partition, solution.beta
-    active = np.zeros(partition.n_blocks, dtype=bool)
-    active[list(solution.support.active)] = True
-    corr_norms = partition.block_norms(problem.xty() - problem.design.gram @ beta)
-    return active, np.where(active, partition.block_norms(beta), problem.lam - corr_norms)
+def fd_step(problem: Problem) -> float:
+    """The default fd step, 1e-5 * max|y| (1e-5 when y = 0): relative to y,
+    so a rescaled problem takes the rescaled step."""
+    return 1e-5 * (float(np.max(np.abs(problem.y))) or 1.0)
+
+
+def _radius(design, transition_margin: float, support_margin: float) -> float:
+    radius = transition_margin / math.sqrt(design.lipschitz)
+    if support_margin < math.inf:  # an empty support bounds nothing, even if lambda_min = 0
+        radius = min(radius, support_margin * math.sqrt(design.min_eigenvalue))
+    return radius
 
 
 def transition_proximity(problem: Problem, solution: Solution):
@@ -110,45 +109,33 @@ def transition_proximity(problem: Problem, solution: Solution):
       * transition_margin: min over inactive blocks of lambda - ||X_b' r||,
         +inf when every block is active;
       * support_margin: min active block norm, +inf when the support is empty;
-      * warning: True when either margin falls below its relative threshold,
-        meaning the differential formula is numerically fragile at y.
+      * warning: True when `support_radius` is below `fd_step`, meaning the
+        differential formula is numerically fragile at y.
     """
-    active, room = _room(problem, solution)
-    transition_margin = float(np.min(room[~active], initial=math.inf))
-    support_margin = float(np.min(room[active], initial=math.inf))
-    scale = np.max(np.abs(solution.beta))
-    warning = bool(transition_margin < TRANSITION_RTOL * problem.lam
-                   or support_margin < SUPPORT_RTOL * scale)
-    return max(transition_margin, 0.0), max(support_margin, 0.0), warning
+    partition, beta = problem.partition, solution.beta
+    active = np.zeros(partition.n_blocks, dtype=bool)
+    active[list(solution.support.active)] = True
+    corr_norms = partition.block_norms(problem.xty() - problem.design.gram @ beta)
+    transition_margin = max(float(np.min(problem.lam - corr_norms[~active], initial=math.inf)), 0.0)
+    support_margin = float(np.min(partition.block_norms(beta)[active], initial=math.inf))
+    warning = _radius(problem.design, transition_margin, support_margin) < fd_step(problem)
+    return transition_margin, support_margin, warning
 
 
-def coordinate_radius(problem: Problem, solution: Solution) -> float:
-    """First-order radius of the support along the coordinate directions.
+def support_radius(problem: Problem, solution: Solution) -> float:
+    """Certified first-order radius of the block support, in the units of y:
 
-    The largest h such that the linearization of the solution at y keeps
-    the block support at every y + t e_i, |t| <= h:
+        r = min( transition_margin / sqrt(L), support_margin * sqrt(lambda_min(X'X)) )
 
-        min over inactive b and i of (lambda - ||X_b'r||) / ||X_b'(I - X_I J) e_i||
-        min over active b and i of  ||beta_b|| / ||J_b e_i||
-
-    with r = y - X beta and J = `differential` (zero on an empty support),
-    in the units of y; +inf when no coordinate moves the solution toward a
-    boundary.  It costs O(Q N |I|), so only `validate fd` computes it.
+    with the margins of `transition_proximity` and L = `Design.lipschitz`.
+    Along every unit direction of y the linearized solution keeps its support
+    for steps below r: an inactive ||X_b'r|| moves at speed
+    ||X_b'(I - X_I J)|| <= sqrt(L), and an active beta_b at speed
+    ||J|| <= ||A^-1||^(1/2) <= lambda_min(X'X)^(-1/2), with J = `differential`
+    and A = X_I'X_I + lambda deltaP, deltaP >= 0.
     """
-    support = solution.support
-    # d(X'r)/dy and d(beta)/dy, both N x Q
-    dcorr = problem.design.matrix.T.copy()
-    dbeta = np.zeros_like(dcorr)
-    if not support.is_empty:
-        jac = differential(problem, solution)
-        dcorr -= problem.design.gram[:, support.indices] @ jac
-        dbeta[support.indices] = jac
-    active, room = _room(problem, solution)
-    speed = np.where(active[:, None], problem.partition.block_norms(dbeta),
-                     problem.partition.block_norms(dcorr)).max(axis=1)
-    radii = np.divide(np.maximum(room, 0.0), speed, out=np.full(room.shape, math.inf),
-                      where=speed > 0.0)
-    return float(radii.min())
+    transition_margin, support_margin, _ = transition_proximity(problem, solution)
+    return _radius(problem.design, transition_margin, support_margin)
 
 
 def dof_estimate(problem: Problem, solution: Solution) -> DofReport:

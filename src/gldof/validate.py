@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .dof import dof_estimate
+from .dof import dof_estimate, fd_step
 from .solver import ConvergenceError, Problem, Solution, SolverOptions, solve, solve_batch
 
 # oracle solves are tightened well below the comparison tolerances so that
@@ -27,12 +27,6 @@ ORACLE_MAX_ITER = 200_000
 
 class TransitionCrossingError(RuntimeError):
     """A finite-difference probe changed the block support."""
-
-
-def fd_step(problem: Problem) -> float:
-    """The default fd step, 1e-5 * max|y| (1e-5 when y = 0): relative to y,
-    so a rescaled problem takes the rescaled step."""
-    return 1e-5 * (float(np.max(np.abs(problem.y))) or 1.0)
 
 
 def fd_oracle(problem: Problem, h: float | None = None, *, base: Solution | None = None,

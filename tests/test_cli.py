@@ -10,12 +10,13 @@ from gldof import cli, risk, solver, validate
 from gldof.cli import main
 from gldof.core import BlockPartition, Design
 from gldof.datagen import ScenarioSpec, generate, load_problem, save_problem
+from gldof.dof import fd_step
 from gldof.risk import CSV_HEADER, lambda_path
 from gldof.solver import lambda_max
 
 # `validate fd` of the benchmark's `fd` workload at seed 316, round 62,
-# position 0: a transition margin of 2.4e-6 lambda, no warning, and a
-# first-order coordinate radius of 4.3e-6, below the 1.1e-5 default step
+# position 0: a transition margin of 2.4e-6 lambda, and a support radius of
+# 8.9e-7, below the 1.1e-5 default step, so the report warns
 FD_NEAR_BOUNDARY = pathlib.Path(__file__).parent / "fixtures" / "fd_seed316_round62.json"
 
 
@@ -145,6 +146,14 @@ class TestSolve:
                      "--partition", "[[0, 1.5], [2]]", "--lambda", "0.5"]) == 2
         assert "block index 1.5 is not an integer" in capsys.readouterr().err
 
+    def test_flat_partition_is_a_usage_error(self, tmp_path, capsys):
+        xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
+        np.savetxt(xp, np.eye(2), delimiter=",")
+        np.savetxt(yp, np.ones(2), delimiter=",")
+        assert main(["solve", "--x-csv", str(xp), "--y-csv", str(yp),
+                     "--partition", "[0, 1]", "--lambda", "0.5"]) == 2
+        assert "block 0 is not a sequence of indices" in capsys.readouterr().err
+
     def test_budget_exhaustion_is_numerical_failure(self, problem_file):
         assert main(["solve", "--problem", str(problem_file),
                      "--lambda", "0.01", "--max-iter", "2"]) == 3
@@ -239,21 +248,21 @@ class TestValidateFd:
         d = json.loads(out.read_text())
         assert d["passed"] is True
         # far from a boundary the default step is 1e-5 * max|y|
-        assert d["step"] == validate.fd_step(load_problem(str(problem_file)).problem(0.4))
+        assert d["step"] == fd_step(load_problem(str(problem_file)).problem(0.4))
 
-    def test_step_stays_inside_the_coordinate_radius(self, tmp_path):
+    def test_step_stays_inside_the_support_radius(self, tmp_path):
         loaded = load_problem(str(FD_NEAR_BOUNDARY))
         problem = loaded.problem(loaded.lam)
         # the default step crosses the boundary at a probe ...
         with pytest.raises(validate.TransitionCrossingError):
-            validate.fd_oracle(problem, validate.fd_step(problem))
-        # ... so `validate fd` takes half the radius and passes, unwarned
+            validate.fd_oracle(problem, fd_step(problem))
+        # ... so `validate fd` takes half the radius and passes, warned
         out = tmp_path / "fd.json"
         assert main(["validate", "fd", "--problem", str(FD_NEAR_BOUNDARY),
                      "--out", str(out), "--no-timestamp"]) == 0
         d = json.loads(out.read_text())
-        assert d["passed"] is True and d["transition_warning"] is False
-        assert d["step"] < 0.5 * validate.fd_step(problem)
+        assert d["passed"] is True and d["transition_warning"] is True
+        assert d["step"] < 0.5 * fd_step(problem)
         assert d["jacobian_worst_tol_ratio"] <= 1e-2
 
     def test_boundary_observation_is_a_numerical_failure(self, tmp_path):

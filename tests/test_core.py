@@ -34,6 +34,12 @@ class TestBlockPartition:
         assert p.blocks == ((0, 1), (2, 3, 4))
         assert p.total_dim == 5
 
+    @pytest.mark.parametrize("sizes", [[1.5, 2], ["2"], [2, 0]])
+    def test_from_sizes_invalid(self, sizes):
+        # a fractional or string size used to be truncated to another partition
+        with pytest.raises(ValueError, match="not an integer|positive"):
+            BlockPartition.from_sizes(sizes)
+
     @pytest.mark.parametrize("bad", [
         ((0, 1), (1, 2)),       # overlap
         ((0, 1), (3,)),         # gap
@@ -42,6 +48,7 @@ class TestBlockPartition:
         ((0, 1.5),),            # fractional index, once truncated to 1
         (("0", "1"),),          # string indices, once parsed
         (),                     # no blocks
+        (0, 1),                 # a flat list, once a TypeError
     ])
     def test_invalid(self, bad):
         with pytest.raises(ValueError):

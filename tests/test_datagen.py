@@ -35,6 +35,8 @@ class TestScenarioSpec:
         dict(sigma=0.0),
         dict(signal_scale=0.0),
         dict(identity=True),              # identity needs Q == N
+        dict(N=3, block_sizes=(1.5, 2)),  # fractional sizes, once truncated to (1, 2)
+        dict(N=3, block_sizes=("1", "2")),
     ])
     def test_invalid(self, kw):
         with pytest.raises(ValueError):

@@ -8,10 +8,11 @@ from helpers import block_soft_threshold, random_problem, transition_instance
 
 from gldof.core import BlockPartition, Design
 from gldof.dof import (
-    coordinate_radius,
     differential,
     dof_estimate,
     dof_identity_closed_form,
+    fd_step,
+    support_radius,
     transition_proximity,
 )
 from gldof.solver import (
@@ -19,6 +20,7 @@ from gldof.solver import (
     SolverOptions,
     lambda_max,
     solve,
+    solve_batch,
 )
 from gldof.validate import TransitionCrossingError, fd_oracle
 
@@ -230,36 +232,73 @@ class TestTransitionProximity:
 
 
 class TestCoordinateRadius:
+    """`support_radius`: a certified lower bound on the first-order radius of
+    the support along every coordinate, and along every unit direction."""
+
     def test_identity_design_closed_form(self):
-        # inactive block (0.5, 0.5): lambda - ||y_b|| along a unit speed;
-        # the active block of norm 5 is 4 from zero at speed below 1
+        # inactive block (0.5, 0.5): lambda - ||y_b|| at a speed of at most
+        # sqrt(L) = 1; the active block of norm 4 is 4 from zero at a speed
+        # of at most 1 / sqrt(lambda_min) = 1
         problem = identity_problem([3.0, 4.0, 0.5, 0.5], 1.0, [2, 2])
         sol = solve(problem, TIGHT)
-        assert coordinate_radius(problem, sol) == pytest.approx(1.0 - np.sqrt(0.5),
-                                                                rel=1e-12)
+        assert support_radius(problem, sol) == pytest.approx(1.0 - np.sqrt(0.5), rel=1e-12)
 
     def test_empty_support(self):
         problem = identity_problem([3.0, 4.0, 0.3, 0.1], 6.0, [2, 2])
         sol = solve(problem, TIGHT)
         assert sol.support.is_empty
-        assert coordinate_radius(problem, sol) == pytest.approx(1.0, rel=1e-12)
+        assert support_radius(problem, sol) == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_boundary_instance_has_no_room(self, seed):
         problem = transition_instance(seed)
         sol = solve(problem, TIGHT)
-        assert coordinate_radius(problem, sol) <= 1e-6 * np.max(np.abs(problem.y))
+        assert support_radius(problem, sol) == 0.0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_half_the_radius_keeps_the_support(self, seed):
-        # lambda near a block's entry point puts the radius below the default step
+        # lambda near a block's entry point keeps the radius small enough
+        # that a coordinate probe a few radii out crosses
         problem = random_problem(seed, 14, 6, [2, 2, 2], lam_frac=0.9)
         sol = solve(problem, TIGHT)
-        radius = coordinate_radius(problem, sol)
+        radius = support_radius(problem, sol)
         fd_oracle(problem, 0.5 * radius, base=sol)
-        # well past the radius some probe crosses
+        # well past the radius some probe crosses (at 4r, not yet on seed 3)
         with pytest.raises(TransitionCrossingError):
-            fd_oracle(problem, 4.0 * radius, base=sol)
+            fd_oracle(problem, 16.0 * radius, base=sol)
+
+    def test_half_the_radius_keeps_the_support_in_every_direction(self):
+        # 20 random unit directions on each of 20 instances; at 4r, 11 of
+        # these 400 probes change the support
+        changed = 0
+        for seed in range(20):
+            problem = random_problem(seed, 14, 6, [2, 2, 2], lam_frac=0.9)
+            sol = solve(problem, TIGHT)
+            u = np.random.default_rng(seed).standard_normal((14, 20))
+            u /= np.linalg.norm(u, axis=0)
+            ys = problem.y[:, None] + 0.5 * support_radius(problem, sol) * u
+            probes = solve_batch(problem.design, ys, problem.lam, problem.partition, TIGHT)
+            changed += sum(probe.support != sol.support for probe in probes)
+        assert changed == 0
+
+    def test_radius_and_warning_are_scale_equivariant(self):
+        # generic, on a boundary (r = 0) and 1e-9 lambda_max above lambda_max,
+        # where the rescaled radius agrees to 3e-7 only: its margin is a
+        # difference of two numbers 1e-9 apart
+        problems = [random_problem(seed, 14, 6, [2, 2, 2], lam_frac=0.9) for seed in range(3)]
+        problems.append(transition_instance(0))
+        above = random_problem(3, 12, 6, [2, 2, 2])
+        problems.append(above.with_lam(lambda_max(above.design, above.y, above.partition)
+                                       * (1 + 1e-9)))
+        for problem in problems:
+            sol = solve(problem, TIGHT)
+            radius, warned = support_radius(problem, sol), transition_proximity(problem, sol)[2]
+            assert warned == (radius < fd_step(problem))
+            for s in [1e-9, 1e-7, 1e-3, 1e3, 1e6, 1e8, 1e9]:
+                scaled = Problem(problem.design, s * problem.y, s * problem.lam, problem.partition)
+                scaled_sol = solve(scaled, TIGHT)
+                assert support_radius(scaled, scaled_sol) == pytest.approx(s * radius, rel=1e-6)
+                assert transition_proximity(scaled, scaled_sol)[2] == warned
 
 
 class TestDofReportSerialization:

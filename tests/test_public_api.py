@@ -1,9 +1,10 @@
 import gldof
 
 # public names deleted with no caller left; their behaviour is checked on
-# the solver's own matrices (test_solver) and through `risk.criteria`
+# the solver's own matrices (test_solver) and through `risk.criteria`, and
+# `support_radius` replaces `coordinate_radius`
 DELETED = ("DegenerateBlockError", "normalize_blocks", "delta_P_matrix",
-           "sure", "gcv", "cp", "aic")
+           "sure", "gcv", "cp", "aic", "coordinate_radius")
 
 
 def test_public_api():

@@ -10,13 +10,18 @@ from helpers import random_problem, transition_instance
 from gldof import validate
 from gldof.core import BlockPartition, Design
 from gldof.datagen import ScenarioSpec, generate, load_problem
-from gldof.dof import coordinate_radius, differential, dof_estimate, dof_identity_closed_form
+from gldof.dof import (
+    differential,
+    dof_estimate,
+    dof_identity_closed_form,
+    fd_step,
+    support_radius,
+)
 from gldof.solver import Problem, SolverOptions, solve
 from gldof.validate import (
     ORACLE_KKT_TOL,
     TransitionCrossingError,
     fd_oracle,
-    fd_step,
     mc_dof,
     replicate_rng,
 )
@@ -132,7 +137,7 @@ class TestFdJacobian:
 
         monkeypatch.setattr(validate, "solve_batch", recording)
         # the step of `validate fd`
-        fd_oracle(problem, min(fd_step(problem), 0.5 * coordinate_radius(problem, base)),
+        fd_oracle(problem, min(fd_step(problem), 0.5 * support_radius(problem, base)),
                   base=base)
         assert len(probes) == 2 * problem.design.Q
         for sol in probes:

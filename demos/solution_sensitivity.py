@@ -19,7 +19,6 @@ from gldof import (
     fd_oracle,
     lambda_max,
     solve,
-    transition_proximity,
 )
 
 rng = np.random.default_rng(8)
@@ -36,9 +35,10 @@ print(f"solved: {solution.iterations} iterations, "
 print(f"active blocks: {solution.support.active} "
       f"({solution.support.active_dim} of {N} coordinates)")
 
-margin_t, margin_s, warned = transition_proximity(problem, solution)
-print(f"distance to a support change: dual margin {margin_t:.4f}, "
-      f"smallest active block norm {margin_s:.4f}, fragile={warned}")
+report = dof_estimate(problem, solution)
+print(f"distance to a support change: dual margin {report.transition_margin:.4f}, "
+      f"smallest active block norm {report.support_margin:.4f}, "
+      f"certified radius {report.radius:.2e}, fragile={report.warning}")
 
 # closed-form Jacobian vs finite differences of the solution map
 d = differential(problem, solution)
@@ -48,7 +48,6 @@ print(f"\nJacobian of y -> beta(y) on the support: {d.shape[0]} x {d.shape[1]}")
 print(f"worst entry disagreement vs finite differences: {entry_err:.2e} "
       f"(entries up to {np.max(np.abs(d)):.2f})")
 
-report = dof_estimate(problem, solution)
 print(f"divergence of y -> X beta(y): closed form {report.divergence:.8f}, "
       f"finite differences {fd_div:.8f}")
 

@@ -21,8 +21,6 @@ from .dof import (
     differential,
     dof_estimate,
     dof_identity_closed_form,
-    support_radius,
-    transition_proximity,
 )
 from .risk import (
     RiskCurve,
@@ -72,7 +70,5 @@ __all__ = [
     "save_problem",
     "solve",
     "solve_batch",
-    "support_radius",
-    "transition_proximity",
     "__version__",
 ]

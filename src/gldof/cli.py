@@ -28,7 +28,7 @@ from .core import BlockPartition, Design
 from .datagen import (GenerationError, LoadedProblem, ScenarioSpec, generate,
                       load_matrix_csv, load_problem, load_vector_csv,
                       save_problem)
-from .dof import differential, dof_estimate, fd_step, support_radius
+from .dof import differential, dof_estimate, fd_step
 from .risk import estimate_sigma, lambda_path
 from .solver import ConvergenceError, Problem, SolverOptions, lambda_max, solve
 from .validate import (ORACLE_KKT_TOL, ORACLE_MAX_ITER, TransitionCrossingError, fd_oracle,
@@ -220,7 +220,7 @@ def cmd_validate_fd(args) -> int:
     step = args.step
     if step is None:
         # half the certified radius keeps every probe on the support
-        step = min(fd_step(problem), 0.5 * support_radius(problem, sol))
+        step = min(fd_step(problem), 0.5 * report.radius)
         if step == 0.0:
             raise TransitionCrossingError("y lies on a support boundary: every step "
                                           "changes the support")

@@ -47,6 +47,8 @@ class BlockPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if not hasattr(self.blocks, "__iter__"):
+            raise ValueError(f"partition {self.blocks!r} is not a sequence of blocks")
         if not self.blocks:
             raise ValueError("partition has no blocks")
         canon = []
@@ -115,7 +117,7 @@ class BlockPartition:
 
     @classmethod
     def from_json(cls, text: str) -> "BlockPartition":
-        return cls(tuple(json.loads(text)))
+        return cls(json.loads(text))
 
     def __iter__(self):
         return iter(self.blocks)

@@ -9,6 +9,7 @@ random directions.  Also owns the problem-file format used by the CLI.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,10 @@ class ScenarioSpec:
     identity: bool = False
 
     def __post_init__(self):
+        for name in ("Q", "N", "k_active", "seed"):
+            object.__setattr__(self, name, _index(getattr(self, name), name))
+        if not hasattr(self.block_sizes, "__iter__"):
+            raise ValueError(f"block_sizes {self.block_sizes!r} is not a sequence of sizes")
         sizes = tuple(_index(s, "block size") for s in self.block_sizes)
         object.__setattr__(self, "block_sizes", sizes)
         if sum(self.block_sizes) != self.N:
@@ -50,10 +55,10 @@ class ScenarioSpec:
             raise ValueError("random designs require Q > N")
         if not 0 <= self.k_active <= len(self.block_sizes):
             raise ValueError("k_active out of range")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
-        if not self.signal_scale > 0:
-            raise ValueError("signal_scale must be positive")
+        for name in ("sigma", "signal_scale"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not value > 0:
+                raise ValueError(f"{name} must be a positive number, not {value!r}")
 
     def to_dict(self) -> dict:
         return {"Q": self.Q, "N": self.N, "block_sizes": list(self.block_sizes),
@@ -62,7 +67,7 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioSpec":
-        return cls(Q=d["Q"], N=d["N"], block_sizes=tuple(d["block_sizes"]),
+        return cls(Q=d["Q"], N=d["N"], block_sizes=d["block_sizes"],
                    k_active=d["k_active"],
                    signal_scale=d.get("signal_scale", 1.0),
                    sigma=d.get("sigma", 1.0), seed=d.get("seed", 0),
@@ -166,14 +171,17 @@ class LoadedProblem:
 
 
 def problem_from_dict(d: dict) -> LoadedProblem:
-    q, n = int(d["Q"]), int(d["N"])
+    q, n = _index(d["Q"], "Q"), _index(d["N"], "N")
     x = np.asarray(d["X"], dtype=float)
     if x.ndim == 1:  # row-major flat layout is accepted too
         x = x.reshape(q, n)
     if x.shape != (q, n):
         raise ValueError(f"X has shape {x.shape}, expected ({q}, {n})")
     y = np.asarray(d["y"], dtype=float)
-    partition = BlockPartition(tuple(tuple(b) for b in d["partition"]))
+    partition = BlockPartition(d["partition"])
+    for key in ("lambda", "sigma"):
+        if d.get(key) is not None and not isinstance(d[key], numbers.Real):
+            raise ValueError(f"{key} {d[key]!r} is not a number")
     beta0 = np.asarray(d["beta0"], dtype=float) if "beta0" in d else None
     return LoadedProblem(design=Design(x), y=y, partition=partition,
                          lam=d.get("lambda"), beta0=beta0, sigma=d.get("sigma"))

@@ -10,8 +10,9 @@ where deltaP is block diagonal, (Id - u_b u_b') / ||beta_b|| on each active
 block b with u_b = beta_b / ||beta_b||, assembled by the solver's finish.
 The trace of X_I d is the divergence of the prediction map y -> X beta(y),
 which is an unbiased estimate of the degrees of freedom under Gaussian
-noise.  Near the exceptional set the formula is numerically fragile; the
-proximity diagnostics below quantify how close an instance is.
+noise.  Near the exceptional set the formula is numerically fragile: the
+report turns the solution's two margins from a support change, computed by
+the solver's finish, into a certified radius of the support and a warning.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ class DofReport:
     support: BlockSupport
     transition_margin: float
     support_margin: float
+    # certified first-order radius of the support, in the units of y
+    radius: float
     warning: bool
     # the solution's factor, kept for `condition_estimate`; None when the
     # support is empty
@@ -94,50 +97,6 @@ def fd_step(problem: Problem) -> float:
     return 1e-5 * (float(np.max(np.abs(problem.y))) or 1.0)
 
 
-def _radius(design, transition_margin: float, support_margin: float) -> float:
-    radius = transition_margin / math.sqrt(design.lipschitz)
-    if support_margin < math.inf:  # an empty support bounds nothing, even if lambda_min = 0
-        radius = min(radius, support_margin * math.sqrt(design.min_eigenvalue))
-    return radius
-
-
-def transition_proximity(problem: Problem, solution: Solution):
-    """Distance of a certified solution from a support-changing boundary.
-
-    Returns (transition_margin, support_margin, warning):
-
-      * transition_margin: min over inactive blocks of lambda - ||X_b' r||,
-        +inf when every block is active;
-      * support_margin: min active block norm, +inf when the support is empty;
-      * warning: True when `support_radius` is below `fd_step`, meaning the
-        differential formula is numerically fragile at y.
-    """
-    partition, beta = problem.partition, solution.beta
-    active = np.zeros(partition.n_blocks, dtype=bool)
-    active[list(solution.support.active)] = True
-    corr_norms = partition.block_norms(problem.xty() - problem.design.gram @ beta)
-    transition_margin = max(float(np.min(problem.lam - corr_norms[~active], initial=math.inf)), 0.0)
-    support_margin = float(np.min(partition.block_norms(beta)[active], initial=math.inf))
-    warning = _radius(problem.design, transition_margin, support_margin) < fd_step(problem)
-    return transition_margin, support_margin, warning
-
-
-def support_radius(problem: Problem, solution: Solution) -> float:
-    """Certified first-order radius of the block support, in the units of y:
-
-        r = min( transition_margin / sqrt(L), support_margin * sqrt(lambda_min(X'X)) )
-
-    with the margins of `transition_proximity` and L = `Design.lipschitz`.
-    Along every unit direction of y the linearized solution keeps its support
-    for steps below r: an inactive ||X_b'r|| moves at speed
-    ||X_b'(I - X_I J)|| <= sqrt(L), and an active beta_b at speed
-    ||J|| <= ||A^-1||^(1/2) <= lambda_min(X'X)^(-1/2), with J = `differential`
-    and A = X_I'X_I + lambda deltaP, deltaP >= 0.
-    """
-    transition_margin, support_margin, _ = transition_proximity(problem, solution)
-    return _radius(problem.design, transition_margin, support_margin)
-
-
 def dof_estimate(problem: Problem, solution: Solution) -> DofReport:
     """Unbiased DOF estimate tr(X_I d(y)) with proximity diagnostics.
 
@@ -145,18 +104,31 @@ def dof_estimate(problem: Problem, solution: Solution) -> DofReport:
     so the divergence is 0.  Otherwise the trace and `condition_estimate`
     (a LAPACK 1-norm estimate, computed only when read) both come from the
     solution's factor.
+
+    The margins are the solution's, from the solver's finish.  `radius` is
+    r = min(transition_margin / sqrt(L), support_margin * sqrt(lambda_min(X'X))),
+    L = `Design.lipschitz`: along every unit direction of y the linearized
+    solution keeps its support for steps below r, since an inactive
+    ||X_b'r|| moves at speed ||X_b'(I - X_I J)|| <= sqrt(L) and an active
+    beta_b at speed ||J|| <= ||A^-1||^(1/2) <= lambda_min(X'X)^(-1/2), with
+    J = `differential` and A = X_I'X_I + lambda deltaP, deltaP >= 0.
+    `warning` is r < `fd_step`: the differential is numerically fragile at y.
     """
-    transition_margin, support_margin, warning = transition_proximity(problem, solution)
+    transition_margin, support_margin = solution.transition_margin, solution.support_margin
+    radius = transition_margin / math.sqrt(problem.design.lipschitz)
+    if support_margin < math.inf:  # an empty support bounds nothing, even if lambda_min = 0
+        radius = min(radius, support_margin * math.sqrt(problem.design.min_eigenvalue))
+    warning = radius < fd_step(problem)
     if solution.support.is_empty:
-        return DofReport(0.0, solution.support, transition_margin,
-                         support_margin, warning)
+        return DofReport(0.0, solution.support, transition_margin, support_margin, radius,
+                         warning)
 
     idx = solution.support.indices
     gram_ii = problem.design.gram[idx[:, None], idx]
     # tr(X_I A^{-1} X_I') = tr(A^{-1} X_I' X_I)
     divergence = float(np.trace(factor_solve(solution.factor, gram_ii)))
-    return DofReport(divergence, solution.support, transition_margin,
-                     support_margin, warning, solution.factor)
+    return DofReport(divergence, solution.support, transition_margin, support_margin, radius,
+                     warning, solution.factor)
 
 
 def dof_identity_closed_form(y, lam: float, partition: BlockPartition) -> float:

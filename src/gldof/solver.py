@@ -16,7 +16,8 @@ X_I'X_I + lambda * deltaP(b_I) is the matrix of the solution's local
 differential, converge quadratically; the Cholesky factor of that matrix is
 kept on the solution.  A point whose finish misses ``kkt_tol``, as when
 FISTA stopped before the support was identified, resumes FISTA at
-``kkt_tol`` and is finished again.
+``kkt_tol`` and is finished again.  The finish also gives each solution its
+two margins from a support change, which the DOF report reads.
 
 `solve` takes one right-hand side.  `solve_batch` runs the same iteration
 on the K columns of a Q x K matrix of observations sharing the design and
@@ -108,12 +109,6 @@ class Problem:
     def with_y(self, y) -> "Problem":
         return replace(self, y=y)
 
-    def with_lam(self, lam: float) -> "Problem":
-        return replace(self, lam=lam)
-
-    def xty(self) -> np.ndarray:
-        return self.design.matrix.T @ self.y
-
     def objective(self, values) -> float:
         """0.5 ||y - X b||^2 + lambda * sum of block norms, from scratch."""
         b = np.asarray(values, dtype=float)[:, None]
@@ -150,6 +145,10 @@ class Solution:
     objective: float
     kkt_residual: float
     iterations: int
+    # lambda - ||X_b'(y - X beta)|| of the tightest inactive block, clipped at
+    # 0, and the smallest active block norm; +inf where there is no such block
+    transition_margin: float
+    support_margin: float
     # scipy.linalg.cho_factor pair of X_I'X_I + lambda * deltaP(beta_I) at
     # `beta`, lower triangle; None when the support is empty
     factor: tuple[np.ndarray, bool] | None = field(default=None, compare=False,
@@ -194,7 +193,7 @@ def kkt_check(problem: Problem, beta, tol: float = 0.0):
     to s(y) = max_b ||X_b'y|| (see the module docstring).  Returns
     (kkt_residual, is_optimal) with is_optimal = residual <= tol.
     """
-    partition, xty = problem.partition, problem.xty()
+    partition, xty = problem.partition, problem.design.matrix.T @ problem.y
     resid = float(_residuals(partition, problem.design.gram, xty,
                              np.asarray(beta, dtype=float), problem.lam,
                              partition.block_norms(xty).max()))
@@ -309,9 +308,9 @@ def _solve_columns(design, partition, ys, lams, opts, start=None):
     IDENTIFY_TOL.  Then, in order, a chunk at a time: `_newton` finishes the
     chunk's columns; a column whose kept point misses kkt_tol resumes FISTA
     from its FISTA point at kkt_tol, with what is left of `max_iter`, and is
-    finished again; and the chunk yields each column's Solution, or the
-    ConvergenceError of a column still uncertified after `max_iter`
-    iterations in all.
+    finished again; and the chunk yields each column's Solution, with its
+    margins, or the ConvergenceError of a column still uncertified after
+    `max_iter` iterations in all.
     """
     gram, tol, max_iter = design.gram, opts.kkt_tol, opts.max_iter
     xty = design.matrix.T @ ys
@@ -342,12 +341,18 @@ def _solve_columns(design, partition, ys, lams, opts, start=None):
                 fista[:, g], fista_resid[g], more, failed[g] = _fista(
                     design, partition, xty[:, g], lams[g], scales[g], tol, budget, fista[:, g])
                 iters[g] += more
+            active[:, js] = support_mask(partition, fista[:, js]) & ~failed[js]
             beta[:, miss], resid[miss], again, again_factors = _newton(
                 gram, partition, xty[:, js], lams[js], fista[:, js], fista_resid[js],
-                support_mask(partition, fista[:, js]) & ~failed[js], scales[js])
+                active[:, js], scales[js])
             for i, support, factor in zip(miss, again, again_factors):
                 supports[i], factors[i] = support, factor
         objective = _objective(design, partition, ys[:, lo:hi], lams[lo:hi], beta)
+        # the margins of the points returned, on the masks of their supports
+        on = active[:, lo:hi]
+        slack = lams[lo:hi] - partition.block_norms(xty[:, lo:hi] - gram @ beta)
+        t_margin = np.maximum(np.where(on, math.inf, slack).min(axis=0), 0.0)
+        s_margin = np.where(on, partition.block_norms(beta), math.inf).min(axis=0)
         for i, j in enumerate(range(lo, hi)):
             # a copy, so that no result pins its chunk
             b = beta[:, i].copy()
@@ -360,7 +365,8 @@ def _solve_columns(design, partition, ys, lams, opts, start=None):
             else:
                 yield Solution(beta=b, support=supports[i], objective=float(objective[i]),
                                kkt_residual=float(resid[i]), iterations=int(iters[j]),
-                               factor=factors[i])
+                               transition_margin=float(t_margin[i]),
+                               support_margin=float(s_margin[i]), factor=factors[i])
         lo = hi
 
 

@@ -1,5 +1,7 @@
 """Shared instance builders for the test suite."""
 
+import math
+
 import numpy as np
 import scipy.linalg
 
@@ -88,6 +90,23 @@ def duality_gap(problem, beta):
     return float(primal - dual), float(primal)
 
 
+def reference_margins(problem, beta, support):
+    """(transition_margin, support_margin) of `beta` on `support`, from X, y
+    and beta alone: the slack lambda - ||X_b'(y - X beta)|| of the tightest
+    inactive block, clipped at 0 (+inf when every block is active), and the
+    smallest active block norm (+inf on an empty support).  The independent
+    check of the margins the solver's finish puts on each Solution."""
+    partition, beta = problem.partition, np.asarray(beta, dtype=float)
+    active = np.zeros(partition.n_blocks, dtype=bool)
+    active[list(support.active)] = True
+    corr_norms = partition.block_norms(problem.design.matrix.T @ problem.y
+                                       - problem.design.gram @ beta)
+    transition_margin = max(float(np.min(problem.lam - corr_norms[~active], initial=math.inf)),
+                            0.0)
+    support_margin = float(np.min(partition.block_norms(beta)[active], initial=math.inf))
+    return transition_margin, support_margin
+
+
 def block_soft_threshold(v, threshold):
     """Proximal map of threshold * ||.||_2 on one block, in closed form:
     0 when ||v|| <= threshold, else (1 - threshold / ||v||) v.  The group
@@ -165,7 +184,7 @@ def polish(problem, beta, resid, certificate=kkt_check):
         return beta, resid, support, None
     idx = support.indices
     gram_ii = problem.design.gram[idx[:, None], idx]
-    xty_i = problem.xty()[idx]
+    xty_i = (problem.design.matrix.T @ problem.y)[idx]
     lam = problem.lam
     beta_i = support.restrict(beta)
     start = factor = system_factor(gram_ii, lam, beta_i, support)

@@ -17,7 +17,6 @@ from gldof.dof import (
     differential,
     dof_estimate,
     dof_identity_closed_form,
-    transition_proximity,
 )
 from gldof.risk import criteria
 from gldof.solver import Problem, SolverOptions, lambda_max, solve
@@ -43,8 +42,7 @@ def unwarned_instances(count, q, n, sizes, lam_frac, kkt_tol=1e-12):
         sol = solve(problem, SolverOptions(kkt_tol=kkt_tol))
         if sol.support.is_empty:
             continue
-        _, _, warned = transition_proximity(problem, sol)
-        if warned:
+        if dof_estimate(problem, sol).warning:
             continue
         out.append((problem, sol))
     return out
@@ -210,7 +208,8 @@ def test_criterion_7_risk_identities(mc_scenario):
 def test_criterion_8_transition_detection():
     boundary = transition_instance(0)
     sol = solve(boundary, SolverOptions(kkt_tol=1e-10))
-    margin, _, warned_on_boundary = transition_proximity(boundary, sol)
+    boundary_report = dof_estimate(boundary, sol)
+    margin, warned_on_boundary = boundary_report.transition_margin, boundary_report.warning
 
     rng = np.random.default_rng(99)
     scenario = generate(ScenarioSpec(Q=25, N=10, block_sizes=(2,) * 5,
@@ -220,8 +219,7 @@ def test_criterion_8_transition_detection():
         y = scenario.mu0 + 0.5 * rng.standard_normal(25)
         lam = lambda_max(scenario.design, y, scenario.partition) / 3.0
         problem = Problem(scenario.design, y, lam, scenario.partition)
-        _, _, warned = transition_proximity(problem, solve(problem))
-        if warned:
+        if dof_estimate(problem, solve(problem)).warning:
             false_alarms += 1
     ok = warned_on_boundary and false_alarms == 0
     report("criterion-8 transition-detection", ok,

@@ -154,6 +154,25 @@ class TestSolve:
                      "--partition", "[0, 1]", "--lambda", "0.5"]) == 2
         assert "block 0 is not a sequence of indices" in capsys.readouterr().err
 
+    def test_partition_that_is_not_a_list_is_a_usage_error(self, tmp_path, capsys):
+        xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
+        np.savetxt(xp, np.eye(2), delimiter=",")
+        np.savetxt(yp, np.ones(2), delimiter=",")
+        assert main(["solve", "--x-csv", str(xp), "--y-csv", str(yp),
+                     "--partition", "5", "--lambda", "0.5"]) == 2
+        assert "partition 5 is not a sequence of blocks" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields", [
+        {"partition": 5}, {"partition": [0, 1]}, {"lambda": "0.5"}, {"Q": 20.5},
+    ])
+    def test_malformed_problem_file_is_a_usage_error(self, problem_file, tmp_path, capsys,
+                                                     fields):
+        # each was a TypeError traceback and exit 1, or (Q = 20.5) read as Q = 20
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**json.loads(problem_file.read_text()), **fields}))
+        assert main(["solve", "--problem", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_budget_exhaustion_is_numerical_failure(self, problem_file):
         assert main(["solve", "--problem", str(problem_file),
                      "--lambda", "0.01", "--max-iter", "2"]) == 3
@@ -354,6 +373,20 @@ class TestValidateMc:
         assert main(["validate", "mc", "--spec", str(spec_path),
                      "--replicates", "100", "--mc-seed", "1",
                      "--no-timestamp"]) == 0
+
+
+    @pytest.mark.parametrize("fields", [
+        {"Q": 20.5}, {"k_active": 1.5}, {"seed": 1.5}, {"Q": "20"}, {"sigma": "0.5"},
+        {"block_sizes": 4},
+    ])
+    def test_malformed_spec_is_a_usage_error(self, tmp_path, capsys, fields):
+        # each was a TypeError traceback and exit 1
+        spec_path = tmp_path / "scen.json"
+        spec_path.write_text(json.dumps({"Q": 20, "N": 10, "block_sizes": [2, 2, 2, 2, 2],
+                                         "k_active": 2, "sigma": 0.5, "seed": 42, **fields}))
+        for command in (["gen", "--out", str(tmp_path / "p.json")], ["validate", "mc"]):
+            assert main(command + ["--spec", str(spec_path)]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestParserReuse:

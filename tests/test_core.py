@@ -49,10 +49,12 @@ class TestBlockPartition:
         (("0", "1"),),          # string indices, once parsed
         (),                     # no blocks
         (0, 1),                 # a flat list, once a TypeError
+        5,                      # not a sequence at all, once a TypeError
+        None,
     ])
     def test_invalid(self, bad):
         with pytest.raises(ValueError):
-            BlockPartition(tuple(bad))
+            BlockPartition(bad)
 
     @given(partitions())
     def test_json_round_trip(self, p):

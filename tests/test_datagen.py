@@ -37,6 +37,13 @@ class TestScenarioSpec:
         dict(identity=True),              # identity needs Q == N
         dict(N=3, block_sizes=(1.5, 2)),  # fractional sizes, once truncated to (1, 2)
         dict(N=3, block_sizes=("1", "2")),
+        dict(Q=20.5),                     # fractional counts and seeds, once truncated
+        dict(k_active=1.5),               # or a TypeError traceback
+        dict(seed=1.5),
+        dict(Q="20"),
+        dict(sigma="0.5"),
+        dict(signal_scale="1"),
+        dict(N=4, block_sizes=4),         # not a sequence of sizes
     ])
     def test_invalid(self, kw):
         with pytest.raises(ValueError):
@@ -143,12 +150,25 @@ class TestProblemFiles:
         with pytest.raises(ValueError):
             problem_from_dict(d)
 
-    @pytest.mark.parametrize("partition", [[[0], [1.5]], [["0"], ["1"]], []])
+    @pytest.mark.parametrize("partition", [[[0], [1.5]], [["0"], ["1"]], [], 5, [0, 1]])
     def test_malformed_partition_rejected(self, partition):
-        # a fractional or string index used to be truncated to another partition
+        # a fractional or string index used to be truncated to another
+        # partition, and a partition or block that is not a list was a TypeError
         d = {"Q": 2, "N": 2, "partition": partition, "X": [[1.0, 0.0], [0.0, 1.0]],
              "y": [1.0, 2.0]}
-        with pytest.raises(ValueError, match="not an integer|no blocks"):
+        with pytest.raises(ValueError, match="not an integer|no blocks|not a sequence"):
+            problem_from_dict(d)
+
+    @pytest.mark.parametrize("fields, match", [
+        ({"lambda": "0.5"}, "lambda '0.5' is not a number"),
+        ({"sigma": "0.5"}, "sigma '0.5' is not a number"),
+        ({"Q": 2.5}, "Q 2.5 is not an integer"),  # once read as Q = 2
+        ({"N": "2"}, "N '2' is not an integer"),
+    ])
+    def test_malformed_numbers_rejected(self, fields, match):
+        d = {"Q": 2, "N": 2, "partition": [[0], [1]], "X": [[1.0, 0.0], [0.0, 1.0]],
+             "y": [1.0, 2.0], "lambda": 0.5, **fields}
+        with pytest.raises(ValueError, match=match):
             problem_from_dict(d)
 
     def test_csv_loaders(self, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -12,8 +13,6 @@ from gldof.dof import (
     dof_estimate,
     dof_identity_closed_form,
     fd_step,
-    support_radius,
-    transition_proximity,
 )
 from gldof.solver import (
     Problem,
@@ -25,6 +24,12 @@ from gldof.solver import (
 from gldof.validate import TransitionCrossingError, fd_oracle
 
 TIGHT = SolverOptions(kkt_tol=1e-12)
+
+
+def margins(problem, sol):
+    """The report's (transition_margin, support_margin, warning)."""
+    report = dof_estimate(problem, sol)
+    return report.transition_margin, report.support_margin, report.warning
 
 
 def identity_problem(y, lam, sizes):
@@ -85,16 +90,16 @@ class TestDifferential:
     def test_empty_support_rejected(self):
         problem = random_problem(1, 10, 4, [2, 2])
         lmax = lambda_max(problem.design, problem.y, problem.partition)
-        sol = solve(problem.with_lam(2 * lmax), TIGHT)
+        big = dataclasses.replace(problem, lam=2 * lmax)
+        sol = solve(big, TIGHT)
         with pytest.raises(ValueError):
-            differential(problem.with_lam(2 * lmax), sol)
+            differential(big, sol)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_fd_jacobian_on_generic_instances(self, seed):
         problem = random_problem(seed, 18, 8, [2, 2, 2, 2], lam_frac=0.35)
         sol = solve(problem, TIGHT)
-        _, _, warned = transition_proximity(problem, sol)
-        if warned or sol.support.is_empty:
+        if dof_estimate(problem, sol).warning or sol.support.is_empty:
             pytest.skip("degenerate draw")
         d = differential(problem, sol)
         fd = fd_oracle(problem)[0]
@@ -123,7 +128,7 @@ class TestDofEstimate:
     def test_empty_support_gives_zero(self):
         problem = random_problem(2, 10, 4, [2, 2])
         lmax = lambda_max(problem.design, problem.y, problem.partition)
-        big = problem.with_lam(2 * lmax)
+        big = dataclasses.replace(problem, lam=2 * lmax)
         report = dof_estimate(big, solve(big, TIGHT))
         assert report.divergence == 0.0
         assert report.support.is_empty
@@ -194,9 +199,9 @@ class TestTransitionProximity:
     def test_just_above_lambda_max_warns(self):
         problem = random_problem(3, 12, 6, [2, 2, 2])
         lmax = lambda_max(problem.design, problem.y, problem.partition)
-        nearly = problem.with_lam(lmax * (1 + 1e-9))
+        nearly = dataclasses.replace(problem, lam=lmax * (1 + 1e-9))
         sol = solve(nearly, TIGHT)
-        tm, sm, warn = transition_proximity(nearly, sol)
+        tm, sm, warn = margins(nearly, sol)
         assert sol.support.is_empty and sm == np.inf
         assert tm == pytest.approx(lmax * 1e-9, rel=1e-3)
         assert warn
@@ -205,7 +210,7 @@ class TestTransitionProximity:
     def test_generic_interior_instances_do_not_warn(self, seed):
         problem = random_problem(seed + 100, 20, 8, [2, 2, 2, 2], lam_frac=0.3)
         sol = solve(problem, TIGHT)
-        tm, sm, warn = transition_proximity(problem, sol)
+        tm, sm, warn = margins(problem, sol)
         assert not warn
         assert tm > 1e-6 * problem.lam
 
@@ -213,7 +218,7 @@ class TestTransitionProximity:
     def test_hand_constructed_boundary_instance_warns(self, seed):
         problem = transition_instance(seed)
         sol = solve(problem, SolverOptions(kkt_tol=1e-10))
-        tm, sm, warn = transition_proximity(problem, sol)
+        tm, sm, warn = margins(problem, sol)
         assert warn
         assert tm < 1e-6 * problem.lam
 
@@ -227,13 +232,13 @@ class TestTransitionProximity:
         problem = Problem(design, y, lam, partition)
         sol = solve(problem, TIGHT)
         assert sol.support.active_dim == 4
-        tm, _, _ = transition_proximity(problem, sol)
+        tm, _, _ = margins(problem, sol)
         assert tm == np.inf
 
 
 class TestCoordinateRadius:
-    """`support_radius`: a certified lower bound on the first-order radius of
-    the support along every coordinate, and along every unit direction."""
+    """`DofReport.radius`: a certified lower bound on the first-order radius
+    of the support along every coordinate, and along every unit direction."""
 
     def test_identity_design_closed_form(self):
         # inactive block (0.5, 0.5): lambda - ||y_b|| at a speed of at most
@@ -241,19 +246,19 @@ class TestCoordinateRadius:
         # of at most 1 / sqrt(lambda_min) = 1
         problem = identity_problem([3.0, 4.0, 0.5, 0.5], 1.0, [2, 2])
         sol = solve(problem, TIGHT)
-        assert support_radius(problem, sol) == pytest.approx(1.0 - np.sqrt(0.5), rel=1e-12)
+        assert dof_estimate(problem, sol).radius == pytest.approx(1.0 - np.sqrt(0.5), rel=1e-12)
 
     def test_empty_support(self):
         problem = identity_problem([3.0, 4.0, 0.3, 0.1], 6.0, [2, 2])
         sol = solve(problem, TIGHT)
         assert sol.support.is_empty
-        assert support_radius(problem, sol) == pytest.approx(1.0, rel=1e-12)
+        assert dof_estimate(problem, sol).radius == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_boundary_instance_has_no_room(self, seed):
         problem = transition_instance(seed)
         sol = solve(problem, TIGHT)
-        assert support_radius(problem, sol) == 0.0
+        assert dof_estimate(problem, sol).radius == 0.0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_half_the_radius_keeps_the_support(self, seed):
@@ -261,7 +266,7 @@ class TestCoordinateRadius:
         # that a coordinate probe a few radii out crosses
         problem = random_problem(seed, 14, 6, [2, 2, 2], lam_frac=0.9)
         sol = solve(problem, TIGHT)
-        radius = support_radius(problem, sol)
+        radius = dof_estimate(problem, sol).radius
         fd_oracle(problem, 0.5 * radius, base=sol)
         # well past the radius some probe crosses (at 4r, not yet on seed 3)
         with pytest.raises(TransitionCrossingError):
@@ -276,7 +281,7 @@ class TestCoordinateRadius:
             sol = solve(problem, TIGHT)
             u = np.random.default_rng(seed).standard_normal((14, 20))
             u /= np.linalg.norm(u, axis=0)
-            ys = problem.y[:, None] + 0.5 * support_radius(problem, sol) * u
+            ys = problem.y[:, None] + 0.5 * dof_estimate(problem, sol).radius * u
             probes = solve_batch(problem.design, ys, problem.lam, problem.partition, TIGHT)
             changed += sum(probe.support != sol.support for probe in probes)
         assert changed == 0
@@ -288,24 +293,26 @@ class TestCoordinateRadius:
         problems = [random_problem(seed, 14, 6, [2, 2, 2], lam_frac=0.9) for seed in range(3)]
         problems.append(transition_instance(0))
         above = random_problem(3, 12, 6, [2, 2, 2])
-        problems.append(above.with_lam(lambda_max(above.design, above.y, above.partition)
-                                       * (1 + 1e-9)))
+        lmax = lambda_max(above.design, above.y, above.partition)
+        problems.append(dataclasses.replace(above, lam=lmax * (1 + 1e-9)))
         for problem in problems:
             sol = solve(problem, TIGHT)
-            radius, warned = support_radius(problem, sol), transition_proximity(problem, sol)[2]
+            report = dof_estimate(problem, sol)
+            radius, warned = report.radius, report.warning
             assert warned == (radius < fd_step(problem))
             for s in [1e-9, 1e-7, 1e-3, 1e3, 1e6, 1e8, 1e9]:
                 scaled = Problem(problem.design, s * problem.y, s * problem.lam, problem.partition)
                 scaled_sol = solve(scaled, TIGHT)
-                assert support_radius(scaled, scaled_sol) == pytest.approx(s * radius, rel=1e-6)
-                assert transition_proximity(scaled, scaled_sol)[2] == warned
+                scaled_report = dof_estimate(scaled, scaled_sol)
+                assert scaled_report.radius == pytest.approx(s * radius, rel=1e-6)
+                assert scaled_report.warning == warned
 
 
 class TestDofReportSerialization:
     def test_json_keys_and_infinity_handling(self):
         problem = random_problem(2, 10, 4, [2, 2])
         lmax = lambda_max(problem.design, problem.y, problem.partition)
-        big = problem.with_lam(2 * lmax)
+        big = dataclasses.replace(problem, lam=2 * lmax)
         report = dof_estimate(big, solve(big, TIGHT))
         d = json.loads(report.to_json())
         assert set(d) == {"divergence", "active_blocks", "active_dim",

@@ -1,10 +1,12 @@
 import gldof
 
 # public names deleted with no caller left; their behaviour is checked on
-# the solver's own matrices (test_solver) and through `risk.criteria`, and
-# `support_radius` replaces `coordinate_radius`
+# the solver's own matrices (test_solver) and through `risk.criteria`,
+# `DofReport.radius` replaces `coordinate_radius` and `support_radius`, and
+# the margins of `transition_proximity` are computed by the solver's finish
 DELETED = ("DegenerateBlockError", "normalize_blocks", "delta_P_matrix",
-           "sure", "gcv", "cp", "aic", "coordinate_radius")
+           "sure", "gcv", "cp", "aic", "coordinate_radius", "support_radius",
+           "transition_proximity")
 
 
 def test_public_api():

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -152,7 +153,7 @@ class TestLambdaPath:
                             sigma=1.0, n_points=20)
         assert not curve.failed
         for i, lam in enumerate(curve.lambdas):
-            p = problem.with_lam(lam)
+            p = dataclasses.replace(problem, lam=lam)
             sol = solve(p)
             report = dof_estimate(p, sol)
             resid = p.y - p.design.matrix @ sol.beta

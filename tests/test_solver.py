@@ -1,3 +1,5 @@
+import dataclasses
+import pathlib
 import warnings
 
 import numpy as np
@@ -7,11 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (block_soft_threshold, duality_gap, kkt_residual, polish, random_problem,
+                     reference_margins,
                      unit_and_dense_delta_P)
 
 from gldof import solver
 from gldof.core import BlockPartition, BlockSupport, Design
-from gldof.datagen import ScenarioSpec, generate
+from gldof.datagen import ScenarioSpec, generate, load_problem
 from gldof.dof import dof_estimate
 from gldof.risk import default_lambda_grid
 from gldof.solver import (
@@ -139,10 +142,10 @@ class TestLambdaMax:
     def test_zero_is_optimal_above_lambda_max(self, factor):
         problem = random_problem(11, 12, 6, [3, 3])
         lmax = lambda_max(problem.design, problem.y, problem.partition)
-        sol = solve(problem.with_lam(factor * lmax))
+        sol = solve(dataclasses.replace(problem, lam=factor * lmax))
         assert np.all(sol.beta == 0.0)
         assert sol.support.is_empty
-        assert_gap_closed(problem.with_lam(factor * lmax), sol)
+        assert_gap_closed(dataclasses.replace(problem, lam=factor * lmax), sol)
 
 
 class TestSolve:
@@ -273,7 +276,7 @@ class TestKktCheck:
     def test_zero_is_optimal_for_large_lambda(self):
         problem = random_problem(3, 10, 4, [2, 2])
         lmax = lambda_max(problem.design, problem.y, problem.partition)
-        big = problem.with_lam(2.0 * lmax)
+        big = dataclasses.replace(problem, lam=2.0 * lmax)
         resid, ok = kkt_check(big, np.zeros(4), tol=0.0)
         assert resid == 0.0 and ok
 
@@ -380,6 +383,15 @@ def system_matrix(problem, sol):
     return xi.T @ xi + problem.lam * unit_and_dense_delta_P(beta_i, sol.support)[1]
 
 
+def assert_margins_match_the_reference(problem, sol):
+    """Both margins of a Solution against `helpers.reference_margins` at its
+    beta and support: the transition margin to 1e-13 lambda absolute, the
+    support margin to 1e-13 relative (+inf only where the reference is)."""
+    transition, support = reference_margins(problem, sol.beta, sol.support)
+    assert sol.transition_margin == pytest.approx(transition, rel=0.0, abs=1e-13 * problem.lam)
+    assert sol.support_margin == pytest.approx(support, rel=1e-13, abs=0.0)
+
+
 def rebuilt_from_factor(sol):
     low = np.tril(sol.factor[0])
     return low @ low.T
@@ -398,7 +410,7 @@ class TestPolishAndFactor:
     def test_empty_support_has_no_factor(self):
         problem = random_problem(3, 10, 4, [2, 2])
         lmax = lambda_max(problem.design, problem.y, problem.partition)
-        assert solve(problem.with_lam(2.0 * lmax)).factor is None
+        assert solve(dataclasses.replace(problem, lam=2.0 * lmax)).factor is None
 
     def test_polish_tightens_a_loose_certificate(self):
         problem = random_problem(6, 24, 9, [3, 3, 3], lam_frac=0.2)
@@ -545,6 +557,27 @@ class TestBatchedFinish:
         assert np.array_equal(batch[14].beta, reference[14].beta)
         assert batch[14].kkt_residual == reference[14].kkt_residual
         assert np.array_equal(batch[14].factor[0], reference[14].factor[0])
+
+    def test_margins_of_every_column(self, monkeypatch):
+        design, partition, ys, lams = mixed_batch()
+        # column 15 fails within 100 iterations, and column 14's polished point
+        # is rejected, so that column resumes FISTA and keeps its FISTA point
+        residuals, rejected = solver._residuals, lams[14]
+
+        def rejecting(partition, gram, xty, beta, lam, scales):
+            return np.where(lam == rejected, np.inf, residuals(partition, gram, xty, beta,
+                                                                lam, scales))
+
+        monkeypatch.setattr(solver, "_residuals", rejecting)
+        batch = list(solve_batch(design, ys, lams, partition, SolverOptions(max_iter=100)))
+        monkeypatch.undo()
+        assert not hasattr(batch[15], "transition_margin")
+        for j, sol in enumerate(batch[:15]):
+            assert_margins_match_the_reference(Problem(design, ys[:, j], lams[j], partition), sol)
+        # the empty support, and y = 0, where the slack of every block is lambda
+        assert batch[0].support_margin == np.inf and 0.0 < batch[0].transition_margin < lams[0]
+        assert batch[13].support_margin == np.inf and batch[13].transition_margin == lams[13]
+        assert batch[14].support.active == (3,) and batch[14].transition_margin > 0.0
 
     def test_mixed_supports_on_an_interleaved_partition(self, monkeypatch):
         design, partition, ys, lams = interleaved_batch()
@@ -719,11 +752,15 @@ class TestResume:
 
     VICTIM = 2
 
+    @staticmethod
+    def instance():
+        problem = random_problem(8, 20, 9, [3, 3, 3], lam_frac=0.2)
+        return problem, problem.y[:, None] * np.linspace(0.8, 1.2, 5)
+
     def run(self, monkeypatch, opts):
         """The batch with the victim's first polished point rejected, and the
         iteration counts returned by each `_fista` call."""
-        problem = random_problem(8, 20, 9, [3, 3, 3], lam_frac=0.2)
-        ys = problem.y[:, None] * np.linspace(0.8, 1.2, 5)
+        problem, ys = self.instance()
         victim_scale = lambda_max(problem.design, ys[:, self.VICTIM], problem.partition)
         residuals, fista, phases = solver._residuals, solver._fista, []
 
@@ -759,6 +796,34 @@ class TestResume:
             if j != victim:
                 assert sol.iterations == ref.iterations and sol.support == ref.support
                 assert np.max(np.abs(sol.beta - ref.beta)) <= 1e-12 * np.max(np.abs(ref.beta))
+
+    def test_margins_are_those_of_the_resumed_point(self, monkeypatch):
+        batch, clean, (_, resumed) = self.run(monkeypatch, SolverOptions(kkt_tol=1e-10))
+        assert resumed.size == 1
+        problem, ys = self.instance()
+        for j, sol in enumerate(batch):
+            assert_margins_match_the_reference(dataclasses.replace(problem, y=ys[:, j]), sol)
+        # the resumed point differs from the clean one by round-off, as do its margins
+        victim, ref = batch[self.VICTIM], clean[self.VICTIM]
+        assert not np.array_equal(victim.beta, ref.beta)
+        assert victim.support_margin == pytest.approx(ref.support_margin, rel=1e-9)
+
+    def test_margins_follow_a_support_that_changes_on_resume(self, monkeypatch):
+        # `validate fd` of the benchmark's fd workload at seed 316, round 62:
+        # FISTA first stops with block 3 active, and the resumed point drops it
+        loaded = load_problem(pathlib.Path(__file__).parent / "fixtures"
+                              / "fd_seed316_round62.json")
+        problem, masks, newton = loaded.problem(loaded.lam), [], solver._newton
+
+        def recording(gram, partition, xty, lam, beta, resid, active, scales):
+            masks.append(active[:, 0].copy())
+            return newton(gram, partition, xty, lam, beta, resid, active, scales)
+
+        monkeypatch.setattr(solver, "_newton", recording)
+        sol = solve(problem)
+        assert [mask[3] for mask in masks] == [True, False]
+        assert sol.support.active == tuple(np.flatnonzero(masks[1]))
+        assert_margins_match_the_reference(problem, sol)
 
     def test_resume_within_the_budget_left(self, monkeypatch):
         opts = SolverOptions(kkt_tol=1e-10)

@@ -15,7 +15,6 @@ from gldof.dof import (
     dof_estimate,
     dof_identity_closed_form,
     fd_step,
-    support_radius,
 )
 from gldof.solver import Problem, SolverOptions, solve
 from gldof.validate import (
@@ -137,7 +136,7 @@ class TestFdJacobian:
 
         monkeypatch.setattr(validate, "solve_batch", recording)
         # the step of `validate fd`
-        fd_oracle(problem, min(fd_step(problem), 0.5 * support_radius(problem, base)),
+        fd_oracle(problem, min(fd_step(problem), 0.5 * dof_estimate(problem, base).radius),
                   base=base)
         assert len(probes) == 2 * problem.design.Q
         for sol in probes:

@@ -57,11 +57,19 @@ def parse_runs(specs):
     return pairs
 
 
-def run(tree: str, workload: str, seed: int, seconds: float) -> dict:
+def run(tree: str, side: str, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run of `tree`; stops the recording if it gives no result."""
     out = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                           "--seed", str(seed), "--seconds", str(seconds)],
                          cwd=tree, capture_output=True, text=True)
-    result = json.loads(out.stdout.strip().splitlines()[-1])
+    try:
+        if out.returncode != 0:
+            raise ValueError
+        result = json.loads(out.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):  # no output, or a last line that is not JSON
+        tail = "\n".join(out.stderr.strip().splitlines()[-20:])
+        sys.exit(f"{side} run of {workload} seed {seed} gave no result "
+                 f"(exit code {out.returncode}); the tail of its stderr:\n{tail}")
     return {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
@@ -121,7 +129,7 @@ def main(argv=None) -> int:
         runs = entry["runs"]
         order = ("base", "head") if len(runs["base"]) % 2 == 0 else ("head", "base")
         for side in order:
-            runs[side].append(run(trees[side], workload, seed, seconds))
+            runs[side].append(run(trees[side], side, workload, seed, seconds))
             print(workload, seed, side, json.dumps(runs[side][-1]), flush=True)
         entry["summary"] = summarize(runs, better)
         with open(args.out, "w") as fh:

@@ -21,6 +21,8 @@ import scipy.linalg
 
 def _index(i, what="block index") -> int:
     try:
+        if isinstance(i, bool):  # JSON's true and false are not indices
+            raise TypeError
         return operator.index(i)
     except TypeError:
         raise ValueError(f"{what} {i!r} is not an integer") from None

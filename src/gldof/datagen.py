@@ -48,6 +48,8 @@ class ScenarioSpec:
         object.__setattr__(self, "block_sizes", sizes)
         if sum(self.block_sizes) != self.N:
             raise ValueError("block sizes must sum to N")
+        if not isinstance(self.identity, bool):
+            raise ValueError(f"identity must be true or false, not {self.identity!r}")
         if self.identity:
             if self.Q != self.N:
                 raise ValueError("identity design requires Q == N")
@@ -57,7 +59,7 @@ class ScenarioSpec:
             raise ValueError("k_active out of range")
         for name in ("sigma", "signal_scale"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not value > 0:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value > 0:
                 raise ValueError(f"{name} must be a positive number, not {value!r}")
 
     def to_dict(self) -> dict:
@@ -170,19 +172,28 @@ class LoadedProblem:
         return Problem(self.design, self.y, lam, self.partition)
 
 
+def _numbers(d: dict, key: str) -> np.ndarray:
+    """The array of a problem file's entry, which must hold numbers only."""
+    a = np.asarray(d[key])
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{key} must hold numbers only")
+    return a.astype(float, copy=False)
+
+
 def problem_from_dict(d: dict) -> LoadedProblem:
     q, n = _index(d["Q"], "Q"), _index(d["N"], "N")
-    x = np.asarray(d["X"], dtype=float)
+    x = _numbers(d, "X")
     if x.ndim == 1:  # row-major flat layout is accepted too
         x = x.reshape(q, n)
     if x.shape != (q, n):
         raise ValueError(f"X has shape {x.shape}, expected ({q}, {n})")
-    y = np.asarray(d["y"], dtype=float)
+    y = _numbers(d, "y")
     partition = BlockPartition(d["partition"])
     for key in ("lambda", "sigma"):
-        if d.get(key) is not None and not isinstance(d[key], numbers.Real):
-            raise ValueError(f"{key} {d[key]!r} is not a number")
-    beta0 = np.asarray(d["beta0"], dtype=float) if "beta0" in d else None
+        value = d.get(key)
+        if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+            raise ValueError(f"{key} {value!r} is not a number")
+    beta0 = _numbers(d, "beta0") if "beta0" in d else None
     return LoadedProblem(design=Design(x), y=y, partition=partition,
                          lam=d.get("lambda"), beta0=beta0, sigma=d.get("sigma"))
 

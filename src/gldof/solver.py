@@ -26,9 +26,9 @@ probes) or at one lambda per column (a lambda path), with per-column
 momentum, restart, threshold and certificate, and one batched finish:
 columns are finished and yielded in order, a chunk at a time, and each
 Newton step of a chunk is one pass over all its columns whatever their
-supports, their system matrices zero-padded to the chunk's largest support
-(c x m_max^2 entries, at most N x BATCH_COLUMNS) and X_I'X_I gathered once
-per distinct support.
+supports.  The points stay N x c, as in FISTA, and only the system matrices
+are compact: each column's X_I'X_I is gathered once into a stack padded to
+the chunk's largest support (c x m_max^2 entries, at most N x BATCH_COLUMNS).
 `solve` is that same code at K = 1: one FISTA iteration, one prox, one
 certificate (`_violation`, which `kkt_check` evaluates too) and one finish,
 equal to a column-by-column finish up to round-off.
@@ -267,8 +267,8 @@ def solve_batch(design: Design, ys, lam: float | np.ndarray, partition: BlockPar
     columns then get the support rule, Newton polish and factor of `solve`
     at their own lambda, a chunk at a time: c columns whose supports have
     at most m_max coordinates, with c x m_max^2 <= N x BATCH_COLUMNS (or
-    one column), take each Newton step in one padded pass (module
-    docstring).
+    one column), take each Newton step in one pass, their points N x c and
+    their system matrices in one padded stack (module docstring).
     Within its chunk, before the chunk yields, a column whose finished
     point misses kkt_tol resumes FISTA from its FISTA point, at kkt_tol and
     with what is left of `max_iter`, and is finished again; so memory stays
@@ -499,110 +499,84 @@ def _newton(gram, partition, xty, lam, beta, resid, active, scales):
     polished certificate (`_residuals`) is worse.  Returns the points kept
     and their certificates, supports and factors.
 
-    The columns step together whatever their supports.  Each column's point
-    is a row of a stack m_max wide: its m active coordinates first, in the
-    block order of `BlockSupport.indices`, then zeros.  Its support's
-    X_I'X_I, gathered once per distinct support, is zero-padded the same
-    way, and columns with one support share its BlockSupport.  A pass is
-    then one gather of X_I'X_I, one computation of the unit vectors and of
-    the deltaP entries on same-block pairs and one assembly, over all the
-    columns; the stationarity product X_I'X_I b is made on the unpadded
-    m x m block, one product per distinct support, which rounds as the
-    column-by-column finish does, so that the 1e-15 stop takes the same
-    steps; a column's Cholesky factorization and its step's solve use its
-    leading m x m slice.
+    The columns step together whatever their supports, in the layout of
+    `_fista`: the points are N x c with zeros off each support, and so are
+    their unit vectors and stationarity residuals.  Only the system
+    matrices are compact.  Column t's X_I'X_I, its m active coordinates in
+    the block order of `BlockSupport.indices`, is gathered once into the
+    leading m x m block of a c x m_max x m_max stack; each pass adds the
+    deltaP entries of its same-block pairs, and the column's Cholesky
+    factorization and its step's solve use that block alone.  Block norms
+    are summed block by block in partition order, as `BlockSupport.restrict`
+    stacks them.  Columns with one support share its BlockSupport.
     """
-    g = beta.shape[1]
-    point = np.where(active[partition.block_index], beta, 0.0)
-    supports, start, factors = [BlockSupport(partition, ())] * g, [None] * g, [None] * g
-    on = np.flatnonzero(active.any(axis=0))
-    if on.size:
-        # the distinct supports, and which of them each column has
-        bits = np.packbits(active[:, on], axis=0)
-        keys = np.ascontiguousarray(bits.T).view(np.dtype((np.void, bits.shape[0])))
-        _, first, which = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-        distinct = [BlockSupport(partition, tuple(np.flatnonzero(active[:, j])))
-                    for j in on[first]]
-        # per distinct support, once: its coordinates and X_I'X_I, padded
-        # with zeros to the widest support's m_max
-        dims = np.array([s.active_dim for s in distinct])
-        width = dims.max()
-        idx = np.zeros((dims.size, width), dtype=int)
-        gram_ii = np.zeros((dims.size, width, width))
-        for d, s in enumerate(distinct):
-            i = s.indices
-            idx[d, :i.size], gram_ii[d, :i.size, :i.size] = i, gram[i[:, None], i]
+    n, g = beta.shape
+    block, sizes = partition.block_index, partition.block_sizes
+    on = active[block]
+    point = np.where(on, beta, 0.0)
+    shared, supports = {}, []
+    for mask in active.T:
+        key = mask.tobytes()
+        if key not in shared:
+            shared[key] = BlockSupport(partition, tuple(np.flatnonzero(mask)))
+        supports.append(shared[key])
+    # each column's active coordinates in block order, then pads, which read
+    # coordinate 0 and lie outside the leading m x m block
+    order = np.argsort(block, kind="stable")
+    dims = sizes @ active
+    width = dims.max()
+    real = np.arange(width) < dims[:, None]
+    idx = np.zeros(real.shape, dtype=int)
+    idx[real] = order[np.nonzero(on[order].T)[1]]
+    gram_ii = gram.take(idx[:, :, None] * n + idx[:, None, :])
+    # the flat position of (idx[t, r], t) in an N x c matrix
+    cell = idx * g + np.arange(g)[:, None]
+    # the same-block pairs (r, q) of every column t: their flat positions in
+    # the stack, and those of their two coordinates in an N x c matrix
+    label = np.where(real, block[idx], -1)
+    at = np.flatnonzero((label[:, :, None] == label[:, None, :]) & real[:, :, None])
+    tr, q = np.divmod(at, width)
+    t, r = np.divmod(tr, width)
+    at_r, at_q, lam_k, diag = cell.flat[tr], cell.flat[t * width + q], lam[t], r == q
+    heads = np.cumsum(sizes) - sizes
+    factors, alive = [None] * g, np.zeros(g, dtype=bool)
 
-        # the stack, a row per column: its point, X'y and the block of each
-        # position, -1 on pads; the runs of one label along the flattened
-        # stack are the blocks, and the pads, of every row: `run` numbers
-        # them by position, and `at` is where each starts
-        c, dim_c, idx_c = on.size, dims[which], idx[which]
-        real = np.arange(width) < dim_c[:, None]
-        b = np.where(real, beta[idx_c, on[:, None]], 0.0)
-        xty_c = np.where(real, xty[idx_c, on[:, None]], 0.0)
-        label = np.where(real, partition.block_index[idx_c], -1)
-        new = np.ones(b.shape, dtype=bool)
-        new[:, 1:] = label[:, 1:] != label[:, :-1]
-        at, label = np.flatnonzero(new), label.ravel()
-        run = np.cumsum(new).reshape(b.shape) - 1
-        # a block of z coordinates from flat position a holds the deltaP
-        # pairs (a + i, a + j), i, j < z: their flat positions r and c in
-        # the stack, and r * m_max + c % m_max in the stack of matrices
-        starts = at[label[at] >= 0]
-        z = partition.block_sizes[label[starts]]
-        area = z * z
-        within = np.arange(area.sum()) - np.repeat(np.cumsum(area) - area, area)
-        z, starts = np.repeat(z, area), np.repeat(starts, area)
-        at_r, at_c = starts + within // z, starts + within % z
-        at_rc, diag = at_r * width + at_c % width, at_r == at_c
-        lam_c, floor = lam[on, None], 1e-15 * scales[on]
-        lam_k = lam_c[at_r // width, 0]
-        by_support = [(m, np.flatnonzero(which == d), gram_ii[d, :m, :m])
-                      for d, m in enumerate(dims)]
-        alive = np.ones(c, dtype=bool)
+    def factor(mv):
+        # every column's stationarity residual at its point, and the factors
+        # of columns mv; one whose point has a zero block has none
+        sq = np.add.reduceat(np.square(point[order]), heads, axis=0)
+        nil = sq == 0.0
+        zero = (nil & active).any(axis=0)
+        # inactive blocks, and the zero blocks of a column falling back, divide by 1
+        norms = np.sqrt(np.where(nil, 1.0, sq))[block]
+        unit = point / norms
+        u, nr = unit.ravel(), norms.ravel()
+        mats = gram_ii.copy()
+        mats.reshape(-1)[at] += lam_k * ((diag - u[at_r] * u[at_q]) / nr[at_r])
+        for j in mv:
+            m = dims[j]
+            factors[j] = None if zero[j] else _cholesky(mats[j, :m, :m])
+            alive[j] = factors[j] is not None
+        return np.where(on, gram @ point - xty + lam * unit, 0.0)
 
-        def factor(mv):
-            # every column's stationarity residual at its point, and the
-            # factors of columns mv; one whose point has a zero block has none
-            sq = np.add.reduceat((b * b).ravel(), at)[run]
-            nil = sq == 0.0
-            zero = (nil & real).any(axis=1)
-            # pads, and the zero blocks of a column falling back, divide by 1
-            norms = np.sqrt(np.where(nil, 1.0, sq))
-            unit = b / norms
-            prod = np.zeros_like(b)
-            for m, sel, gram_m in by_support:
-                prod[sel, :m] = b[sel, :m] @ gram_m
-            stat = prod - xty_c + lam_c * unit
-            mats = gram_ii[which]
-            u, nr = unit.ravel(), norms.ravel()
-            mats.reshape(-1)[at_rc] += lam_k * ((diag - u[at_r] * u[at_c]) / nr[at_r])
-            for t in mv:
-                m = dim_c[t]
-                factors[on[t]] = None if zero[t] else _cholesky(mats[t, :m, :m])
-                alive[t] = factors[on[t]] is not None
-            return stat
-
-        stat = factor(range(c))
-        if not alive.all():
-            raise scipy.linalg.LinAlgError("system matrix is not positive definite")
-        for j, d in zip(on, which):
-            supports[j], start[j] = distinct[d], factors[j]
-        for _ in range(NEWTON_STEPS):
-            # a column that fell back is left without a factor, and stops
-            mv = np.flatnonzero(alive & (np.abs(stat).max(axis=1) > floor))
-            if not mv.size:
-                break
-            for t in mv:
-                m = dim_c[t]
-                b[t, :m] -= factor_solve(factors[on[t]], stat[t, :m])
-            stat = factor(mv)
-        point[idx_c[real], np.repeat(on, dim_c)] = b[real]
-    tried = np.array([f is not None for f in factors])
+    stat = factor(np.flatnonzero(dims))
+    if not alive[dims > 0].all():
+        raise scipy.linalg.LinAlgError("system matrix is not positive definite")
+    start, floor = list(factors), 1e-15 * scales
+    for _ in range(NEWTON_STEPS):
+        # a column that fell back is left without a factor, and stops
+        mv = np.flatnonzero(alive & (np.abs(stat).max(axis=0) > floor))
+        if not mv.size:
+            break
+        rhs, at_mv = stat.flat[cell[mv]], cell[mv][real[mv]]
+        for i, j in enumerate(mv):
+            rhs[i, :dims[j]] = factor_solve(factors[j], rhs[i, :dims[j]])
+        point.flat[at_mv] -= rhs[real[mv]]
+        stat = factor(mv)
+    # the columns that kept a factor to the end
     polished = np.full(g, math.inf)
-    polished[tried] = _residuals(partition, gram, xty[:, tried], point[:, tried], lam[tried],
-                                 scales[tried])
+    polished[alive] = _residuals(partition, gram, xty[:, alive], point[:, alive], lam[alive],
+                                 scales[alive])
     keep = polished <= resid
     return (np.where(keep, point, beta), np.where(keep, polished, resid), supports,
             [f if k else s for f, s, k in zip(factors, start, keep)])

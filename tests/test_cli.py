@@ -18,6 +18,10 @@ from gldof.solver import lambda_max
 # position 0: a transition margin of 2.4e-6 lambda, and a support radius of
 # 8.9e-7, below the 1.1e-5 default step, so the report warns
 FD_NEAR_BOUNDARY = pathlib.Path(__file__).parent / "fixtures" / "fd_seed316_round62.json"
+# the same workload at seed 316, round 56, position 0: a smallest active block
+# norm of 7.1e-6, and a support radius of 1.1e-6, below the 1.5e-5 default
+# step, so the report warns; here the default step crosses no boundary
+FD_SMALL_BLOCK = pathlib.Path(__file__).parent / "fixtures" / "fd_seed316_round56.json"
 
 
 @pytest.fixture
@@ -164,10 +168,12 @@ class TestSolve:
 
     @pytest.mark.parametrize("fields", [
         {"partition": 5}, {"partition": [0, 1]}, {"lambda": "0.5"}, {"Q": 20.5},
+        {"lambda": True},
     ])
     def test_malformed_problem_file_is_a_usage_error(self, problem_file, tmp_path, capsys,
                                                      fields):
         # each was a TypeError traceback and exit 1, or (Q = 20.5) read as Q = 20
+        # and (lambda true) as lambda = 1
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({**json.loads(problem_file.read_text()), **fields}))
         assert main(["solve", "--problem", str(bad)]) == 2
@@ -283,6 +289,18 @@ class TestValidateFd:
         assert d["passed"] is True and d["transition_warning"] is True
         assert d["step"] < 0.5 * fd_step(problem)
         assert d["jacobian_worst_tol_ratio"] <= 1e-2
+
+    def test_small_active_block_is_stepped_inside_the_support_radius(self, tmp_path):
+        # the radius is set by an active block, not by an inactive one's
+        # slack, and `jacobian_worst_tol_ratio` is within round-off of 1e-2,
+        # so only the command's own verdict is asserted
+        problem = load_problem(str(FD_SMALL_BLOCK)).problem()
+        out = tmp_path / "fd.json"
+        assert main(["validate", "fd", "--problem", str(FD_SMALL_BLOCK),
+                     "--out", str(out), "--no-timestamp"]) == 0
+        d = json.loads(out.read_text())
+        assert d["passed"] is True and d["transition_warning"] is True
+        assert d["step"] < 0.5 * fd_step(problem)
 
     def test_boundary_observation_is_a_numerical_failure(self, tmp_path):
         # y exactly on the boundary of the empty support: no step keeps it

@@ -51,6 +51,7 @@ class TestBlockPartition:
         (0, 1),                 # a flat list, once a TypeError
         5,                      # not a sequence at all, once a TypeError
         None,
+        ((True,), (False,)),    # booleans, once read as ((0,), (1,))
     ])
     def test_invalid(self, bad):
         with pytest.raises(ValueError):

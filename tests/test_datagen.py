@@ -44,6 +44,11 @@ class TestScenarioSpec:
         dict(sigma="0.5"),
         dict(signal_scale="1"),
         dict(N=4, block_sizes=4),         # not a sequence of sizes
+        dict(Q=10, identity="false"),     # once the identity design, by truthiness
+        dict(identity=0),                 # once stored as 0
+        dict(k_active=True),              # booleans, once read as 1
+        dict(seed=True),
+        dict(sigma=True),
     ])
     def test_invalid(self, kw):
         with pytest.raises(ValueError):
@@ -164,6 +169,11 @@ class TestProblemFiles:
         ({"sigma": "0.5"}, "sigma '0.5' is not a number"),
         ({"Q": 2.5}, "Q 2.5 is not an integer"),  # once read as Q = 2
         ({"N": "2"}, "N '2' is not an integer"),
+        ({"lambda": True}, "lambda True is not a number"),  # once read as 1
+        ({"sigma": True}, "sigma True is not a number"),
+        ({"y": ["1", "2"]}, "y must hold numbers only"),  # strings, once parsed
+        ({"X": [[True, False], [False, True]]}, "X must hold numbers only"),
+        ({"beta0": ["0", "1"]}, "beta0 must hold numbers only"),
     ])
     def test_malformed_numbers_rejected(self, fields, match):
         d = {"Q": 2, "N": 2, "partition": [[0], [1]], "X": [[1.0, 0.0], [0.0, 1.0]],

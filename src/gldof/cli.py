@@ -142,10 +142,7 @@ def cmd_gen(args) -> int:
 
 def _resolve_problem(args) -> tuple[Problem, list[str]]:
     loaded, inputs = _load_input(args)
-    lam = args.lam if args.lam is not None else loaded.lam
-    if lam is None:
-        raise ValueError("no lambda in the problem file; pass --lambda")
-    return loaded.problem(lam), inputs
+    return loaded.problem(args.lam), inputs
 
 
 def cmd_solve(args) -> int:

@@ -114,9 +114,6 @@ class BlockPartition:
             raise ValueError(f"expected {self.total_dim} rows, got shape {v.shape}")
         return np.sqrt(self.indicator @ np.square(v))
 
-    def to_json(self) -> str:
-        return json.dumps([list(b) for b in self.blocks])
-
     @classmethod
     def from_json(cls, text: str) -> "BlockPartition":
         return cls(json.loads(text))

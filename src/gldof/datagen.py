@@ -62,11 +62,6 @@ class ScenarioSpec:
             if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value > 0:
                 raise ValueError(f"{name} must be a positive number, not {value!r}")
 
-    def to_dict(self) -> dict:
-        return {"Q": self.Q, "N": self.N, "block_sizes": list(self.block_sizes),
-                "k_active": self.k_active, "signal_scale": self.signal_scale,
-                "sigma": self.sigma, "seed": self.seed, "identity": self.identity}
-
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioSpec":
         return cls(Q=d["Q"], N=d["N"], block_sizes=d["block_sizes"],
@@ -96,11 +91,6 @@ class Scenario:
             seed = self.spec.seed
         noise = replicate_rng(seed, replicate).standard_normal(self.design.Q)
         return self.mu0 + self.spec.sigma * noise
-
-    def problem(self, lam: float, y=None) -> Problem:
-        if y is None:
-            y = self.draw_y()
-        return Problem(self.design, y, lam, self.partition)
 
 
 def generate(spec: ScenarioSpec) -> Scenario:
@@ -168,14 +158,18 @@ class LoadedProblem:
         if lam is None:
             lam = self.lam
         if lam is None:
-            raise ValueError("no lambda stored in the file; pass one explicitly")
+            raise ValueError("no lambda given (--lambda), and none stored with the problem")
         return Problem(self.design, self.y, lam, self.partition)
 
 
 def _numbers(d: dict, key: str) -> np.ndarray:
-    """The array of a problem file's entry, which must hold numbers only."""
+    """The array of a problem file's entry, which must hold numbers only: each
+    row's element types are checked, as numpy reads true among numbers as 1."""
     a = np.asarray(d[key])
-    if a.dtype.kind not in "iuf":
+    rows = [[d[key]]]
+    for _ in range(a.ndim):
+        rows = [row for outer in rows for row in outer]
+    if a.dtype.kind not in "iuf" or any(bool in set(map(type, row)) for row in rows):
         raise ValueError(f"{key} must hold numbers only")
     return a.astype(float, copy=False)
 
@@ -215,9 +209,12 @@ def load_problem(path) -> LoadedProblem:
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    m = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
-    return m
+    return np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
 
 
 def load_vector_csv(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", dtype=float).reshape(-1)
+    """A vector written as one row or as one column of a CSV file."""
+    v = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    if 1 not in v.shape:
+        raise ValueError(f"{path}: expected one row or one column, got shape {v.shape}")
+    return v.reshape(-1)

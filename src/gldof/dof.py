@@ -18,7 +18,6 @@ the solver's finish, into a certified radius of the support and a warning.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -64,9 +63,6 @@ class DofReport:
             "condition_estimate": self.condition_estimate,
             "warning": self.warning,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def _condition(factor) -> float:

@@ -29,9 +29,10 @@ Newton step of a chunk is one pass over all its columns whatever their
 supports.  The points stay N x c, as in FISTA, and only the system matrices
 are compact: each column's X_I'X_I is gathered once into a stack padded to
 the chunk's largest support (c x m_max^2 entries, at most N x BATCH_COLUMNS).
-`solve` is that same code at K = 1: one FISTA iteration, one prox, one
-certificate (`_violation`, which `kkt_check` evaluates too) and one finish,
-equal to a column-by-column finish up to round-off.
+`solve` is that same code at K = 1: one FISTA start and iteration, one prox,
+one certificate (`_violation`, which `kkt_check` evaluates too) and one
+finish, equal to a column-by-column finish up to round-off; each support's
+BlockSupport is built once, as its columns are yielded.
 
 Tolerance policy.  Solving (s y, s lambda) gives s beta(y) and the same DOF,
 so no tolerance is absolute:
@@ -109,15 +110,11 @@ class Problem:
     def with_y(self, y) -> "Problem":
         return replace(self, y=y)
 
-    def objective(self, values) -> float:
-        """0.5 ||y - X b||^2 + lambda * sum of block norms, from scratch."""
-        b = np.asarray(values, dtype=float)[:, None]
-        return float(_objective(self.design, self.partition, self.y[:, None], self.lam, b)[0])
-
 
 def _objective(design: Design, partition: BlockPartition, ys, lams, beta):
-    """`Problem.objective` at each column of an N x K matrix of points, with
-    the observations ys (Q x K) and one lambda per column."""
+    """0.5 ||y - X b||^2 + lambda * sum of block norms, from scratch, at each
+    column of an N x K matrix of points, with the observations ys (Q x K)
+    and one lambda per column."""
     fit = ys - design.matrix @ beta
     return 0.5 * np.einsum("ij,ij->j", fit, fit) + lams * partition.block_norms(beta).sum(axis=0)
 
@@ -309,8 +306,9 @@ def _solve_columns(design, partition, ys, lams, opts, start=None):
     chunk's columns; a column whose kept point misses kkt_tol resumes FISTA
     from its FISTA point at kkt_tol, with what is left of `max_iter`, and is
     finished again; and the chunk yields each column's Solution, with its
-    margins, or the ConvergenceError of a column still uncertified after
-    `max_iter` iterations in all.
+    margins and the BlockSupport of its final mask, or the ConvergenceError
+    of a column still uncertified after `max_iter` iterations in all.
+    Columns with one support, in any chunk, share its BlockSupport.
     """
     gram, tol, max_iter = design.gram, opts.kkt_tol, opts.max_iter
     xty = design.matrix.T @ ys
@@ -321,14 +319,15 @@ def _solve_columns(design, partition, ys, lams, opts, start=None):
     active = support_mask(partition, fista) & ~failed
     dims = partition.block_sizes @ active
     n, k = fista.shape
-    lo = 0
+    # the BlockSupport of each distinct mask, keyed by its bytes
+    lo, supports = 0, {}
     while lo < k:
         # finish in column order, a chunk of c columns at a time whose padded
         # system matrices, c x m_max^2 entries, hold at most N x BATCH_COLUMNS
         # (or one column's)
         padded = np.arange(1, k - lo + 1) * np.maximum.accumulate(dims[lo:]) ** 2
         hi = lo + max(1, int(np.searchsorted(padded, n * BATCH_COLUMNS, side="right")))
-        beta, resid, supports, factors = _newton(
+        beta, resid, factors = _newton(
             gram, partition, xty[:, lo:hi], lams[lo:hi], fista[:, lo:hi],
             fista_resid[lo:hi], active[:, lo:hi], scales[lo:hi])
         miss = np.flatnonzero((resid > tol) & ~failed[lo:hi])
@@ -342,11 +341,11 @@ def _solve_columns(design, partition, ys, lams, opts, start=None):
                     design, partition, xty[:, g], lams[g], scales[g], tol, budget, fista[:, g])
                 iters[g] += more
             active[:, js] = support_mask(partition, fista[:, js]) & ~failed[js]
-            beta[:, miss], resid[miss], again, again_factors = _newton(
+            beta[:, miss], resid[miss], again = _newton(
                 gram, partition, xty[:, js], lams[js], fista[:, js], fista_resid[js],
                 active[:, js], scales[js])
-            for i, support, factor in zip(miss, again, again_factors):
-                supports[i], factors[i] = support, factor
+            for i, factor in zip(miss, again):
+                factors[i] = factor
         objective = _objective(design, partition, ys[:, lo:hi], lams[lo:hi], beta)
         # the margins of the points returned, on the masks of their supports
         on = active[:, lo:hi]
@@ -363,7 +362,10 @@ def _solve_columns(design, partition, ys, lams, opts, start=None):
                     f"(best residual {resid[i]:g})",
                     beta=b, kkt_residual=float(resid[i]), iterations=max_iter)
             else:
-                yield Solution(beta=b, support=supports[i], objective=float(objective[i]),
+                key = active[:, j].tobytes()
+                if key not in supports:
+                    supports[key] = BlockSupport(partition, tuple(np.flatnonzero(active[:, j])))
+                yield Solution(beta=b, support=supports[key], objective=float(objective[i]),
                                kkt_residual=float(resid[i]), iterations=int(iters[j]),
                                transition_margin=float(t_margin[i]),
                                support_margin=float(s_margin[i]), factor=factors[i])
@@ -373,7 +375,7 @@ def _solve_columns(design, partition, ys, lams, opts, start=None):
 def _fista(design, partition, c, lams, scales, tol, max_iter, start=None):
     """The one FISTA loop, on the columns of c = X'Y (N x K), one lambda
     (`lams`) and one s(y) (`scales`) each, from `start` (N x K, zeros when
-    None).
+    None), which is evaluated as any iterate is.
 
     A column is frozen at the first iteration at which its `_violation` is
     at most tol * s(y) (for s(y) = 0: exactly 0).  Returns each column's
@@ -406,16 +408,10 @@ def _fista(design, partition, c, lams, scales, tol, max_iter, start=None):
     # yet frozen; the frozen ones are dropped once they are half of the
     # working set, and a frozen column's bound is -inf
     cols, lam, thresh, bound = np.arange(k), lams, step * lams, tol * scales
-    if start is None:
-        beta, gbeta = np.zeros((n, k)), np.zeros((n, k))
-        bnorms, obj = np.zeros((partition.n_blocks, k)), np.zeros(k)
-        # `_violation` at beta = 0, where every block is inactive
-        viol = scales - lam
-    else:
-        beta = start
-        gbeta, bnorms = gram @ beta, norms(beta)
-        obj = value(beta, gbeta, bnorms, c, lam)
-        viol = _violation(partition, c - gbeta, beta, bnorms, lam)
+    beta = np.zeros((n, k)) if start is None else start
+    gbeta, bnorms = gram @ beta, norms(beta)
+    obj = value(beta, gbeta, bnorms, c, lam)
+    viol = _violation(partition, c - gbeta, beta, bnorms, lam)
     t_mom, live = np.ones(k), np.ones(k, dtype=bool)
     best_beta, best_viol = beta, viol
     z, gz = beta, gbeta
@@ -497,7 +493,7 @@ def _newton(gram, partition, xty, lam, beta, resid, active, scales):
     finite-difference Jacobians.  A column keeps its FISTA point and start
     factor if a step zeroes a block or is not positive definite, or if its
     polished certificate (`_residuals`) is worse.  Returns the points kept
-    and their certificates, supports and factors.
+    and their certificates and factors.
 
     The columns step together whatever their supports, in the layout of
     `_fista`: the points are N x c with zeros off each support, and so are
@@ -508,18 +504,12 @@ def _newton(gram, partition, xty, lam, beta, resid, active, scales):
     deltaP entries of its same-block pairs, and the column's Cholesky
     factorization and its step's solve use that block alone.  Block norms
     are summed block by block in partition order, as `BlockSupport.restrict`
-    stacks them.  Columns with one support share its BlockSupport.
+    stacks them.
     """
     n, g = beta.shape
     block, sizes = partition.block_index, partition.block_sizes
     on = active[block]
     point = np.where(on, beta, 0.0)
-    shared, supports = {}, []
-    for mask in active.T:
-        key = mask.tobytes()
-        if key not in shared:
-            shared[key] = BlockSupport(partition, tuple(np.flatnonzero(mask)))
-        supports.append(shared[key])
     # each column's active coordinates in block order, then pads, which read
     # coordinate 0 and lie outside the leading m x m block
     order = np.argsort(block, kind="stable")
@@ -578,5 +568,5 @@ def _newton(gram, partition, xty, lam, beta, resid, active, scales):
     polished[alive] = _residuals(partition, gram, xty[:, alive], point[:, alive], lam[alive],
                                  scales[alive])
     keep = polished <= resid
-    return (np.where(keep, point, beta), np.where(keep, polished, resid), supports,
+    return (np.where(keep, point, beta), np.where(keep, polished, resid),
             [f if k else s for f, s, k in zip(factors, start, keep)])

@@ -10,7 +10,6 @@ correctness evidence.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -44,8 +43,8 @@ def fd_oracle(problem: Problem, h: float | None = None, *, base: Solution | None
     ConvergenceError of an uncertified probe.
     """
     h = fd_step(problem) if h is None else h
-    if not h > 0:
-        raise ValueError("step h must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError("step h must be positive and finite")
     opts = SolverOptions(kkt_tol=ORACLE_KKT_TOL, max_iter=max_iter)
     support = (base if base is not None else solve(problem, opts)).support
     q = problem.design.Q
@@ -88,16 +87,14 @@ class McDofResult:
     def combined_stderr(self) -> float:
         return math.hypot(self.mc_stderr, self.div_stderr)
 
-    def consistent(self, n_sigma: float = 3.0) -> bool:
-        """Unbiasedness verdict: divergence within n_sigma of the MC DOF."""
-        return abs(self.mean_divergence - self.mc_dof) <= n_sigma * self.combined_stderr
+    def consistent(self) -> bool:
+        """Unbiasedness verdict: divergence within 3 combined standard errors
+        of the MC DOF."""
+        return abs(self.mean_divergence - self.mc_dof) <= 3.0 * self.combined_stderr
 
     def to_dict(self) -> dict:
         return dict(dataclasses.asdict(self), combined_stderr=self.combined_stderr,
                     consistent_3sigma=self.consistent())
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def replicate_rng(seed: int, k: int) -> np.random.Generator:

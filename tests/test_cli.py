@@ -1,6 +1,7 @@
 import json
 import pathlib
 import platform
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,17 @@ class TestSolve:
                      "--partition", "5", "--lambda", "0.5"]) == 2
         assert "partition 5 is not a sequence of blocks" in capsys.readouterr().err
 
+    def test_observations_csv_with_a_table_is_a_usage_error(self, tmp_path, capsys):
+        # a 2 x 2 table was once flattened into y = (1, 2, 3, 4) and solved
+        xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
+        np.savetxt(xp, np.eye(4), delimiter=",")
+        np.savetxt(yp, [[1.0, 2.0], [3.0, 4.0]], delimiter=",")
+        out = tmp_path / "sol.json"
+        assert main(["solve", "--x-csv", str(xp), "--y-csv", str(yp), "--partition",
+                     "[[0, 1], [2, 3]]", "--lambda", "0.5", "--out", str(out)]) == 2
+        assert "one row or one column" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("fields", [
         {"partition": 5}, {"partition": [0, 1]}, {"lambda": "0.5"}, {"Q": 20.5},
         {"lambda": True},
@@ -317,6 +329,16 @@ class TestValidateFd:
                      BlockPartition(((0, 1), (2, 3))), lam=1.0)
         assert main(["validate", "fd", "--problem", str(path),
                      "--step", "0.3", "--no-timestamp"]) == 4
+
+    @pytest.mark.parametrize("step", ["inf", "nan"])
+    def test_step_that_is_not_finite_is_a_usage_error(self, problem_file, capsys, step):
+        # an infinite step once passed the check and failed, after a
+        # RuntimeWarning, with a message about the probes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["validate", "fd", "--problem", str(problem_file),
+                         "--step", step]) == 2
+        assert "step h must be positive and finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-9])
     def test_pass_verdict_on_rescaled_copies(self, problem_file, tmp_path, scale):

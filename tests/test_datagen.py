@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -26,7 +27,7 @@ def spec(**kw):
 class TestScenarioSpec:
     def test_round_trip(self):
         s = spec()
-        assert ScenarioSpec.from_dict(s.to_dict()) == s
+        assert ScenarioSpec.from_dict(dataclasses.asdict(s)) == s
 
     @pytest.mark.parametrize("kw", [
         dict(N=9),                        # sizes do not sum to N
@@ -109,12 +110,6 @@ class TestDraws:
         assert not np.array_equal(scenario.draw_y(seed=1, replicate=0),
                                   scenario.draw_y(seed=1, replicate=1))
 
-    def test_problem_builder(self):
-        scenario = generate(spec())
-        problem = scenario.problem(0.4)
-        assert problem.lam == 0.4
-        assert problem.design is scenario.design
-
 
 class TestProblemFiles:
     def test_json_round_trip(self, tmp_path):
@@ -174,6 +169,12 @@ class TestProblemFiles:
         ({"y": ["1", "2"]}, "y must hold numbers only"),  # strings, once parsed
         ({"X": [[True, False], [False, True]]}, "X must hold numbers only"),
         ({"beta0": ["0", "1"]}, "beta0 must hold numbers only"),
+        # a boolean among numbers, once read as a number: y = (1, 1)
+        ({"y": [1.0, True]}, "y must hold numbers only"),
+        ({"y": [1, True]}, "y must hold numbers only"),
+        ({"X": [[1.0, 0.0], [False, 1.0]]}, "X must hold numbers only"),
+        ({"X": [1.0, 0.0, 0.0, True]}, "X must hold numbers only"),  # row-major flat
+        ({"beta0": [0.0, True]}, "beta0 must hold numbers only"),
     ])
     def test_malformed_numbers_rejected(self, fields, match):
         d = {"Q": 2, "N": 2, "partition": [[0], [1]], "X": [[1.0, 0.0], [0.0, 1.0]],
@@ -190,3 +191,9 @@ class TestProblemFiles:
         np.savetxt(yp, y, delimiter=",")
         assert np.array_equal(load_matrix_csv(xp), x)
         assert np.array_equal(load_vector_csv(yp), y)
+        np.savetxt(yp, y[None, :], delimiter=",")  # one row
+        assert np.array_equal(load_vector_csv(yp), y)
+        # a table was once flattened row by row into a vector
+        np.savetxt(yp, x, delimiter=",")
+        with pytest.raises(ValueError, match="one row or one column"):
+            load_vector_csv(yp)

@@ -13,7 +13,7 @@ from helpers import (block_soft_threshold, duality_gap, kkt_residual, polish, ra
                      unit_and_dense_delta_P)
 
 from gldof import solver
-from gldof.core import BlockPartition, BlockSupport, Design
+from gldof.core import BlockPartition, Design
 from gldof.datagen import ScenarioSpec, generate, load_problem
 from gldof.dof import dof_estimate
 from gldof.risk import default_lambda_grid
@@ -64,8 +64,8 @@ def prox_by_solve(v, t):
 
 def fista_iterates(monkeypatch):
     """Record, for a `solve`, each point at which the FISTA loop evaluates its
-    certificate (`solver._violation`): the start point when one is given,
-    then every accepted iterate.  Calls made by the finish are left out."""
+    certificate (`solver._violation`): the start point, zeros unless one is
+    given, then every accepted iterate.  Calls made by the finish are left out."""
     points, finishing = [], []
     violation, newton = solver._violation, solver._newton
 
@@ -198,9 +198,11 @@ class TestSolve:
         problem = random_problem(9, 30, 12, [3, 3, 3, 3], lam_frac=0.1)
         iterates = fista_iterates(monkeypatch)
         sol = solve(problem, SolverOptions(kkt_tol=1e-12))
-        # a cold start is at beta = 0, where the loop evaluates no certificate
-        assert len(iterates) == sol.iterations
-        hist = np.array([problem.objective(b) for b in [np.zeros(12)] + iterates])
+        # a cold start evaluates its certificate at beta = 0
+        assert len(iterates) == sol.iterations + 1
+        assert not iterates[0].any()
+        hist = solver._objective(problem.design, problem.partition, problem.y[:, None],
+                                 problem.lam, np.column_stack(iterates))
         increases = np.diff(hist)
         assert np.all(increases <= 1e-14 * np.abs(hist[:-1]))
 
@@ -474,9 +476,10 @@ def per_column_finish(design, ys, lams, certificate):
                 out.append(polish(Problem(design, ys[:, j], lams[j], partition), b, r,
                                   certificate(j)))
             else:
-                out.append((b, r, BlockSupport(partition, ()), None))
-        points, resids, supports, factors = zip(*out)
-        return np.column_stack(points), np.array(resids), list(supports), list(factors)
+                out.append((b, r, None, None))
+        # `polish` also returns the support, which `_newton` leaves to its caller
+        points, resids, _, factors = zip(*out)
+        return np.column_stack(points), np.array(resids), list(factors)
 
     return finish
 

@@ -64,8 +64,10 @@ class TestFdDivergence:
 
     def test_rejects_bad_step(self):
         problem = identity_problem([1.0, 2.0], 0.5, [2])
-        with pytest.raises(ValueError):
-            fd_oracle(problem, h=0.0)
+        # an infinite step once passed, and failed in the probes' solve
+        for h in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                fd_oracle(problem, h=h)
 
 
 class TestFdJacobian:
@@ -232,7 +234,7 @@ class TestMcDof:
     def test_json_round_trip(self):
         scenario = small_scenario()
         result = mc_dof(scenario, lam=0.4, replicates=30, seed=6)
-        d = json.loads(result.to_json())
+        d = json.loads(json.dumps(result.to_dict()))
         assert d["replicates"] == 30
         assert d["mc_dof"] == result.mc_dof
         assert d["consistent_3sigma"] == result.consistent()

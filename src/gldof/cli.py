@@ -32,7 +32,7 @@ from .dof import differential, dof_estimate, fd_step
 from .risk import estimate_sigma, lambda_path
 from .solver import ConvergenceError, Problem, SolverOptions, lambda_max, solve
 from .validate import (ORACLE_KKT_TOL, ORACLE_MAX_ITER, TransitionCrossingError, fd_oracle,
-                       mc_dof)
+                       mc_dof, step_resolves)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -216,9 +216,10 @@ def cmd_validate_fd(args) -> int:
 
     step = args.step
     if step is None:
-        # half the certified radius keeps every probe on the support
+        # half the certified radius keeps every probe on the support; a
+        # radius that y cannot resolve puts y on the boundary
         step = min(fd_step(problem), 0.5 * report.radius)
-        if step == 0.0:
+        if not step_resolves(problem.y, step):
             raise TransitionCrossingError("y lies on a support boundary: every step "
                                           "changes the support")
     fd_jac, fd_div = fd_oracle(problem, step, base=sol, max_iter=args.max_iter)

@@ -21,18 +21,21 @@ two margins from a support change, which the DOF report reads.
 
 `solve` takes one right-hand side.  `solve_batch` runs the same iteration
 on the K columns of a Q x K matrix of observations sharing the design and
-the partition, at one lambda (Monte Carlo replicates, finite-difference
-probes) or at one lambda per column (a lambda path), with per-column
-momentum, restart, threshold and certificate, and one batched finish:
-columns are finished and yielded in order, a chunk at a time, and each
-Newton step of a chunk is one pass over all its columns whatever their
-supports.  The points stay N x c, as in FISTA, and only the system matrices
-are compact: each column's X_I'X_I is gathered once into a stack padded to
-the chunk's largest support (c x m_max^2 entries, at most N x BATCH_COLUMNS).
+the partition, at one lambda (Monte Carlo replicates) or at one lambda per
+column (a lambda path), with per-column momentum, restart, threshold and
+certificate, and one batched finish: columns are finished and yielded in
+order, a chunk at a time, and each Newton step of a chunk is one pass over
+all its columns whatever their supports.  The points stay N x c, as in
+FISTA, and only the system matrices are compact: each column's X_I'X_I is
+gathered once into a stack padded to the chunk's largest support
+(c x m_max^2 entries, at most N x BATCH_COLUMNS).
 `solve` is that same code at K = 1: one FISTA start and iteration, one prox,
 one certificate (`_violation`, which `kkt_check` evaluates too) and one
 finish, equal to a column-by-column finish up to round-off; each support's
-BlockSupport is built once, as its columns are yielded.
+BlockSupport is built once, as its columns are yielded.  `solve_near` solves
+observations near those of a solution (finite-difference probes) by chord
+steps on that solution's factor, with the stop and certificate of the
+finish, and hands `solve_batch` each one they do not certify on its support.
 
 Tolerance policy.  Solving (s y, s lambda) gives s beta(y) and the same DOF,
 so no tolerance is absolute:
@@ -62,6 +65,11 @@ from .core import BlockPartition, BlockSupport, Design, support_mask
 
 # Newton steps on the active-block equations after FISTA
 NEWTON_STEPS = 4
+# chord steps of `solve_near` at most, which converge linearly: next to a
+# small active block (the fd benchmark's seed-316 round-56 instance) a step
+# cuts the residual only 40-fold, and the probes meet the Newton stop after
+# 5 steps and take a sixth; elsewhere they take 2 to 4
+CHORD_STEPS = 8
 # columns `solve_batch` iterates on at once: its working memory is O(N x this)
 BATCH_COLUMNS = 256
 # FISTA stops at this certificate, relative to s(y), when kkt_tol is tighter:
@@ -147,7 +155,8 @@ class Solution:
     transition_margin: float
     support_margin: float
     # scipy.linalg.cho_factor pair of X_I'X_I + lambda * deltaP(beta_I) at
-    # `beta`, lower triangle; None when the support is empty
+    # `beta`, lower triangle; None when the support is empty, and on a column
+    # that `solve_near` accepts
     factor: tuple[np.ndarray, bool] | None = field(default=None, compare=False,
                                                     repr=False)
 
@@ -294,6 +303,67 @@ def solve_batch(design: Design, ys, lam: float | np.ndarray, partition: BlockPar
         _solve_columns(design, partition, ys[:, lo:lo + BATCH_COLUMNS],
                        lams[lo:lo + BATCH_COLUMNS], opts or SolverOptions())
         for lo in range(0, ys.shape[1], BATCH_COLUMNS))
+
+
+def solve_near(design: Design, ys, lam: float, partition: BlockPartition, base: Solution,
+               opts: SolverOptions | None = None):
+    """What `solve_batch` yields for each column of `ys`, for observations
+    near those of `base`, the Solution at `lam` of one more observation
+    vector (finite-difference probes).
+
+    Every column starts at base.beta and takes chord (simplified Newton)
+    steps on base's support, all on base's factor: each step solves the
+    stationarity residuals X_I'(X_I b - y) + lambda * b_b/||b_b|| of all
+    columns in one `factor_solve`.  The columns step together until each
+    has met the Newton stop, 1e-15 * s(y), and then once more, within
+    CHORD_STEPS steps.  A column is accepted if it met the stop before the
+    last step, its point certifies (`_residuals`) at kkt_tol, and it keeps
+    base's support mask; its Solution has base's support, 0 iterations and
+    no factor.  None of these checks reads the factor, which only sets the
+    speed.  Every other column, as one whose support differs from base's,
+    is solved by `solve_batch`, and its result is yielded in its place.
+    """
+    opts = opts or SolverOptions()
+    ys = np.asarray(ys, dtype=float)
+    gram, support, k = design.gram, base.support, ys.shape[1]
+    idx = support.indices
+    on = np.zeros((partition.n_blocks, 1), dtype=bool)
+    on[list(support.active)] = True
+    met = np.ones(k, dtype=bool)
+    # a column that diverges or zeroes a block turns non-finite, fails the
+    # stop and the certificate, and so falls back
+    with np.errstate(all="ignore"):
+        xty = design.matrix.T @ ys
+        scales = partition.block_norms(xty).max(axis=0)
+        b = np.repeat(base.beta[idx, None], k, axis=1)
+        gram_ii, xty_i, floor = gram[np.ix_(idx, idx)], xty[idx], 1e-15 * scales
+        for _ in range(CHORD_STEPS if idx.size else 0):
+            norms = np.sqrt(np.add.reduceat(np.square(b), support.offsets[:-1], axis=0))
+            stat = gram_ii @ b - xty_i + lam * b / np.repeat(norms, support.sizes, axis=0)
+            met = np.abs(stat).max(axis=0) <= floor
+            b -= factor_solve(base.factor, stat)
+            if met.all():
+                break
+        beta = np.zeros((design.N, k))
+        beta[idx] = b
+        corr, beta_norms = xty - gram @ beta, partition.block_norms(beta)
+        resid = _relative(_violation(partition, corr, beta, beta_norms, lam), scales)
+        ok = met & (resid <= opts.kkt_tol) & (support_mask(partition, beta) == on).all(axis=0)
+        objective = _objective(design, partition, ys, lam, beta)
+        slack = lam - partition.block_norms(corr)
+        t_margin = np.maximum(np.where(on, math.inf, slack).min(axis=0), 0.0)
+        s_margin = np.where(on, beta_norms, math.inf).min(axis=0)
+    rest = np.flatnonzero(~ok)
+    fallback = solve_batch(design, ys[:, rest], lam, partition, opts) if rest.size else None
+    for j in range(k):
+        if not ok[j]:
+            yield next(fallback)
+            continue
+        point = beta[:, j].copy()
+        point.setflags(write=False)
+        yield Solution(beta=point, support=support, objective=float(objective[j]),
+                       kkt_residual=float(resid[j]), iterations=0,
+                       transition_margin=float(t_margin[j]), support_margin=float(s_margin[j]))
 
 
 def _solve_columns(design, partition, ys, lams, opts, start=None):

@@ -1,10 +1,14 @@
 """Independent numerical oracles for the sensitivity and DOF results.
 
-Nothing here reuses the closed-form differential: Jacobians and divergences
-come from central finite differences of re-solved problems, and the DOF is
-re-estimated from Monte Carlo replicates of the noise model.  Agreement
-between these oracles and the analytic formulas is the package's main
-correctness evidence.
+Jacobians and divergences come from central finite differences of
+re-solved problems, and the DOF is re-estimated from Monte Carlo replicates
+of the noise model.  Agreement between these oracles and the analytic
+formulas is the package's main correctness evidence.  The finite-difference
+probes step on the base solution's factor, which the differential reads
+too, for speed alone: a probe is kept only at the solver's stationarity stop
+and with its own KKT certificate, neither of which reads the factor, so a
+wrong factor slows the probes, or sends them to a cold solve, but does not
+move them.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ import math
 import numpy as np
 
 from .dof import dof_estimate, fd_step
-from .solver import ConvergenceError, Problem, Solution, SolverOptions, solve, solve_batch
+from .solver import (ConvergenceError, Problem, Solution, SolverOptions, solve, solve_batch,
+                     solve_near)
 
 # oracle solves are tightened well below the comparison tolerances so that
 # solver noise does not leak into the finite differences; such a tolerance
@@ -33,8 +38,10 @@ def fd_oracle(problem: Problem, h: float | None = None, *, base: Solution | None
     """Central differences of y -> beta(y) on the support of `base`.
 
     Solves the problem at y +/- h e_i for every observation coordinate, as
-    one `solve_batch` of 2Q columns (h defaults to `fd_step`).  `base` is the
-    solution at y itself, solved here when not given.  Returns the |I| x Q
+    one `solve_near` of 2Q columns from `base` (h defaults to `fd_step`, and
+    no probe may equal y).  `base` is the solution at y itself, solved here
+    when not given; its factor sets the probes' speed, not their values
+    (module docstring).  Returns the |I| x Q
     Jacobian of y -> beta(y)_I and the divergence of y -> X beta(y),
     sum_i x_i'(beta(y + h e_i) - beta(y - h e_i)) / 2h, which for an empty
     support is 0.  Raises TransitionCrossingError if any probe's block
@@ -45,12 +52,15 @@ def fd_oracle(problem: Problem, h: float | None = None, *, base: Solution | None
     h = fd_step(problem) if h is None else h
     if not 0.0 < h < math.inf:
         raise ValueError("step h must be positive and finite")
+    if not step_resolves(problem.y, h):
+        raise ValueError(f"step h = {h:g} is below the resolution of y: some probe "
+                         "y +/- h e_i equals y")
     opts = SolverOptions(kkt_tol=ORACLE_KKT_TOL, max_iter=max_iter)
-    support = (base if base is not None else solve(problem, opts)).support
-    q = problem.design.Q
+    base = base if base is not None else solve(problem, opts)
+    support, q = base.support, problem.design.Q
     # columns y + h e_0, y - h e_0, y + h e_1, ...
     ys = problem.y[:, None] + h * np.kron(np.eye(q), [1.0, -1.0])
-    results = solve_batch(problem.design, ys, problem.lam, problem.partition, opts)
+    results = solve_near(problem.design, ys, problem.lam, problem.partition, base, opts)
     jac = np.empty((support.active_dim, q))
     for i, pair in enumerate(zip(results, results)):
         for sol, sign in zip(pair, "+-"):
@@ -63,6 +73,13 @@ def fd_oracle(problem: Problem, h: float | None = None, *, base: Solution | None
     # on the fixed support x_i'(beta+ - beta-) / 2h is x_{i,I}' jac[:, i]
     divergence = float(np.sum(problem.design.columns(support.indices) * jac.T))
     return jac, divergence
+
+
+def step_resolves(y, h: float) -> bool:
+    """Whether every probe y +/- h e_i of `fd_oracle` differs from y: a step
+    below half the spacing of the floats at y_i leaves y_i as it is."""
+    y = np.asarray(y, dtype=float)
+    return bool(np.all((y + h != y) & (y - h != y)))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -330,6 +330,24 @@ class TestValidateFd:
         assert main(["validate", "fd", "--problem", str(path),
                      "--step", "0.3", "--no-timestamp"]) == 4
 
+    @pytest.mark.parametrize("step", ["1e-18", "1e-300"])
+    def test_step_that_y_cannot_resolve_is_a_usage_error(self, capsys, step):
+        # y[i] +/- step == y[i] for most i: the probes once equalled y, and
+        # the check failed on differences of identical solutions
+        assert main(["validate", "fd", "--problem", str(FD_NEAR_BOUNDARY), "--step", step,
+                     "--no-timestamp"]) == 2
+        assert "below the resolution of y" in capsys.readouterr().err
+
+    def test_radius_that_y_cannot_resolve_is_a_support_boundary(self, tmp_path, capsys):
+        # the inactive block's slack is 5e-15, so the default step is cut to
+        # 2.7e-15, below the spacing of the floats at y[0] = 3000: the check
+        # once ran and failed with a zero divergence
+        path = tmp_path / "p.json"
+        y = np.array([3e3, 4e3, 3.0 * (1 - 1e-15), 4.0 * (1 - 1e-15)])
+        save_problem(path, Design.identity(4), y, BlockPartition(((0, 1), (2, 3))), lam=5.0)
+        assert main(["validate", "fd", "--problem", str(path), "--no-timestamp"]) == 3
+        assert "support boundary" in capsys.readouterr().err
+
     @pytest.mark.parametrize("step", ["inf", "nan"])
     def test_step_that_is_not_finite_is_a_usage_error(self, problem_file, capsys, step):
         # an infinite step once passed the check and failed, after a
@@ -371,26 +389,34 @@ class TestValidateFd:
         path = tmp_path / "p.json"
         save_problem(path, scenario.design, y, scenario.partition, lam=lam)
 
-        calls, columns = [], []
+        calls, near, batched = [], [], []
 
         def counting(*args, **kwargs):
             calls.append(1)
             return solver.solve(*args, **kwargs)
 
-        def batching(design, ys, *args, **kwargs):
-            columns.append(ys.shape[1])
-            return solver.solve_batch(design, ys, *args, **kwargs)
+        def probing(design, ys, *args, **kwargs):
+            near.append(ys.shape[1])
+            return solve_near(design, ys, *args, **kwargs)
 
+        def batching(design, ys, *args, **kwargs):
+            batched.append(ys.shape[1])
+            return solve_batch(design, ys, *args, **kwargs)
+
+        solve_near, solve_batch = solver.solve_near, solver.solve_batch
         monkeypatch.setattr(cli, "solve", counting)
         monkeypatch.setattr(validate, "solve", counting)
-        monkeypatch.setattr(validate, "solve_batch", batching)
+        monkeypatch.setattr(validate, "solve_near", probing)
+        monkeypatch.setattr(solver, "solve_batch", batching)
         out = tmp_path / "fd.json"
         assert main(["validate", "fd", "--problem", str(path), "--out", str(out),
                      "--no-timestamp"]) == 0
         assert json.loads(out.read_text())["jacobian_worst_tol_ratio"] is not None
-        # the base problem once, the 2Q probes as one batch
+        # the base problem once, the 2Q probes from it at once, and none of
+        # them, on this instance far from a boundary, solved again cold
         assert len(calls) == 1
-        assert columns == [2 * 60]
+        assert near == [2 * 60]
+        assert batched == []
 
 
 class TestValidateMc:

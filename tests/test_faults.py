@@ -12,10 +12,11 @@ import json
 import numpy as np
 import pytest
 
-from gldof import dof, solver, validate
+from gldof import cli, dof, solver, validate
 from gldof.cli import main
 from gldof.core import BlockPartition
-from gldof.dof import dof_identity_closed_form
+from gldof.datagen import load_problem
+from gldof.dof import dof_estimate, dof_identity_closed_form, fd_step
 
 # the README problem: `gldof gen` with these flags and --lambda 0.4
 SCENARIO = ["--q", "20", "--block-sizes", "2,2,2,2,2", "--k-active", "2", "--sigma", "0.5",
@@ -30,6 +31,26 @@ def shifted_cholesky(monkeypatch):
     cholesky = solver._cholesky
     monkeypatch.setattr(solver, "_cholesky",
                         lambda a: cholesky(a + 1e-3 * np.diag(np.diag(a))))
+
+
+def system_matrix(sol):
+    """The matrix A that a Solution's factor L factors, as L L'."""
+    low = np.tril(sol.factor[0])
+    return low @ low.T
+
+
+def base_factor_shifted(monkeypatch):
+    """Only the base solution of `validate fd` is given the factor of
+    A + 1e-3 diag(A); the differential, the DOF trace and the probes' chord
+    steps all read it."""
+    solve = cli.solve
+
+    def shifted(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        a = system_matrix(sol)
+        return dataclasses.replace(sol, factor=solver._cholesky(a + 1e-3 * np.diag(np.diag(a))))
+
+    monkeypatch.setattr(cli, "solve", shifted)
 
 
 def short_trace(monkeypatch):
@@ -115,3 +136,43 @@ def test_validate_mc_rejects_a_biased_divergence(tmp_path, monkeypatch, fault):
     assert d["consistent_3sigma"] is (fault is None)
     # a bias of 1 is several combined standard errors at 1000 replicates
     assert d["combined_stderr"] < 0.2
+
+
+@pytest.mark.parametrize("fault", [None, base_factor_shifted])
+def test_validate_fd_rejects_a_wrong_base_factor(problem_file, tmp_path, monkeypatch, fault):
+    if fault:
+        fault(monkeypatch)
+    out = tmp_path / "fd.json"
+    code = main(["validate", "fd", "--problem", str(problem_file), "--out", str(out),
+                 "--no-timestamp"])
+    d = json.loads(out.read_text())
+    if fault is None:
+        assert code == 0 and d["passed"] and d["jacobian_worst_tol_ratio"] < 1e-3
+    else:
+        # the probes step on the faulted factor too, but they are kept only
+        # at the stationarity stop and with a KKT certificate, so the finite
+        # differences stay right while the differential does not
+        assert code == 4 and not d["passed"] and d["jacobian_worst_tol_ratio"] > 10.0
+
+
+@pytest.mark.parametrize("wrong", [False, True])
+def test_probes_do_not_rest_on_the_base_factor(problem_file, wrong):
+    problem = load_problem(str(problem_file)).problem(0.4)
+    opts = solver.SolverOptions(kkt_tol=validate.ORACLE_KKT_TOL)
+    base = solver.solve(problem, opts)
+    h = min(fd_step(problem), 0.5 * dof_estimate(problem, base).radius)
+    q, support = problem.design.Q, base.support
+    if wrong:
+        # the factor of an SPD matrix of the right size and nothing else
+        m = support.active_dim
+        g = np.random.default_rng(0).standard_normal((m, m))
+        base = dataclasses.replace(base, factor=solver._cholesky(g @ g.T + np.eye(m)))
+    ref = np.empty((support.active_dim, q))
+    for i in range(q):
+        step = h * np.eye(q)[i]
+        plus, minus = (solver.solve(problem.with_y(problem.y + s * step), opts).beta
+                       for s in (1.0, -1.0))
+        ref[:, i] = (support.restrict(plus) - support.restrict(minus)) / (2.0 * h)
+    # the tolerance of test_validate's test_matches_per_probe_solves
+    jac = validate.fd_oracle(problem, h, base=base)[0]
+    assert np.max(np.abs(jac - ref)) <= 1e-9 * np.max(np.abs(ref))

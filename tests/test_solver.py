@@ -26,6 +26,7 @@ from gldof.solver import (
     solve,
     solve_batch,
 )
+from gldof.validate import fd_oracle
 
 
 def cvxpy_solve(problem):
@@ -1031,3 +1032,71 @@ class TestSolveBatch:
         problem = random_problem(3, 10, 4, [2, 2])
         with pytest.raises(ValueError):
             solve_batch(problem.design, problem.y, problem.lam, problem.partition)
+
+
+def probes(problem, h):
+    """The fd oracle's columns y + h e_0, y - h e_0, y + h e_1, ..."""
+    return problem.y[:, None] + h * np.kron(np.eye(problem.design.Q), [1.0, -1.0])
+
+
+def refuse_cold_solves(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a probe was solved cold")
+
+    monkeypatch.setattr(solver, "solve_batch", refuse)
+
+
+class TestSolveNear:
+    TIGHT = SolverOptions(kkt_tol=1e-12, max_iter=200_000)
+
+    @pytest.mark.parametrize("instance", ["random", "fd_seed316_round56", "fd_seed316_round62"])
+    def test_agrees_with_cold_solves(self, instance, monkeypatch):
+        if instance == "random":
+            problem = random_problem(46, 16, 8, [3, 1, 4], lam_frac=0.3)
+        else:
+            loaded = load_problem(pathlib.Path(__file__).parent / "fixtures" / f"{instance}.json")
+            problem = loaded.problem(loaded.lam)
+        base = solve(problem, self.TIGHT)
+        # the step of `validate fd`: next to a boundary, half the radius
+        ys = probes(problem, min(1e-5 * np.max(np.abs(problem.y)),
+                                 0.5 * dof_estimate(problem, base).radius))
+        cold = list(solve_batch(problem.design, ys, problem.lam, problem.partition, self.TIGHT))
+        refuse_cold_solves(monkeypatch)
+        near = list(solver.solve_near(problem.design, ys, problem.lam, problem.partition, base,
+                                      self.TIGHT))
+        scale = max(np.max(np.abs(sol.beta)) for sol in cold)
+        for y, sol, ref in zip(ys.T, near, cold, strict=True):
+            assert sol.support == ref.support == base.support and sol.iterations == 0
+            assert np.max(np.abs(sol.beta - ref.beta)) <= 1e-14 * scale
+            assert sol.kkt_residual <= 1e-12 and sol.factor is None
+            assert sol.objective == pytest.approx(ref.objective, rel=1e-14)
+            assert_margins_match_the_reference(problem.with_y(y), sol)
+
+    def test_empty_support(self, monkeypatch):
+        problem = Problem(Design.identity(4), np.array([0.4, 0.3, -0.2, 0.1]), 2.0,
+                          BlockPartition.from_sizes([2, 2]))
+        base = solve(problem, self.TIGHT)
+        assert base.support.is_empty
+        refuse_cold_solves(monkeypatch)
+        for sol in solver.solve_near(problem.design, probes(problem, 1e-3), problem.lam,
+                                     problem.partition, base, self.TIGHT):
+            assert sol.support == base.support and not np.any(sol.beta)
+            assert sol.transition_margin > 0.0 and sol.support_margin == np.inf
+
+    def test_an_uncertified_cold_solve_is_yielded(self):
+        # lambda sits just above lambda_max = 5, so beta = 0, but y[0] + h
+        # and y[1] + h activate the first block; with no iteration allowed
+        # their cold solves cannot certify
+        problem = Problem(Design.identity(4), np.array([3.0, 4.0, 0.3, 0.1]),
+                          5.0 * (1 + 1e-9), BlockPartition.from_sizes([2, 2]))
+        opts = SolverOptions(kkt_tol=1e-12, max_iter=0)
+        base = solve(problem, opts)
+        results = list(solver.solve_near(problem.design, probes(problem, 4e-5), problem.lam,
+                                         problem.partition, base, opts))
+        failed = [j for j, sol in enumerate(results) if isinstance(sol, ConvergenceError)]
+        assert failed == [0, 2]
+        assert all(results[j].support == base.support for j in range(8) if j not in failed)
+        # ... and the oracle raises the first of them
+        with pytest.raises(ConvergenceError) as raised:
+            fd_oracle(problem, 4e-5, base=base, max_iter=0)
+        assert str(raised.value) == str(results[0])

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import random_problem, transition_instance
 
-from gldof import validate
+from gldof import solver, validate
 from gldof.core import BlockPartition, Design
 from gldof.datagen import ScenarioSpec, generate, load_problem
 from gldof.dof import (
@@ -16,7 +16,7 @@ from gldof.dof import (
     dof_identity_closed_form,
     fd_step,
 )
-from gldof.solver import Problem, SolverOptions, solve
+from gldof.solver import Problem, SolverOptions, kkt_check, solve
 from gldof.validate import (
     ORACLE_KKT_TOL,
     TransitionCrossingError,
@@ -67,6 +67,11 @@ class TestFdDivergence:
         # an infinite step once passed, and failed in the probes' solve
         for h in (0.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="positive and finite"):
+                fd_oracle(problem, h=h)
+        # a step that leaves some y[i] +/- h equal to y[i] once gave a zero
+        # Jacobian column
+        for h in (1e-16, 1e-300):
+            with pytest.raises(ValueError, match="below the resolution of y"):
                 fd_oracle(problem, h=h)
 
 
@@ -122,6 +127,36 @@ class TestFdJacobian:
         with pytest.raises(TransitionCrossingError):
             fd_oracle(problem)[0]
 
+    def test_a_block_that_falls_below_the_support_rule_is_a_crossing(self):
+        # the second block's norm is 3.9965e-5, just above the rule's
+        # 1e-8 * max|beta| = 3.996e-5, and y[2] - h takes it below: still
+        # nonzero and certified on the base support, but not in the support
+        y = [3e3, 4e3, 3.0 * (1 + 7.993e-6), 4.0 * (1 + 7.993e-6)]
+        with pytest.raises(TransitionCrossingError, match=r"probe y\[2\] - h"):
+            fd_oracle(identity_problem(y, 5.0, [2, 2]), 2e-8)
+
+    def test_a_crossing_probe_is_solved_cold_and_reported(self, monkeypatch):
+        problem = transition_instance(1)
+        # the message of every probe solved cold, as the oracle once did
+        monkeypatch.setattr(validate, "solve_near",
+                            lambda design, ys, lam, partition, base, opts:
+                            solver.solve_batch(design, ys, lam, partition, opts))
+        with pytest.raises(TransitionCrossingError) as cold:
+            fd_oracle(problem)
+        monkeypatch.undo()
+        columns, batch = [], solver.solve_batch
+
+        def batching(design, ys, *args):
+            columns.append(ys.shape[1])
+            return batch(design, ys, *args)
+
+        monkeypatch.setattr(solver, "solve_batch", batching)
+        with pytest.raises(TransitionCrossingError) as near:
+            fd_oracle(problem)
+        assert str(near.value) == str(cold.value)
+        # only the probes that the chord steps do not certify are solved cold
+        assert 0 < columns[0] < 2 * problem.design.Q
+
     def test_near_boundary_probes_are_certified_at_the_oracle_tolerance(self, monkeypatch):
         # fd at seed 316: its probes sit 2e-6 lambda from a transition, where a
         # FISTA point short of kkt_tol is likeliest to carry another support
@@ -129,21 +164,23 @@ class TestFdJacobian:
                                   / "fd_seed316_round62.json"))
         problem = loaded.problem(loaded.lam)
         base = solve(problem, SolverOptions(kkt_tol=ORACLE_KKT_TOL))
-        probes, batch = [], validate.solve_batch
+        probes, near = [], validate.solve_near
 
-        def recording(*args):
-            for sol in batch(*args):
-                probes.append(sol)
+        def recording(design, ys, *args):
+            for y, sol in zip(ys.T, near(design, ys, *args)):
+                probes.append((y, sol))
                 yield sol
 
-        monkeypatch.setattr(validate, "solve_batch", recording)
+        monkeypatch.setattr(validate, "solve_near", recording)
         # the step of `validate fd`
         fd_oracle(problem, min(fd_step(problem), 0.5 * dof_estimate(problem, base).radius),
                   base=base)
         assert len(probes) == 2 * problem.design.Q
-        for sol in probes:
+        for y, sol in probes:
             assert sol.kkt_residual <= ORACLE_KKT_TOL
             assert sol.support == base.support
+            # the certificate again, from X, y and beta alone
+            assert kkt_check(problem.with_y(y), sol.beta, ORACLE_KKT_TOL)[1]
 
 
 def small_scenario(seed=3, sizes=(2, 2, 2, 2, 2), q=20, sigma=0.5):

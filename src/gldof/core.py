@@ -174,6 +174,13 @@ class BlockSupport:
         """Size of each active block, in block order."""
         return np.diff(self.offsets)
 
+    @cached_property
+    def indicator(self) -> np.ndarray:
+        """Active blocks x stacked coordinates 0/1 matrix: the block sums of
+        `BlockPartition.indicator` on the stacked on-support vector."""
+        block = np.repeat(np.arange(self.n_active), self.sizes)
+        return (np.arange(self.n_active)[:, None] == block).astype(float)
+
     def restrict(self, values) -> np.ndarray:
         """Extract the stacked on-support subvector of a full-length vector."""
         return _as_vector(values, self.partition.total_dim)[self.indices]

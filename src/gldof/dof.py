@@ -13,6 +13,20 @@ which is an unbiased estimate of the degrees of freedom under Gaussian
 noise.  Near the exceptional set the formula is numerically fragile: the
 report turns the solution's two margins from a support change, computed by
 the solver's finish, into a certified radius of the support and a warning.
+
+The divergence needs the solution alone.  With A = X_I'X_I + lambda deltaP
+= L L' the matrix that the solution's factor L factors, and W = L^-1,
+
+    tr(A^-1 X_I'X_I) = m - lambda tr(A^-1 deltaP)
+                     = m - lambda sum_b ||W_b (Id - u_b u_b')||_F^2 / ||beta_b||,
+
+since A^-1 = W'W and deltaP is block diagonal; W_b holds the columns of W
+of block b.  Inverting L (LAPACK `dtrtri`, Higham, "Accuracy and Stability
+of Numerical Algorithms", 2nd ed., ch. 14) costs m^3/3 flops, as the
+factorization does, against 2m^3 for a solve on m right-hand sides.  The
+projector is applied to W_b before squaring: on a block of small norm W_b
+is nearly W_b u_b u_b', and the equal ||W_b||^2 - ||W_b u_b||^2 would lose
+the small part it leaves to cancellation, then divide it by ||beta_b||.
 """
 
 from __future__ import annotations
@@ -99,7 +113,9 @@ def dof_estimate(problem: Problem, solution: Solution) -> DofReport:
     An empty support means the prediction map is locally constant at zero,
     so the divergence is 0.  Otherwise the trace and `condition_estimate`
     (a LAPACK 1-norm estimate, computed only when read) both come from the
-    solution's factor.
+    solution's factor: the trace as m - lambda sum_b ||W_b (Id - u_b u_b')||_F^2
+    / ||beta_b|| with W the inverse of the factor, by triangular inversion
+    (m^3/3 flops) and no Gram matrix (module docstring).
 
     The margins are the solution's, from the solver's finish.  `radius` is
     r = min(transition_margin / sqrt(L), support_margin * sqrt(lambda_min(X'X))),
@@ -119,10 +135,17 @@ def dof_estimate(problem: Problem, solution: Solution) -> DofReport:
         return DofReport(0.0, solution.support, transition_margin, support_margin, radius,
                          warning)
 
-    idx = solution.support.indices
-    gram_ii = problem.design.gram[idx[:, None], idx]
-    # tr(X_I A^{-1} X_I') = tr(A^{-1} X_I' X_I)
-    divergence = float(np.trace(factor_solve(solution.factor, gram_ii)))
+    support = solution.support
+    ind = support.indicator
+    beta_i = solution.beta[support.indices]
+    # ||beta_b|| at each active coordinate, and the blockwise unit vector u
+    norms = np.sqrt(ind @ np.square(beta_i)) @ ind
+    unit = beta_i / norms
+    # W_b (Id - u_b u_b') on every block at once: W less W_b u_b u_b'
+    w = scipy.linalg.lapack.dtrtri(solution.factor[0], lower=1)[0]
+    proj = w - ((w * unit) @ ind.T @ ind) * unit
+    divergence = support.active_dim - problem.lam * float(
+        np.square(proj).sum(axis=0) @ (1.0 / norms))
     return DofReport(divergence, solution.support, transition_margin, support_margin, radius,
                      warning, solution.factor)
 

@@ -155,8 +155,8 @@ class Solution:
     transition_margin: float
     support_margin: float
     # scipy.linalg.cho_factor pair of X_I'X_I + lambda * deltaP(beta_I) at
-    # `beta`, lower triangle; None when the support is empty, and on a column
-    # that `solve_near` accepts
+    # `beta`, lower triangle with zeros above it; None when the support is
+    # empty, and on a column that `solve_near` accepts
     factor: tuple[np.ndarray, bool] | None = field(default=None, compare=False,
                                                     repr=False)
 
@@ -545,7 +545,8 @@ def _fista(design, partition, c, lams, scales, tol, max_iter, start=None):
 
 def _cholesky(a):
     """Lower Cholesky factor of a symmetric matrix as a `scipy.linalg.cho_factor`
-    pair (LAPACK `dpotrf` directly), or None if it is not positive definite."""
+    pair (LAPACK `dpotrf` directly, which zeroes the upper triangle), or None
+    if it is not positive definite."""
     low, info = scipy.linalg.lapack.dpotrf(a, lower=1)
     return (low, True) if info == 0 else None
 

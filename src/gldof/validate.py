@@ -43,8 +43,9 @@ def fd_oracle(problem: Problem, h: float | None = None, *, base: Solution | None
     when not given; its factor sets the probes' speed, not their values
     (module docstring).  Returns the |I| x Q
     Jacobian of y -> beta(y)_I and the divergence of y -> X beta(y),
-    sum_i x_i'(beta(y + h e_i) - beta(y - h e_i)) / 2h, which for an empty
-    support is 0.  Raises TransitionCrossingError if any probe's block
+    sum_i x_i'(beta(y + h e_i) - beta(y - h e_i)) / d_i, which for an empty
+    support is 0.  d_i = (y_i + h) - (y_i - h) is the step the floats take,
+    which is 2h only up to the spacing of the floats at y_i.  Raises TransitionCrossingError if any probe's block
     support differs from that of `base` (the restriction to I, and the
     divergence of a fixed support, are then invalid), and the
     ConvergenceError of an uncertified probe.
@@ -60,6 +61,7 @@ def fd_oracle(problem: Problem, h: float | None = None, *, base: Solution | None
     support, q = base.support, problem.design.Q
     # columns y + h e_0, y - h e_0, y + h e_1, ...
     ys = problem.y[:, None] + h * np.kron(np.eye(q), [1.0, -1.0])
+    steps = (problem.y + h) - (problem.y - h)
     results = solve_near(problem.design, ys, problem.lam, problem.partition, base, opts)
     jac = np.empty((support.active_dim, q))
     for i, pair in enumerate(zip(results, results)):
@@ -69,8 +71,8 @@ def fd_oracle(problem: Problem, h: float | None = None, *, base: Solution | None
             if sol.support.active != support.active:
                 raise TransitionCrossingError(f"support changed at probe y[{i}] {sign} h")
         plus, minus = (support.restrict(sol.beta) for sol in pair)
-        jac[:, i] = (plus - minus) / (2.0 * h)
-    # on the fixed support x_i'(beta+ - beta-) / 2h is x_{i,I}' jac[:, i]
+        jac[:, i] = (plus - minus) / steps[i]
+    # on the fixed support x_i'(beta+ - beta-) / d_i is x_{i,I}' jac[:, i]
     divergence = float(np.sum(problem.design.columns(support.indices) * jac.T))
     return jac, divergence
 

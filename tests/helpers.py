@@ -160,6 +160,25 @@ def unit_and_dense_delta_P(beta_i, support):
     return u, (np.eye(v.size) - u[:, None] * u * same_block) / norms[:, None]
 
 
+def system_matrix(problem, sol):
+    """X_I'X_I + lambda * deltaP at the returned beta, built from scratch."""
+    idx = sol.support.indices
+    xi = problem.design.columns(idx)
+    beta_i = sol.support.restrict(sol.beta)
+    return xi.T @ xi + problem.lam * unit_and_dense_delta_P(beta_i, sol.support)[1]
+
+
+def reference_divergence(problem, sol):
+    """tr(A^-1 X_I'X_I) at the returned beta, A = `system_matrix` factored
+    afresh by `scipy.linalg.cho_factor`, never read from `Solution.factor`;
+    0 on an empty support."""
+    if sol.support.is_empty:
+        return 0.0
+    xi = problem.design.columns(sol.support.indices)
+    low = scipy.linalg.cho_factor(system_matrix(problem, sol))
+    return float(np.trace(scipy.linalg.cho_solve(low, xi.T @ xi)))
+
+
 def system_factor(gram_ii, lam, beta_i, support):
     """Lower Cholesky factor of X_I'X_I + lambda * deltaP(beta_I) as a
     `scipy.linalg.cho_factor` pair, built with the dense deltaP of

@@ -1,13 +1,15 @@
 import dataclasses
 import json
+import pathlib
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import block_soft_threshold, random_problem, transition_instance
+from helpers import block_soft_threshold, random_problem, reference_divergence, transition_instance
 
 from gldof.core import BlockPartition, Design
+from gldof.datagen import load_problem
 from gldof.dof import (
     differential,
     dof_estimate,
@@ -155,6 +157,23 @@ class TestDofEstimate:
         problem = random_problem(seed + 40, 20, 8, [2, 2, 2, 2], lam_frac=0.25)
         report = dof_estimate(problem, solve(problem, TIGHT))
         assert -1e-10 <= report.divergence <= report.support.active_dim + 1e-10
+
+    # the benchmark's `fd` workload at seed 316, rounds 56 (a smallest active
+    # block norm of 7.1e-6) and 62 (a transition margin of 2.4e-6 lambda)
+    @pytest.mark.parametrize("name", ["fd_seed316_round56", "fd_seed316_round62"])
+    def test_trace_matches_a_fresh_factorization_near_a_boundary(self, name):
+        problem = load_problem(pathlib.Path(__file__).parent / "fixtures"
+                               / f"{name}.json").problem()
+        sol = solve(problem)
+        assert dof_estimate(problem, sol).divergence == pytest.approx(
+            reference_divergence(problem, sol), rel=1e-12)
+
+    def test_trace_matches_a_fresh_factorization_on_a_full_support(self):
+        problem = random_problem(7, 30, 12, [3, 3, 3, 3], lam_frac=0.05)
+        sol = solve(problem)
+        assert sol.support.active_dim == problem.design.N
+        assert dof_estimate(problem, sol).divergence == pytest.approx(
+            reference_divergence(problem, sol), rel=1e-12)
 
     def test_condition_estimate_positive(self):
         problem = random_problem(6, 16, 6, [3, 3], lam_frac=0.3)

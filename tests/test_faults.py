@@ -11,8 +11,9 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from gldof import cli, dof, solver, validate
+from gldof import cli, solver, validate
 from gldof.cli import main
 from gldof.core import BlockPartition
 from gldof.datagen import load_problem
@@ -54,18 +55,17 @@ def base_factor_shifted(monkeypatch):
 
 
 def short_trace(monkeypatch):
-    """The DOF's trace solve, A^-1 X_I'X_I (its only square right-hand side
-    on these problems), loses its last diagonal entry: the trace covers m - 1
-    of the m active coordinates."""
-    factor_solve = dof.factor_solve
+    """The inverse factor W = L^-1 of the DOF trace (its only `dtrtri`) loses
+    its last row: the projector sum tr(W deltaP W') covers m - 1 of the m
+    active coordinates."""
+    dtrtri = scipy.linalg.lapack.dtrtri
 
-    def solve(factor, rhs):
-        out = factor_solve(factor, rhs)
-        if rhs.shape[0] == rhs.shape[1]:
-            out[-1, -1] = 0.0
-        return out
+    def inverse(*args, **kwargs):
+        w, info = dtrtri(*args, **kwargs)
+        w[-1] = 0.0
+        return w, info
 
-    monkeypatch.setattr(dof, "factor_solve", solve)
+    monkeypatch.setattr(scipy.linalg.lapack, "dtrtri", inverse)
 
 
 def divergence_plus_one(monkeypatch):
@@ -104,8 +104,10 @@ def test_validate_fd_rejects_a_wrong_differential(problem_file, tmp_path, monkey
         # the finite differences stay right while the differential does not
         assert d["jacobian_worst_tol_ratio"] > 10.0
     if fault is short_trace:
-        # the Jacobian is the differential's, untouched; the divergence is not
-        assert d["jacobian_worst_tol_ratio"] < 1e-3 and d["divergence_abs_err"] > 0.1
+        # the Jacobian is the differential's, untouched; the divergence fails
+        # its gate (by lambda (W deltaP W')_mm, 3.6e-3 against 2.7e-4 here)
+        assert d["jacobian_worst_tol_ratio"] < 1e-3
+        assert d["divergence_abs_err"] > cli.FD_REL_TOL * abs(d["fd_divergence"])
 
 
 @pytest.mark.parametrize("fault", [None, short_trace])

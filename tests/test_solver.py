@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (block_soft_threshold, duality_gap, kkt_residual, polish, random_problem,
-                     reference_margins,
+                     reference_divergence, reference_margins, system_matrix,
                      unit_and_dense_delta_P)
 
 from gldof import solver
@@ -376,14 +376,6 @@ class TestProblemValidation:
         problem = Problem(Design.identity(2), [1.0, 2.0], 3.0, BlockPartition.from_sizes([2]))
         sol = solve(problem, SolverOptions(max_iter=np.int64(0)))
         assert sol.iterations == 0 and not sol.beta.any()
-
-
-def system_matrix(problem, sol):
-    """X_I'X_I + lambda * deltaP at the returned beta, built from scratch."""
-    idx = sol.support.indices
-    xi = problem.design.columns(idx)
-    beta_i = sol.support.restrict(sol.beta)
-    return xi.T @ xi + problem.lam * unit_and_dense_delta_P(beta_i, sol.support)[1]
 
 
 def assert_margins_match_the_reference(problem, sol):
@@ -881,7 +873,9 @@ class TestScaleEquivariance:
             assert sol.iterations == base.iterations
             err = np.max(np.abs(sol.beta / s - base.beta))
             assert err <= 1e-12 * np.max(np.abs(base.beta))
-            assert dof_estimate(scaled, sol).divergence == pytest.approx(dof, rel=1e-10)
+            divergence = dof_estimate(scaled, sol).divergence
+            assert divergence == pytest.approx(dof, rel=1e-10)
+            assert divergence == pytest.approx(reference_divergence(scaled, sol), rel=1e-12)
 
     @pytest.mark.parametrize("s", SCALES)
     def test_duality_gap_closes_at_every_scale(self, fault_problems, s):
@@ -931,8 +925,9 @@ def path_instances(draw):
 
 def assert_batch_matches_single_solves(problems, batch, again):
     """Each batch column against `solve` on its own problem: same support,
-    beta to 1e-12 relative, DOF to 1e-10, a certified and gap-closed
-    solution, and a bit-identical rerun."""
+    beta to 1e-12 relative, DOF to 1e-10 (and to 1e-12 of
+    `helpers.reference_divergence`), a certified and gap-closed solution,
+    and a bit-identical rerun."""
     refs = [solve(p) for p in problems]
     # a transition-warned solution may legitimately differ in support
     assume(not any(dof_estimate(p, r).warning for p, r in zip(problems, refs)))
@@ -942,6 +937,7 @@ def assert_batch_matches_single_solves(problems, batch, again):
         assert err <= 1e-12 * np.max(np.abs(ref.beta))
         dof = dof_estimate(problem, sol).divergence
         assert dof == pytest.approx(dof_estimate(problem, ref).divergence, rel=1e-10)
+        assert dof == pytest.approx(reference_divergence(problem, sol), rel=1e-12)
         assert sol.kkt_residual <= SolverOptions().kkt_tol
         # at lambda < 1e-6 s(y) (the 1e9 y column) the gap of the exact
         # minimizer rounded to doubles is already about 1e-10 P(beta)

@@ -91,6 +91,19 @@ class TestFdJacobian:
         assert np.allclose(jac[:, :2], closed, atol=1e-7)
         assert np.allclose(jac[:, 2:], 0.0, atol=1e-9)
 
+    def test_divides_by_the_step_the_floats_take(self):
+        # y_i +/- 3e-13 rounds to the floats next to 3000 and -4000, 4.5e-13
+        # away, so those probes step 9.1e-13, not 2h; with blocks of size 1
+        # each active beta_i is y_i - lambda sign(y_i), so the differences
+        # are exact
+        y, lam, h = np.array([3000.0, -4000.0, 0.3, 0.1]), 5.0, 3e-13
+        problem = identity_problem(y, lam, [1, 1, 1, 1])
+        assert not np.all((y + h) - (y - h) == 2.0 * h)
+        jac, div = fd_oracle(problem, h)
+        assert np.all(jac[:, :2] == np.eye(2)) and not jac[:, 2:].any()
+        closed = dof_identity_closed_form(y, lam, problem.partition)
+        assert div == pytest.approx(closed, rel=0.0, abs=1e-12)
+
     def test_matches_differential_on_random_instance(self):
         problem = random_problem(44, 18, 8, [2, 2, 2, 2], lam_frac=0.3)
         sol = solve(problem, SolverOptions(kkt_tol=1e-12))

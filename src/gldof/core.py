@@ -178,8 +178,7 @@ class BlockSupport:
     def indicator(self) -> np.ndarray:
         """Active blocks x stacked coordinates 0/1 matrix: the block sums of
         `BlockPartition.indicator` on the stacked on-support vector."""
-        block = np.repeat(np.arange(self.n_active), self.sizes)
-        return (np.arange(self.n_active)[:, None] == block).astype(float)
+        return np.repeat(np.eye(self.n_active), self.sizes, axis=1)
 
     def restrict(self, values) -> np.ndarray:
         """Extract the stacked on-support subvector of a full-length vector."""

@@ -138,12 +138,13 @@ def dof_estimate(problem: Problem, solution: Solution) -> DofReport:
     support = solution.support
     ind = support.indicator
     beta_i = solution.beta[support.indices]
-    # ||beta_b|| at each active coordinate, and the blockwise unit vector u
+    # ||beta_b|| at each active coordinate, and U', the active blocks x m
+    # matrix whose row b holds u_b on block b's coordinates
     norms = np.sqrt(ind @ np.square(beta_i)) @ ind
-    unit = beta_i / norms
-    # W_b (Id - u_b u_b') on every block at once: W less W_b u_b u_b'
+    units = ind * (beta_i / norms)
+    # W (Id - U U') holds W_b (Id - u_b u_b') in the columns of each block b
     w = scipy.linalg.lapack.dtrtri(solution.factor[0], lower=1)[0]
-    proj = w - ((w * unit) @ ind.T @ ind) * unit
+    proj = w - (w @ units.T) @ units
     divergence = support.active_dim - problem.lam * float(
         np.square(proj).sum(axis=0) @ (1.0 / norms))
     return DofReport(divergence, solution.support, transition_margin, support_margin, radius,

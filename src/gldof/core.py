@@ -178,7 +178,8 @@ class BlockSupport:
     def indicator(self) -> np.ndarray:
         """Active blocks x stacked coordinates 0/1 matrix: the block sums of
         `BlockPartition.indicator` on the stacked on-support vector."""
-        return np.repeat(np.eye(self.n_active), self.sizes, axis=1)
+        block = self.partition.block_index[self.indices]
+        return (np.array(self.active)[:, None] == block).astype(float)
 
     def restrict(self, values) -> np.ndarray:
         """Extract the stacked on-support subvector of a full-length vector."""

@@ -142,7 +142,8 @@ def dof_estimate(problem: Problem, solution: Solution) -> DofReport:
     # matrix whose row b holds u_b on block b's coordinates
     norms = np.sqrt(ind @ np.square(beta_i)) @ ind
     units = ind * (beta_i / norms)
-    # W (Id - U U') holds W_b (Id - u_b u_b') in the columns of each block b
+    # W (Id - U U') holds W_b (Id - u_b u_b') in the columns of each block b;
+    # W = L^-1 keeps the factor's zeros above the diagonal
     w = scipy.linalg.lapack.dtrtri(solution.factor[0], lower=1)[0]
     proj = w - (w @ units.T) @ units
     divergence = support.active_dim - problem.lam * float(

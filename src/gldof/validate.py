@@ -45,10 +45,10 @@ def fd_oracle(problem: Problem, h: float | None = None, *, base: Solution | None
     Jacobian of y -> beta(y)_I and the divergence of y -> X beta(y),
     sum_i x_i'(beta(y + h e_i) - beta(y - h e_i)) / d_i, which for an empty
     support is 0.  d_i = (y_i + h) - (y_i - h) is the step the floats take,
-    which is 2h only up to the spacing of the floats at y_i.  Raises TransitionCrossingError if any probe's block
-    support differs from that of `base` (the restriction to I, and the
-    divergence of a fixed support, are then invalid), and the
-    ConvergenceError of an uncertified probe.
+    which is 2h only up to the spacing of the floats at y_i.  Raises
+    TransitionCrossingError if any probe's block support differs from that
+    of `base` (the restriction to I, and the divergence of a fixed support,
+    are then invalid), and the ConvergenceError of an uncertified probe.
     """
     h = fd_step(problem) if h is None else h
     if not 0.0 < h < math.inf:

@@ -176,9 +176,9 @@ def reference_divergence(problem, sol):
     factored afresh by `scipy.linalg.cho_factor`, never read from
     `Solution.factor`; 0 on an empty support.  A and X_I'X_I are formed in
     extended precision (`np.longdouble`), and two steps of iterative
-    refinement on their residual correct the double solve: below a block of
-    norm 5.6e-5 the rounding of A's lambda/||beta_b|| entries alone moved a
-    double-precision trace by 5.5e-13 relative."""
+    refinement on their residual correct the double solve: on a draw with
+    an active block of norm 5.6e-5, rounding A's lambda/||beta_b|| entries
+    to doubles alone moved the trace by 5.5e-13 relative."""
     if sol.support.is_empty:
         return 0.0
     ld = np.longdouble

@@ -163,7 +163,7 @@ def unit_and_dense_delta_P(beta_i, support):
 
 
 def system_matrix(problem, sol, dtype=float):
-    """X_I'X_I + lambda * deltaP at the returned beta, built from scratch in
+    """X_I'X_I + lambda * deltaP at the returned beta, built from X and beta in
     `dtype`."""
     idx = sol.support.indices
     xi = problem.design.columns(idx).astype(dtype)

@@ -101,6 +101,11 @@ class BlockPartition:
         return index
 
     @cached_property
+    def order(self) -> np.ndarray:
+        """The coordinates block by block: the stable argsort of `block_index`."""
+        return np.argsort(self.block_index, kind="stable")
+
+    @cached_property
     def indicator(self) -> np.ndarray:
         """Blocks x coordinates 0/1 matrix: its product with the squares of
         a vector, or of an N x K matrix, sums every block (of every column)."""
@@ -163,16 +168,6 @@ class BlockSupport:
     def indices(self) -> np.ndarray:
         """Coordinate indices of the active blocks, stacked in block order."""
         return np.array([i for b in self.blocks for i in b], dtype=int)
-
-    @cached_property
-    def offsets(self) -> np.ndarray:
-        sizes = [len(b) for b in self.blocks]
-        return np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-
-    @cached_property
-    def sizes(self) -> np.ndarray:
-        """Size of each active block, in block order."""
-        return np.diff(self.offsets)
 
     @cached_property
     def indicator(self) -> np.ndarray:

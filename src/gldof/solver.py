@@ -34,8 +34,8 @@ one certificate (`_violation`, which `kkt_check` evaluates too) and one
 finish, equal to a column-by-column finish up to round-off; each support's
 BlockSupport is built once, as its columns are yielded.  `solve_near` solves
 observations near those of a solution (finite-difference probes) by chord
-steps on that solution's factor, with the stop and certificate of the
-finish, and hands `solve_batch` each one they do not certify on its support.
+steps on that solution's factor, with the stop, certificate and N x K
+layout of the finish, and hands `solve_batch` each one they do not certify.
 
 Tolerance policy.  Solving (s y, s lambda) gives s beta(y) and the same DOF,
 so no tolerance is absolute:
@@ -119,12 +119,17 @@ class Problem:
         return replace(self, y=y)
 
 
-def _objective(design: Design, partition: BlockPartition, ys, lams, beta):
-    """0.5 ||y - X b||^2 + lambda * sum of block norms, from scratch, at each
-    column of an N x K matrix of points, with the observations ys (Q x K)
-    and one lambda per column."""
+def _objective_and_margins(design, partition, ys, lams, beta, corr, beta_norms, on):
+    """0.5 ||y - X b||^2 + lambda * sum of block norms, from scratch, and the
+    `transition_margin` and `support_margin` of `Solution`, at each column
+    of an N x K matrix of points, with the observations ys (Q x K), one
+    lambda per column, corr = X'(y - X beta), beta's block norms and the
+    block mask `on` of each column's support."""
     fit = ys - design.matrix @ beta
-    return 0.5 * np.einsum("ij,ij->j", fit, fit) + lams * partition.block_norms(beta).sum(axis=0)
+    slack = lams - partition.block_norms(corr)
+    return (0.5 * np.einsum("ij,ij->j", fit, fit) + lams * beta_norms.sum(axis=0),
+            np.maximum(np.where(on, math.inf, slack).min(axis=0), 0.0),
+            np.where(on, beta_norms, math.inf).min(axis=0))
 
 
 @dataclass(frozen=True)
@@ -313,13 +318,13 @@ def solve_near(design: Design, ys, lam: float, partition: BlockPartition, base: 
 
     Every column starts at base.beta and takes chord (simplified Newton)
     steps on base's support, all on base's factor: each step solves the
-    stationarity residuals X_I'(X_I b - y) + lambda * b_b/||b_b|| of all
-    columns in one `factor_solve`.  The columns step together until each
-    has met the Newton stop, 1e-15 * s(y), and then once more, within
-    CHORD_STEPS steps.  A column is accepted if it met the stop before the
-    last step, its point certifies (`_residuals`) at kkt_tol, and it keeps
-    base's support mask; its Solution has base's support, 0 iterations and
-    no factor.  None of these checks reads the factor, which only sets the
+    `_stationarity` residuals of all columns (N x K, zeros off the support)
+    in one `factor_solve`.  The columns step together until each has met
+    the Newton stop, 1e-15 * s(y), and then once more, within CHORD_STEPS
+    steps.  A column is accepted if it met the stop before the last step,
+    its point certifies (`_residuals`) at kkt_tol, and it keeps base's
+    support mask; its Solution has base's support, 0 iterations and no
+    factor.  None of these checks reads the factor, which only sets the
     speed.  Every other column, as one whose support differs from base's,
     is solved by `solve_batch`, and its result is yielded in its place.
     """
@@ -330,29 +335,23 @@ def solve_near(design: Design, ys, lam: float, partition: BlockPartition, base: 
     on = np.zeros((partition.n_blocks, 1), dtype=bool)
     on[list(support.active)] = True
     met = np.ones(k, dtype=bool)
-    # a column that diverges or zeroes a block turns non-finite, fails the
-    # stop and the certificate, and so falls back
+    # a column that diverges turns non-finite and fails the checks below, and
+    # one that zeroes a block leaves base's support mask: both fall back
     with np.errstate(all="ignore"):
         xty = design.matrix.T @ ys
         scales = partition.block_norms(xty).max(axis=0)
-        b = np.repeat(base.beta[idx, None], k, axis=1)
-        gram_ii, xty_i, floor = gram[np.ix_(idx, idx)], xty[idx], 1e-15 * scales
+        beta = np.repeat(np.where(on[partition.block_index], base.beta[:, None], 0.0), k, axis=1)
         for _ in range(CHORD_STEPS if idx.size else 0):
-            norms = np.sqrt(np.add.reduceat(np.square(b), support.offsets[:-1], axis=0))
-            stat = gram_ii @ b - xty_i + lam * b / np.repeat(norms, support.sizes, axis=0)
-            met = np.abs(stat).max(axis=0) <= floor
-            b -= factor_solve(base.factor, stat)
+            stat = _stationarity(gram, partition, xty, lam, beta, on)[0]
+            met = np.abs(stat).max(axis=0) <= 1e-15 * scales
+            beta[idx] -= factor_solve(base.factor, stat[idx])
             if met.all():
                 break
-        beta = np.zeros((design.N, k))
-        beta[idx] = b
         corr, beta_norms = xty - gram @ beta, partition.block_norms(beta)
         resid = _relative(_violation(partition, corr, beta, beta_norms, lam), scales)
         ok = met & (resid <= opts.kkt_tol) & (support_mask(partition, beta) == on).all(axis=0)
-        objective = _objective(design, partition, ys, lam, beta)
-        slack = lam - partition.block_norms(corr)
-        t_margin = np.maximum(np.where(on, math.inf, slack).min(axis=0), 0.0)
-        s_margin = np.where(on, beta_norms, math.inf).min(axis=0)
+        objective, t_margin, s_margin = _objective_and_margins(design, partition, ys, lam, beta,
+                                                               corr, beta_norms, on)
     rest = np.flatnonzero(~ok)
     fallback = solve_batch(design, ys[:, rest], lam, partition, opts) if rest.size else None
     for j in range(k):
@@ -416,12 +415,10 @@ def _solve_columns(design, partition, ys, lams, opts, start=None):
                 active[:, js], scales[js])
             for i, factor in zip(miss, again):
                 factors[i] = factor
-        objective = _objective(design, partition, ys[:, lo:hi], lams[lo:hi], beta)
         # the margins of the points returned, on the masks of their supports
-        on = active[:, lo:hi]
-        slack = lams[lo:hi] - partition.block_norms(xty[:, lo:hi] - gram @ beta)
-        t_margin = np.maximum(np.where(on, math.inf, slack).min(axis=0), 0.0)
-        s_margin = np.where(on, partition.block_norms(beta), math.inf).min(axis=0)
+        objective, t_margin, s_margin = _objective_and_margins(
+            design, partition, ys[:, lo:hi], lams[lo:hi], beta, xty[:, lo:hi] - gram @ beta,
+            partition.block_norms(beta), active[:, lo:hi])
         for i, j in enumerate(range(lo, hi)):
             # a copy, so that no result pins its chunk
             b = beta[:, i].copy()
@@ -556,6 +553,22 @@ def factor_solve(factor, rhs) -> np.ndarray:
     return scipy.linalg.lapack.dpotrs(factor[0], rhs, lower=1)[0]
 
 
+def _stationarity(gram, partition, xty, lam, point, on):
+    """X'X point - X'y + lambda * u, u = point_b/||point_b|| (0 on a zero
+    block), at each column of an N x c matrix of points on the blocks of its
+    support mask `on` (n_blocks x c, or x 1), 0 off them; and u, each
+    coordinate's block norm (1 on a zero block) and the zero blocks.  Block
+    norms are summed block by block in partition order
+    (`BlockPartition.order`), as `BlockSupport.restrict` stacks them."""
+    block, sizes = partition.block_index, partition.block_sizes
+    sq = np.add.reduceat(np.square(point[partition.order]), np.cumsum(sizes) - sizes, axis=0)
+    nil = sq == 0.0
+    # inactive blocks, and the zero blocks of a column falling back, divide by 1
+    norms = np.sqrt(np.where(nil, 1.0, sq))[block]
+    unit = point / norms
+    return np.where(on[block], gram @ point - xty + lam * unit, 0.0), unit, norms, nil
+
+
 def _newton(gram, partition, xty, lam, beta, resid, active, scales):
     """Up to NEWTON_STEPS Newton steps on X_I'(X_I b - y) + lambda * b_b/||b_b||
     = 0, to a residual of 1e-15 * s(y), for each column of `beta` (a FISTA
@@ -573,18 +586,15 @@ def _newton(gram, partition, xty, lam, beta, resid, active, scales):
     the block order of `BlockSupport.indices`, is gathered once into the
     leading m x m block of a c x m_max x m_max stack; each pass adds the
     deltaP entries of its same-block pairs, and the column's Cholesky
-    factorization and its step's solve use that block alone.  Block norms
-    are summed block by block in partition order, as `BlockSupport.restrict`
-    stacks them.
+    factorization and its step's solve use that block alone.
     """
     n, g = beta.shape
-    block, sizes = partition.block_index, partition.block_sizes
+    block, order = partition.block_index, partition.order
     on = active[block]
     point = np.where(on, beta, 0.0)
     # each column's active coordinates in block order, then pads, which read
     # coordinate 0 and lie outside the leading m x m block
-    order = np.argsort(block, kind="stable")
-    dims = sizes @ active
+    dims = partition.block_sizes @ active
     width = dims.max()
     real = np.arange(width) < dims[:, None]
     idx = np.zeros(real.shape, dtype=int)
@@ -599,18 +609,13 @@ def _newton(gram, partition, xty, lam, beta, resid, active, scales):
     tr, q = np.divmod(at, width)
     t, r = np.divmod(tr, width)
     at_r, at_q, lam_k, diag = cell.flat[tr], cell.flat[t * width + q], lam[t], r == q
-    heads = np.cumsum(sizes) - sizes
     factors, alive = [None] * g, np.zeros(g, dtype=bool)
 
     def factor(mv):
         # every column's stationarity residual at its point, and the factors
         # of columns mv; one whose point has a zero block has none
-        sq = np.add.reduceat(np.square(point[order]), heads, axis=0)
-        nil = sq == 0.0
+        stat, unit, norms, nil = _stationarity(gram, partition, xty, lam, point, active)
         zero = (nil & active).any(axis=0)
-        # inactive blocks, and the zero blocks of a column falling back, divide by 1
-        norms = np.sqrt(np.where(nil, 1.0, sq))[block]
-        unit = point / norms
         u, nr = unit.ravel(), norms.ravel()
         mats = gram_ii.copy()
         mats.reshape(-1)[at] += lam_k * ((diag - u[at_r] * u[at_q]) / nr[at_r])
@@ -618,7 +623,7 @@ def _newton(gram, partition, xty, lam, beta, resid, active, scales):
             m = dims[j]
             factors[j] = None if zero[j] else _cholesky(mats[j, :m, :m])
             alive[j] = factors[j] is not None
-        return np.where(on, gram @ point - xty + lam * unit, 0.0)
+        return stat
 
     stat = factor(np.flatnonzero(dims))
     if not alive[dims > 0].all():

@@ -152,11 +152,12 @@ def unit_and_dense_delta_P(beta_i, support):
     Raises ValueError on a zero block."""
     v = np.asarray(beta_i)
     v = v.astype(np.result_type(v.dtype, float))
-    norms = np.sqrt(np.add.reduceat(v * v, support.offsets[:-1]))
+    sizes = support.partition.block_sizes[list(support.active)]
+    norms = np.sqrt(np.add.reduceat(v * v, np.cumsum(sizes) - sizes))
     if not norms.all():
         raise ValueError(f"zero block at active position {np.argmin(norms)}")
-    norms = np.repeat(norms, support.sizes)
-    block = np.repeat(np.arange(support.n_active), support.sizes)
+    norms = np.repeat(norms, sizes)
+    block = np.repeat(np.arange(support.n_active), sizes)
     same_block = (block[:, None] == block).astype(float)
     u = v / norms
     return u, (np.eye(v.size) - u[:, None] * u * same_block) / norms[:, None]

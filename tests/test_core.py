@@ -216,7 +216,8 @@ class TestDeltaPMatrix:
         s = BlockSupport(p, tuple(np.flatnonzero(rng.random(p.n_blocks) < 0.7)))
         v = scale * (rng.standard_normal(s.active_dim) + 0.1)
         unit, dp = np.empty_like(v), np.zeros((v.size, v.size))
-        for a, b in zip(s.offsets[:-1], s.offsets[1:]):
+        offsets = np.cumsum([0, *p.block_sizes[list(s.active)]])
+        for a, b in zip(offsets[:-1], offsets[1:]):
             nrm = np.linalg.norm(v[a:b])
             unit[a:b] = v[a:b] / nrm
             dp[a:b, a:b] = (np.eye(b - a) - np.outer(unit[a:b], unit[a:b])) / nrm

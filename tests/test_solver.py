@@ -202,8 +202,10 @@ class TestSolve:
         # a cold start evaluates its certificate at beta = 0
         assert len(iterates) == sol.iterations + 1
         assert not iterates[0].any()
-        hist = solver._objective(problem.design, problem.partition, problem.y[:, None],
-                                 problem.lam, np.column_stack(iterates))
+        betas = np.column_stack(iterates)
+        fit = problem.y[:, None] - problem.design.matrix @ betas
+        hist = (0.5 * np.einsum("ij,ij->j", fit, fit)
+                + problem.lam * problem.partition.block_norms(betas).sum(axis=0))
         increases = np.diff(hist)
         assert np.all(increases <= 1e-14 * np.abs(hist[:-1]))
 
@@ -626,18 +628,19 @@ class TestBatchedFinish:
             gram_ii = design.gram[idx[:, None], idx]
             dp = (rebuilt_from_factor(sol) - gram_ii) / lam
             tol = 1e-13 * np.abs(gram_ii).max() / lam
-            block = np.repeat(np.arange(support.n_active), support.sizes)
+            sizes = partition.block_sizes[list(support.active)]
+            block = np.repeat(np.arange(support.n_active), sizes)
             beta_i = support.restrict(sol.beta)
             norms = partition.block_norms(sol.beta)[list(support.active)]
             assert np.max(np.abs(dp[block[:, None] != block]), initial=0.0) <= tol
             assert np.max(np.abs(dp - dp.T)) <= tol
             assert np.linalg.eigvalsh(dp).min() >= -tol
             assert np.max(np.abs(dp @ beta_i)) <= tol * np.max(np.abs(beta_i))
-            assert np.max(np.abs(dp[support.sizes[block] == 1]), initial=0.0) <= tol
-            assert np.trace(dp) == pytest.approx(np.sum((support.sizes - 1) / norms),
+            assert np.max(np.abs(dp[sizes[block] == 1]), initial=0.0) <= tol
+            assert np.trace(dp) == pytest.approx(np.sum((sizes - 1) / norms),
                                                  abs=idx.size * tol)
         # the last, full support holds the size-1 block
-        assert 1 in support.sizes
+        assert 1 in sizes
 
     def test_padded_chunks_stay_within_the_bound(self, monkeypatch):
         design, partition, ys, lams = interleaved_batch()
@@ -688,7 +691,8 @@ class TestBatchedFinish:
             if len(calls) != victim + 1:
                 return factor_solve(factor, rhs)
             # a step that lands exactly on zero in the first active block
-            first = clean[victim].support.indices[:clean[victim].support.sizes[0]]
+            support = clean[victim].support
+            first = support.indices[:partition.block_sizes[support.active[0]]]
             out = np.zeros_like(rhs)
             out[:first.size] = fista["beta"][first, victim]
             return out

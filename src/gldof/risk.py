@@ -126,6 +126,9 @@ def lambda_path(design: Design, y, partition: BlockPartition, lambdas=None, *,
     # checked before the default grid, which a NaN lambda_max would break
     if y.shape != (design.Q,) or not np.isfinite(y).all():
         raise ValueError(f"y must be finite and of length Q={design.Q}")
+    # checked before the grid is solved, not by `criteria` at the end
+    if sigma is not None and not sigma > 0:
+        raise ValueError("sigma must be positive")
     if lambdas is None:
         lambdas = default_lambda_grid(lambda_max(design, y, partition), n_points, decades)
     lambdas = np.sort(np.asarray(lambdas, dtype=float))[::-1]

@@ -49,7 +49,8 @@ so no tolerance is absolute:
   * active blocks: a block is active in the certificate exactly when its
     norm is nonzero (the prox sets inactive blocks to exact zeros);
   * support: norm above 1e-8 * max|beta|, the one rule, `core.block_support`;
-  * Newton stop: stationarity residual at most 1e-15 * s(y).
+  * Newton stop: stationarity residual at most NEWTON_STOP * s(y), in
+    `_newton` and in `solve_near`'s chord steps.
 """
 
 from __future__ import annotations
@@ -65,6 +66,10 @@ from .core import BlockPartition, BlockSupport, Design, support_mask
 
 # Newton steps on the active-block equations after FISTA
 NEWTON_STEPS = 4
+# the Newton stop, relative to s(y): differencing divides the coefficient
+# error by the step, so even a 1e-12 certificate leaves visible noise in
+# finite-difference Jacobians
+NEWTON_STOP = 1e-15
 # chord steps of `solve_near` at most, which converge linearly: next to a
 # small active block (the fd benchmark's seed-316 round-56 instance) a step
 # cuts the residual only 40-fold, and the probes meet the Newton stop after
@@ -74,7 +79,7 @@ CHORD_STEPS = 8
 BATCH_COLUMNS = 256
 # FISTA stops at this certificate, relative to s(y), when kkt_tol is tighter:
 # the support is identified by then, and the Newton finish certifies.  From
-# 1e-5, two Newton steps reach the 1e-15 stop; from 1e-4 a third is often
+# 1e-5, two Newton steps reach NEWTON_STOP; from 1e-4 a third is often
 # needed, which costs more than the few FISTA iterations in between.
 IDENTIFY_TOL = 1e-5
 
@@ -320,8 +325,8 @@ def solve_near(design: Design, ys, lam: float, partition: BlockPartition, base: 
     steps on base's support, all on base's factor: each step solves the
     `_stationarity` residuals of all columns (N x K, zeros off the support)
     in one `factor_solve`.  The columns step together until each has met
-    the Newton stop, 1e-15 * s(y), and then once more, within CHORD_STEPS
-    steps.  A column is accepted if it met the stop before the last step,
+    the Newton stop, NEWTON_STOP * s(y), and then once more, within
+    CHORD_STEPS steps.  A column is accepted if it met the stop before the last step,
     its point certifies (`_residuals`) at kkt_tol, and it keeps base's
     support mask; its Solution has base's support, 0 iterations and no
     factor.  None of these checks reads the factor, which only sets the
@@ -343,7 +348,7 @@ def solve_near(design: Design, ys, lam: float, partition: BlockPartition, base: 
         beta = np.repeat(np.where(on[partition.block_index], base.beta[:, None], 0.0), k, axis=1)
         for _ in range(CHORD_STEPS if idx.size else 0):
             stat = _stationarity(gram, partition, xty, lam, beta, on)[0]
-            met = np.abs(stat).max(axis=0) <= 1e-15 * scales
+            met = np.abs(stat).max(axis=0) <= NEWTON_STOP * scales
             beta[idx] -= factor_solve(base.factor, stat[idx])
             if met.all():
                 break
@@ -571,13 +576,11 @@ def _stationarity(gram, partition, xty, lam, point, on):
 
 def _newton(gram, partition, xty, lam, beta, resid, active, scales):
     """Up to NEWTON_STEPS Newton steps on X_I'(X_I b - y) + lambda * b_b/||b_b||
-    = 0, to a residual of 1e-15 * s(y), for each column of `beta` (a FISTA
-    point) on its support `active`: differencing divides the coefficient
-    error by the step, so even a 1e-12 certificate leaves visible noise in
-    finite-difference Jacobians.  A column keeps its FISTA point and start
-    factor if a step zeroes a block or is not positive definite, or if its
-    polished certificate (`_residuals`) is worse.  Returns the points kept
-    and their certificates and factors.
+    = 0 (`_stationarity`), to a residual of NEWTON_STOP * s(y), for each
+    column of `beta` (a FISTA point) on its support `active`.  A column
+    keeps its FISTA point and start factor if a step zeroes a block or is
+    not positive definite, or if its polished certificate (`_residuals`) is
+    worse.  Returns the points kept and their certificates and factors.
 
     The columns step together whatever their supports, in the layout of
     `_fista`: the points are N x c with zeros off each support, and so are
@@ -628,7 +631,7 @@ def _newton(gram, partition, xty, lam, beta, resid, active, scales):
     stat = factor(np.flatnonzero(dims))
     if not alive[dims > 0].all():
         raise scipy.linalg.LinAlgError("system matrix is not positive definite")
-    start, floor = list(factors), 1e-15 * scales
+    start, floor = list(factors), NEWTON_STOP * scales
     for _ in range(NEWTON_STEPS):
         # a column that fell back is left without a factor, and stops
         mv = np.flatnonzero(alive & (np.abs(stat).max(axis=0) > floor))

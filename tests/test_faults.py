@@ -79,6 +79,22 @@ def divergence_plus_one(monkeypatch):
     monkeypatch.setattr(validate, "dof_estimate", estimate)
 
 
+def smallest_block_dropped(monkeypatch):
+    """The solver's support rule drops each column's active block of smallest
+    norm: the finish, the margins and the DOF report all take the support
+    without it."""
+    mask = solver.support_mask
+
+    def dropping(partition, values):
+        on = mask(partition, values)
+        cols = np.flatnonzero(on.any(axis=0))
+        norms = np.where(on, partition.block_norms(values), np.inf)
+        on[np.argmin(norms, axis=0)[cols], cols] = False
+        return on
+
+    monkeypatch.setattr(solver, "support_mask", dropping)
+
+
 @pytest.fixture(scope="module")
 def problem_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("faults") / "prob.json"
@@ -108,6 +124,33 @@ def test_validate_fd_rejects_a_wrong_differential(problem_file, tmp_path, monkey
         # its gate (by lambda (W deltaP W')_mm, 3.6e-3 against 2.7e-4 here)
         assert d["jacobian_worst_tol_ratio"] < 1e-3
         assert d["divergence_abs_err"] > cli.FD_REL_TOL * abs(d["fd_divergence"])
+
+
+@pytest.mark.parametrize("fault", [None, smallest_block_dropped])
+def test_validate_fd_rejects_a_support_missing_a_block(problem_file, tmp_path, monkeypatch,
+                                                       fault):
+    if fault:
+        fault(monkeypatch)
+    # the KKT certificate does not see the fault: the Newton point on the
+    # short support fails it, and the FISTA point kept, which still holds
+    # the dropped block, certifies
+    sol = solver.solve(load_problem(str(problem_file)).problem(0.4))
+    assert sol.kkt_residual <= solver.SolverOptions().kkt_tol
+    assert sol.support.n_active == (2 if fault is None else 1)
+    out = tmp_path / "dof.json"
+    assert main(["dof", "--problem", str(problem_file), "--out", str(out),
+                 "--no-timestamp"]) == 0
+    d = json.loads(out.read_text())
+    code = main(["validate", "fd", "--problem", str(problem_file), "--out",
+                 str(tmp_path / "fd.json"), "--no-timestamp"])
+    if fault is None:
+        assert code == cli.EXIT_OK and d["active_blocks"] == [0, 2] and not d["warning"]
+    else:
+        # the dropped block's slack lambda - ||X_b'r|| is round-off (its norm
+        # is nonzero), so the certified radius is too: the report warns, and
+        # `validate fd` finds y on a support boundary
+        assert code == cli.EXIT_NUMERICAL and d["active_blocks"] == [2] and d["warning"]
+        assert d["divergence"] == pytest.approx(1.6245, abs=1e-4)
 
 
 @pytest.mark.parametrize("fault", [None, short_trace])

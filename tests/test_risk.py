@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import random_problem
 
+from gldof import risk
 from gldof.core import BlockPartition, Design
 from gldof.risk import RiskCurve, criteria, default_lambda_grid, estimate_sigma, lambda_path
 from gldof.dof import dof_estimate
@@ -135,6 +136,17 @@ class TestLambdaPath:
         curve = lambda_path(problem.design, problem.y, problem.partition,
                             sigma=0.6, n_points=30)
         assert curve.select("sure") == curve.select("cp")
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan])
+    def test_rejects_a_bad_sigma_before_solving(self, monkeypatch, sigma):
+        problem = random_problem(9, 14, 4, [2, 2])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid was solved")
+
+        monkeypatch.setattr(risk, "solve_batch", refuse)
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            lambda_path(problem.design, problem.y, problem.partition, sigma=sigma)
 
     def test_sigma_free_curve_has_nan_criteria(self):
         problem = random_problem(9, 14, 4, [2, 2])

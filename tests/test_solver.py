@@ -1049,14 +1049,20 @@ def refuse_cold_solves(monkeypatch):
 class TestSolveNear:
     TIGHT = SolverOptions(kkt_tol=1e-12, max_iter=200_000)
 
-    @pytest.mark.parametrize("instance", ["random", "fd_seed316_round56", "fd_seed316_round62"])
+    @pytest.mark.parametrize("instance", ["random", "interleaved", "fd_seed316_round56",
+                                          "fd_seed316_round62"])
     def test_agrees_with_cold_solves(self, instance, monkeypatch):
         if instance == "random":
             problem = random_problem(46, 16, 8, [3, 1, 4], lam_frac=0.3)
+        elif instance == "interleaved":
+            design, partition, ys, lams = interleaved_batch()
+            problem = Problem(design, ys[:, 6], lams[6], partition)
         else:
             loaded = load_problem(pathlib.Path(__file__).parent / "fixtures" / f"{instance}.json")
             problem = loaded.problem(loaded.lam)
         base = solve(problem, self.TIGHT)
+        # the probes' steps gather the support's coordinates in block order
+        assert (np.diff(base.support.indices) < 0).any() == (instance == "interleaved")
         # the step of `validate fd`: next to a boundary, half the radius
         ys = probes(problem, min(1e-5 * np.max(np.abs(problem.y)),
                                  0.5 * dof_estimate(problem, base).radius))

@@ -326,10 +326,10 @@ def solve_near(design: Design, ys, lam: float, partition: BlockPartition, base: 
     `_stationarity` residuals of all columns (N x K, zeros off the support)
     in one `factor_solve`.  The columns step together until each has met
     the Newton stop, NEWTON_STOP * s(y), and then once more, within
-    CHORD_STEPS steps.  A column is accepted if it met the stop before the last step,
-    its point certifies (`_residuals`) at kkt_tol, and it keeps base's
-    support mask; its Solution has base's support, 0 iterations and no
-    factor.  None of these checks reads the factor, which only sets the
+    CHORD_STEPS steps.  A column is accepted if it met the stop before the
+    last step, its point certifies (`_residuals`) at kkt_tol, and it keeps
+    base's support mask; its Solution has base's support, 0 iterations and
+    no factor.  None of these checks reads the factor, which only sets the
     speed.  Every other column, as one whose support differs from base's,
     is solved by `solve_batch`, and its result is yielded in its place.
     """

@@ -19,6 +19,7 @@ from .solver import (
 from .dof import (
     DofReport,
     differential,
+    dof_batch,
     dof_estimate,
     dof_identity_closed_form,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "block_support",
     "default_lambda_grid",
     "differential",
+    "dof_batch",
     "dof_estimate",
     "dof_identity_closed_form",
     "estimate_sigma",

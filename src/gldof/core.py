@@ -169,13 +169,6 @@ class BlockSupport:
         """Coordinate indices of the active blocks, stacked in block order."""
         return np.array([i for b in self.blocks for i in b], dtype=int)
 
-    @cached_property
-    def indicator(self) -> np.ndarray:
-        """Active blocks x stacked coordinates 0/1 matrix: the block sums of
-        `BlockPartition.indicator` on the stacked on-support vector."""
-        block = self.partition.block_index[self.indices]
-        return (np.array(self.active)[:, None] == block).astype(float)
-
     def restrict(self, values) -> np.ndarray:
         """Extract the stacked on-support subvector of a full-length vector."""
         return _as_vector(values, self.partition.total_dim)[self.indices]
@@ -253,6 +246,19 @@ def block_support(partition: BlockPartition, values) -> BlockSupport:
     """
     v = _as_vector(values, partition.total_dim)
     return BlockSupport(partition, tuple(np.flatnonzero(support_mask(partition, v))))
+
+
+def stacked_coordinates(partition: BlockPartition, active):
+    """The active coordinates of each column of a block mask `active`
+    (n_blocks x c), stacked as `BlockSupport.indices` stacks them, in
+    partition order (`BlockPartition.order`): a c x m_max array padded with
+    coordinate 0, the c x m_max mask of its real entries, and each column's
+    number m of active coordinates."""
+    dims = partition.block_sizes @ active
+    real = np.arange(dims.max(initial=0)) < dims[:, None]
+    idx = np.zeros(real.shape, dtype=int)
+    idx[real] = partition.order[np.nonzero(active[partition.block_index[partition.order]].T)[1]]
+    return idx, real, dims
 
 
 def support_mask(partition: BlockPartition, values) -> np.ndarray:

@@ -17,8 +17,8 @@ import numpy as np
 import scipy.linalg
 
 from .core import BlockPartition, Design
-from .dof import dof_estimate
-from .solver import ConvergenceError, Problem, SolverOptions, lambda_max, solve_batch
+from .dof import dof_batch
+from .solver import SolverOptions, lambda_max
 
 CSV_HEADER = "lambda,dof,residual_sq,sure,gcv,cp,aic,active_dim,warning"
 
@@ -116,10 +116,10 @@ def lambda_path(design: Design, y, partition: BlockPartition, lambdas=None, *,
                 opts: SolverOptions | None = None) -> RiskCurve:
     """Solve along a decreasing lambda grid and record all risk criteria.
 
-    The grid is one `solve_batch` of cold starts, one column per lambda, all
+    The grid is one `dof_batch` of cold starts, one column per lambda, all
     sharing y, so the curve is bit-identical for a fixed grid.  Solutions
-    are consumed as the batch yields them, never held as a list, so their
-    factors do not pile up.  A solve that fails to certify is recorded as
+    and reports are consumed as the batch yields them, never held as a
+    list, so their factors do not pile up.  A solve that fails to certify is recorded as
     NaN and the sweep continues.
     """
     y = np.asarray(y, dtype=float)
@@ -145,11 +145,10 @@ def lambda_path(design: Design, y, partition: BlockPartition, lambdas=None, *,
     failed = []
 
     ys = np.repeat(y[:, None], n, axis=1)
-    for i, sol in enumerate(solve_batch(design, ys, lambdas, partition, opts)):
-        if isinstance(sol, ConvergenceError):
+    for i, (sol, report) in enumerate(dof_batch(design, ys, lambdas, partition, opts)):
+        if report is None:
             failed.append(i)
             continue
-        report = dof_estimate(Problem(design, y, lambdas[i], partition), sol)
         resid = y - design.matrix @ sol.beta
         dof_v[i], rss[i] = report.divergence, float(resid @ resid)
         adim[i], warn[i] = report.support.active_dim, report.warning

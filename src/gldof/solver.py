@@ -28,7 +28,7 @@ order, a chunk at a time, and each Newton step of a chunk is one pass over
 all its columns whatever their supports.  The points stay N x c, as in
 FISTA, and only the system matrices are compact: each column's X_I'X_I is
 gathered once into a stack padded to the chunk's largest support
-(c x m_max^2 entries, at most N x BATCH_COLUMNS).
+(c x m_max^2 entries, at most CHUNK_ENTRIES or one column's).
 `solve` is that same code at K = 1: one FISTA start and iteration, one prox,
 one certificate (`_violation`, which `kkt_check` evaluates too) and one
 finish, equal to a column-by-column finish up to round-off; each support's
@@ -62,7 +62,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 
-from .core import BlockPartition, BlockSupport, Design, support_mask
+from .core import BlockPartition, BlockSupport, Design, stacked_coordinates, support_mask
 
 # Newton steps on the active-block equations after FISTA
 NEWTON_STEPS = 4
@@ -77,6 +77,10 @@ NEWTON_STOP = 1e-15
 CHORD_STEPS = 8
 # columns `solve_batch` iterates on at once: its working memory is O(N x this)
 BATCH_COLUMNS = 256
+# padded system-matrix entries of a Newton chunk, c x m_max^2 (1 MB), whatever
+# N: a whole `validate mc` batch (50 columns with m <= 40) is one chunk, and a
+# lambda path at N = 200 still goes in chunks of a few columns
+CHUNK_ENTRIES = 2**17
 # FISTA stops at this certificate, relative to s(y), when kkt_tol is tighter:
 # the support is identified by then, and the Newton finish certifies.  From
 # 1e-5, two Newton steps reach NEWTON_STOP; from 1e-4 a third is often
@@ -263,8 +267,8 @@ def solve(problem: Problem, opts: SolverOptions | None = None, start=None) -> So
         if start.shape != (problem.design.N,) or not np.isfinite(start).all():
             raise ValueError(f"warm start must be a finite vector of length N={problem.design.N}")
         start = start[:, None]
-    (result,) = _solve_columns(problem.design, problem.partition, problem.y[:, None],
-                               np.array([problem.lam]), opts or SolverOptions(), start)
+    [(result,)] = _solve_columns(problem.design, problem.partition, problem.y[:, None],
+                                 np.array([problem.lam]), opts or SolverOptions(), start)
     if isinstance(result, ConvergenceError):
         raise result
     return result
@@ -282,8 +286,8 @@ def solve_batch(design: Design, ys, lam: float | np.ndarray, partition: BlockPar
     which its certificate is at most max(kkt_tol, IDENTIFY_TOL); the frozen
     columns then get the support rule, Newton polish and factor of `solve`
     at their own lambda, a chunk at a time: c columns whose supports have
-    at most m_max coordinates, with c x m_max^2 <= N x BATCH_COLUMNS (or
-    one column), take each Newton step in one pass, their points N x c and
+    at most m_max coordinates, with c x m_max^2 <= CHUNK_ENTRIES (or one
+    column), take each Newton step in one pass, their points N x c and
     their system matrices in one padded stack (module docstring).
     Within its chunk, before the chunk yields, a column whose finished
     point misses kkt_tol resumes FISTA from its FISTA point, at kkt_tol and
@@ -297,6 +301,14 @@ def solve_batch(design: Design, ys, lam: float | np.ndarray, partition: BlockPar
     run to run for the same input and K.  `solve` is this code at K = 1,
     so a column agrees with `solve` up to round-off, not bit for bit.
     """
+    return itertools.chain.from_iterable(solve_chunks(design, ys, lam, partition, opts))
+
+
+def solve_chunks(design: Design, ys, lam: float | np.ndarray, partition: BlockPartition,
+                 opts: SolverOptions | None = None):
+    """What `solve_batch` yields, a chunk at a time: an iterator over lists
+    of the results of consecutive columns, in order, one list per chunk of
+    the finish, which is yielded when all its columns are finished."""
     # private copies: the finish reads them lazily, between yields
     ys = np.array(ys, dtype=float, order="C")
     if ys.ndim != 2 or ys.shape[0] != design.Q or not np.isfinite(ys).all():
@@ -381,8 +393,9 @@ def _solve_columns(design, partition, ys, lams, opts, start=None):
     from its FISTA point at kkt_tol, with what is left of `max_iter`, and is
     finished again; and the chunk yields each column's Solution, with its
     margins and the BlockSupport of its final mask, or the ConvergenceError
-    of a column still uncertified after `max_iter` iterations in all.
-    Columns with one support, in any chunk, share its BlockSupport.
+    of a column still uncertified after `max_iter` iterations in all, as
+    one list per chunk.  Columns with one support, in any chunk, share its
+    BlockSupport.
     """
     gram, tol, max_iter = design.gram, opts.kkt_tol, opts.max_iter
     xty = design.matrix.T @ ys
@@ -392,15 +405,15 @@ def _solve_columns(design, partition, ys, lams, opts, start=None):
     # the support rule of `core.block_support`, on every certified column
     active = support_mask(partition, fista) & ~failed
     dims = partition.block_sizes @ active
-    n, k = fista.shape
+    k = fista.shape[1]
     # the BlockSupport of each distinct mask, keyed by its bytes
     lo, supports = 0, {}
     while lo < k:
         # finish in column order, a chunk of c columns at a time whose padded
-        # system matrices, c x m_max^2 entries, hold at most N x BATCH_COLUMNS
+        # system matrices, c x m_max^2 entries, hold at most CHUNK_ENTRIES
         # (or one column's)
         padded = np.arange(1, k - lo + 1) * np.maximum.accumulate(dims[lo:]) ** 2
-        hi = lo + max(1, int(np.searchsorted(padded, n * BATCH_COLUMNS, side="right")))
+        hi = lo + max(1, int(np.searchsorted(padded, CHUNK_ENTRIES, side="right")))
         beta, resid, factors = _newton(
             gram, partition, xty[:, lo:hi], lams[lo:hi], fista[:, lo:hi],
             fista_resid[lo:hi], active[:, lo:hi], scales[lo:hi])
@@ -424,23 +437,27 @@ def _solve_columns(design, partition, ys, lams, opts, start=None):
         objective, t_margin, s_margin = _objective_and_margins(
             design, partition, ys[:, lo:hi], lams[lo:hi], beta, xty[:, lo:hi] - gram @ beta,
             partition.block_norms(beta), active[:, lo:hi])
+        chunk = []
         for i, j in enumerate(range(lo, hi)):
             # a copy, so that no result pins its chunk
             b = beta[:, i].copy()
             b.setflags(write=False)
             if failed[j]:
-                yield ConvergenceError(
+                chunk.append(ConvergenceError(
                     f"no KKT certificate <= {tol:g} within {max_iter} iterations "
                     f"(best residual {resid[i]:g})",
-                    beta=b, kkt_residual=float(resid[i]), iterations=max_iter)
-            else:
-                key = active[:, j].tobytes()
-                if key not in supports:
-                    supports[key] = BlockSupport(partition, tuple(np.flatnonzero(active[:, j])))
-                yield Solution(beta=b, support=supports[key], objective=float(objective[i]),
-                               kkt_residual=float(resid[i]), iterations=int(iters[j]),
-                               transition_margin=float(t_margin[i]),
-                               support_margin=float(s_margin[i]), factor=factors[i])
+                    beta=b, kkt_residual=float(resid[i]), iterations=max_iter))
+                continue
+            key = active[:, j].tobytes()
+            if key not in supports:
+                supports[key] = BlockSupport(partition, tuple(np.flatnonzero(active[:, j])))
+            chunk.append(Solution(beta=b, support=supports[key], objective=float(objective[i]),
+                                  kkt_residual=float(resid[i]), iterations=int(iters[j]),
+                                  transition_margin=float(t_margin[i]),
+                                  support_margin=float(s_margin[i]), factor=factors[i]))
+        # the chunk's arrays go before the next chunk is finished
+        del beta, factors
+        yield chunk
         lo = hi
 
 
@@ -592,16 +609,12 @@ def _newton(gram, partition, xty, lam, beta, resid, active, scales):
     factorization and its step's solve use that block alone.
     """
     n, g = beta.shape
-    block, order = partition.block_index, partition.order
-    on = active[block]
-    point = np.where(on, beta, 0.0)
+    block = partition.block_index
+    point = np.where(active[block], beta, 0.0)
     # each column's active coordinates in block order, then pads, which read
     # coordinate 0 and lie outside the leading m x m block
-    dims = partition.block_sizes @ active
-    width = dims.max()
-    real = np.arange(width) < dims[:, None]
-    idx = np.zeros(real.shape, dtype=int)
-    idx[real] = order[np.nonzero(on[order].T)[1]]
+    idx, real, dims = stacked_coordinates(partition, active)
+    width = idx.shape[1]
     gram_ii = gram.take(idx[:, :, None] * n + idx[:, None, :])
     # the flat position of (idx[t, r], t) in an N x c matrix
     cell = idx * g + np.arange(g)[:, None]

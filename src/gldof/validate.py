@@ -18,9 +18,8 @@ import math
 
 import numpy as np
 
-from .dof import dof_estimate, fd_step
-from .solver import (ConvergenceError, Problem, Solution, SolverOptions, solve, solve_batch,
-                     solve_near)
+from .dof import dof_batch, fd_step
+from .solver import ConvergenceError, Problem, Solution, SolverOptions, solve, solve_near
 
 # oracle solves are tightened well below the comparison tolerances so that
 # solver noise does not leak into the finite differences; such a tolerance
@@ -126,8 +125,9 @@ def mc_dof(scenario, lam: float, replicates: int, seed: int = 0, *,
     """Monte Carlo DOF of the group lasso at fixed lambda, from known mu0.
 
     Draws y_k = mu0 + sigma * xi_k with a per-replicate derived RNG stream
-    and solves all replicates as one `solve_batch` (cold starts), so results
-    are bit-identical for a given seed and replicate count.  Replicates
+    and solves all replicates, with their DOF reports, as one `dof_batch`
+    (cold starts), so results are bit-identical for a given seed and
+    replicate count.  Replicates
     whose solve fails to certify are excluded and counted in n_failed;
     replicates carrying a transition warning are excluded only when
     `exclude_warned` is set (the warned set has probability zero in theory).
@@ -145,10 +145,9 @@ def mc_dof(scenario, lam: float, replicates: int, seed: int = 0, *,
 
     # per kept replicate: Stein term, divergence, transition warning
     kept = []
-    for y, sol in zip(ys.T, solve_batch(design, ys, lam, partition)):
-        if isinstance(sol, ConvergenceError):
+    for y, (sol, report) in zip(ys.T, dof_batch(design, ys, lam, partition)):
+        if report is None:
             continue
-        report = dof_estimate(Problem(design, y, lam, partition), sol)
         stein = float((y - mu0) @ (design.matrix @ sol.beta)) / sigma**2
         kept.append((stein, report.divergence, report.warning))
     n_failed = replicates - len(kept)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy
 
-from gldof import cli, risk, solver, validate
+from gldof import cli, dof, solver, validate
 from gldof.cli import main
 from gldof.core import BlockPartition, Design
 from gldof.datagen import ScenarioSpec, generate, load_problem, save_problem
@@ -263,11 +263,11 @@ class TestPath:
 
         def batching(design, ys, *args, **kwargs):
             columns.append(ys.shape[1])
-            return solver.solve_batch(design, ys, *args, **kwargs)
+            return solver.solve_chunks(design, ys, *args, **kwargs)
 
         monkeypatch.setattr(cli, "solve", counting)
         monkeypatch.setattr(solver, "solve", counting)
-        monkeypatch.setattr(risk, "solve_batch", batching)
+        monkeypatch.setattr(dof, "solve_chunks", batching)
         out = tmp_path / "curve.csv"
         assert main(["path", "--problem", str(problem_file), "--grid-points", "12",
                      "--out", str(out), "--no-timestamp"]) == 0

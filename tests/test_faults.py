@@ -70,13 +70,13 @@ def short_trace(monkeypatch):
 
 def divergence_plus_one(monkeypatch):
     """Every DOF report that `mc_dof` reads is one too large."""
-    dof_estimate = validate.dof_estimate
+    dof_batch = validate.dof_batch
 
-    def estimate(problem, solution):
-        report = dof_estimate(problem, solution)
-        return dataclasses.replace(report, divergence=report.divergence + 1.0)
+    def batch(*args, **kwargs):
+        for sol, report in dof_batch(*args, **kwargs):
+            yield sol, report and dataclasses.replace(report, divergence=report.divergence + 1.0)
 
-    monkeypatch.setattr(validate, "dof_estimate", estimate)
+    monkeypatch.setattr(validate, "dof_batch", batch)
 
 
 def smallest_block_dropped(monkeypatch):

@@ -144,7 +144,7 @@ class TestLambdaPath:
         def refuse(*args, **kwargs):
             raise AssertionError("the grid was solved")
 
-        monkeypatch.setattr(risk, "solve_batch", refuse)
+        monkeypatch.setattr(risk, "dof_batch", refuse)
         with pytest.raises(ValueError, match="sigma must be positive"):
             lambda_path(problem.design, problem.y, problem.partition, sigma=sigma)
 

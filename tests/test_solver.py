@@ -655,14 +655,14 @@ class TestBatchedFinish:
                           if active.shape[1] > 1 else 0)
             return newton(gram, partition, xty, lam, beta, resid, active, scales)
 
-        monkeypatch.setattr(solver, "BATCH_COLUMNS", 4)
+        monkeypatch.setattr(solver, "CHUNK_ENTRIES", 84)
         monkeypatch.setattr(solver, "_newton", recording)
         chunked = list(solve_batch(design, ys, lams, partition))
         monkeypatch.undo()
         assert whole[0].support.is_empty and whole[-1].support.active_dim == design.N
         # a chunk's padded system matrices, c x m_max^2 entries, hold at most
-        # N x BATCH_COLUMNS, or are one column's
-        assert len(chunks) > 2 and max(chunks) <= design.N * 4
+        # CHUNK_ENTRIES, or are one column's
+        assert len(chunks) > 2 and max(chunks) <= 84
         for a, b in zip(whole, chunked, strict=True):
             assert a.support == b.support and a.iterations == b.iterations
             assert np.max(np.abs(a.beta - b.beta)) <= 1e-12 * np.max(np.abs(a.beta), initial=0.0)

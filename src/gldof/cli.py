@@ -201,6 +201,11 @@ def cmd_path(args) -> int:
     write_json(args.out + ".manifest.json",
                {"manifest": build_manifest(args, inputs),
                 "sigma": sigma, "failed_lambdas": list(curve.failed)})
+    if len(curve.failed) == len(curve):
+        # no lambda to select: a numerical failure, with the curve written
+        print(f"numerical failure: {len(curve.failed)} lambdas failed to certify",
+              file=sys.stderr)
+        return EXIT_NUMERICAL
     crit = "sure" if sigma is not None else "gcv"
     best = curve.select(crit)
     print(f"wrote {args.out}: {len(curve)} lambdas, argmin-{crit} lambda = {fmt(best)}")

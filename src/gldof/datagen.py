@@ -9,6 +9,7 @@ random directions.  Also owns the problem-file format used by the CLI.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -59,8 +60,9 @@ class ScenarioSpec:
             raise ValueError("k_active out of range")
         for name in ("sigma", "signal_scale"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value > 0:
-                raise ValueError(f"{name} must be a positive number, not {value!r}")
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not 0 < value < math.inf):
+                raise ValueError(f"{name} must be a positive finite number, not {value!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioSpec":
@@ -90,7 +92,9 @@ class Scenario:
         if seed is None:
             seed = self.spec.seed
         noise = replicate_rng(seed, replicate).standard_normal(self.design.Q)
-        return self.mu0 + self.spec.sigma * noise
+        with np.errstate(over="ignore"):
+            y = self.mu0 + self.spec.sigma * noise
+        return _finite(y, "y = mu0 + sigma * noise")
 
 
 def generate(spec: ScenarioSpec) -> Scenario:
@@ -111,16 +115,24 @@ def generate(spec: ScenarioSpec) -> Scenario:
                 f"in {MAX_RETRIES} draws")
 
     beta0 = np.zeros(spec.N)
-    if spec.k_active:
-        chosen = np.sort(rng.choice(len(partition), size=spec.k_active, replace=False))
-        for b in chosen:
-            idx = np.array(partition.blocks[b], dtype=int)
-            direction = rng.standard_normal(idx.size)
-            beta0[idx] = spec.signal_scale * direction / np.linalg.norm(direction)
-
     design = Design(x)
+    # an overflow of signal_scale is refused below, as a non-finite mu0
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.k_active:
+            chosen = np.sort(rng.choice(len(partition), size=spec.k_active, replace=False))
+            for b in chosen:
+                idx = np.array(partition.blocks[b], dtype=int)
+                direction = rng.standard_normal(idx.size)
+                beta0[idx] = spec.signal_scale * direction / np.linalg.norm(direction)
+        mu0 = design.matrix @ beta0
     return Scenario(spec=spec, design=design, partition=partition,
-                    beta0=beta0, mu0=design.matrix @ beta0)
+                    beta0=beta0, mu0=_finite(mu0, "mu0 = X beta0"))
+
+
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} is not finite: the scale of the scenario overflows")
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -119,8 +119,8 @@ def lambda_path(design: Design, y, partition: BlockPartition, lambdas=None, *,
     The grid is one `dof_batch` of cold starts, one column per lambda, all
     sharing y, so the curve is bit-identical for a fixed grid.  Solutions
     and reports are consumed as the batch yields them, never held as a
-    list, so their factors do not pile up.  A solve that fails to certify is recorded as
-    NaN and the sweep continues.
+    list, so their factors do not pile up.  A solve that fails to certify
+    is recorded as NaN and the sweep continues.
     """
     y = np.asarray(y, dtype=float)
     # checked before the default grid, which a NaN lambda_max would break

@@ -447,14 +447,15 @@ def _solve_columns(design, partition, ys, lams, opts, start=None):
                     f"no KKT certificate <= {tol:g} within {max_iter} iterations "
                     f"(best residual {resid[i]:g})",
                     beta=b, kkt_residual=float(resid[i]), iterations=max_iter))
-                continue
-            key = active[:, j].tobytes()
-            if key not in supports:
-                supports[key] = BlockSupport(partition, tuple(np.flatnonzero(active[:, j])))
-            chunk.append(Solution(beta=b, support=supports[key], objective=float(objective[i]),
-                                  kkt_residual=float(resid[i]), iterations=int(iters[j]),
-                                  transition_margin=float(t_margin[i]),
-                                  support_margin=float(s_margin[i]), factor=factors[i]))
+            else:
+                key = active[:, j].tobytes()
+                if key not in supports:
+                    supports[key] = BlockSupport(partition, tuple(np.flatnonzero(active[:, j])))
+                chunk.append(Solution(
+                    beta=b, support=supports[key], objective=float(objective[i]),
+                    kkt_residual=float(resid[i]), iterations=int(iters[j]),
+                    transition_margin=float(t_margin[i]), support_margin=float(s_margin[i]),
+                    factor=factors[i]))
         # the chunk's arrays go before the next chunk is finished
         del beta, factors
         yield chunk

@@ -127,10 +127,10 @@ def mc_dof(scenario, lam: float, replicates: int, seed: int = 0, *,
     Draws y_k = mu0 + sigma * xi_k with a per-replicate derived RNG stream
     and solves all replicates, with their DOF reports, as one `dof_batch`
     (cold starts), so results are bit-identical for a given seed and
-    replicate count.  Replicates
-    whose solve fails to certify are excluded and counted in n_failed;
-    replicates carrying a transition warning are excluded only when
-    `exclude_warned` is set (the warned set has probability zero in theory).
+    replicate count.  Replicates whose solve fails to certify are excluded
+    and counted in n_failed; replicates carrying a transition warning are
+    excluded only when `exclude_warned` is set (the warned set has
+    probability zero in theory).
     """
     if replicates < 2:
         raise ValueError("need at least 2 replicates")

@@ -61,6 +61,17 @@ class TestGen:
         assert manifest["numpy"] == np.__version__
         assert manifest["scipy"] == scipy.__version__
 
+    @pytest.mark.parametrize("flags", [["--sigma", "inf"], ["--signal-scale", "inf"],
+                                       ["--signal-scale", "1e308"], ["--sigma", "1.7e308"]])
+    def test_non_finite_scales_are_a_usage_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "g.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["gen", "--q", "12", "--block-sizes", "3,3", "--k-active", "1",
+                         *flags, "--out", str(out), "--no-timestamp"]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_timestamp_present_by_default(self, tmp_path):
         out = tmp_path / "t.json"
         assert main(["gen", "--q", "12", "--block-sizes", "3,3",
@@ -253,6 +264,17 @@ class TestPath:
                             [1.0, 0.5, 0.25], sigma=loaded.sigma)
         assert [r[1] for r in rows] == pytest.approx(curve.dof, rel=1e-12)
         assert [r[2] for r in rows] == pytest.approx(curve.residual_sq, rel=1e-12)
+
+    def test_no_certified_lambda_is_a_numerical_failure(self, problem_file, tmp_path,
+                                                         capsys):
+        out = tmp_path / "curve.csv"
+        assert main(["path", "--problem", str(problem_file), "--grid", "0.01,0.02",
+                     "--max-iter", "0", "--out", str(out), "--no-timestamp"]) == 3
+        assert "2 lambdas failed to certify" in capsys.readouterr().err
+        # the curve of failures and its sidecar are still written
+        assert len(out.read_text().strip().split("\n")) == 3
+        sidecar = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
+        assert sidecar["failed_lambdas"] == [0, 1]
 
     def test_path_is_one_batch(self, problem_file, tmp_path, monkeypatch):
         calls, columns = [], []

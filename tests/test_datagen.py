@@ -50,6 +50,9 @@ class TestScenarioSpec:
         dict(k_active=True),              # booleans, once read as 1
         dict(seed=True),
         dict(sigma=True),
+        dict(sigma=float("inf")),         # once accepted, and written as Infinity
+        dict(signal_scale=float("inf")),
+        dict(sigma=float("nan")),
     ])
     def test_invalid(self, kw):
         with pytest.raises(ValueError):
@@ -93,6 +96,12 @@ class TestGenerate:
         smin = np.linalg.svd(scenario.design.matrix, compute_uv=False)[-1]
         assert smin > 1e-6
 
+    def test_an_overflowing_signal_is_refused(self):
+        # 1e308 times a direction entry above 1 overflows: once a RuntimeWarning
+        # and a problem file of Infinity and NaN entries
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="mu0 = X beta0"):
+            generate(spec(signal_scale=1e308))
+
     def test_column_scaling(self):
         scenario = generate(spec(Q=400, N=10, block_sizes=(1,) * 10))
         col_norms = np.linalg.norm(scenario.design.matrix, axis=0)
@@ -104,6 +113,11 @@ class TestDraws:
         scenario = generate(spec())
         assert np.array_equal(scenario.draw_y(seed=1, replicate=3),
                               scenario.draw_y(seed=1, replicate=3))
+
+    def test_an_overflowing_draw_is_refused(self):
+        scenario = generate(spec(sigma=1.7e308))
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="y = mu0"):
+            scenario.draw_y(seed=1)
 
     def test_replicates_differ(self):
         scenario = generate(spec())

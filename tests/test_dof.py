@@ -8,15 +8,19 @@ import scipy.linalg
 
 from helpers import block_soft_threshold, random_problem, reference_divergence, transition_instance
 
+from gldof import solver
 from gldof.core import BlockPartition, Design
-from gldof.datagen import load_problem
+from gldof.datagen import ScenarioSpec, generate, load_problem
 from gldof.dof import (
     differential,
+    dof_batch,
     dof_estimate,
     dof_identity_closed_form,
     fd_step,
 )
+from gldof.risk import default_lambda_grid
 from gldof.solver import (
+    ConvergenceError,
     Problem,
     SolverOptions,
     lambda_max,
@@ -325,6 +329,57 @@ class TestCoordinateRadius:
                 scaled_report = dof_estimate(scaled, scaled_sol)
                 assert scaled_report.radius == pytest.approx(s * radius, rel=1e-6)
                 assert scaled_report.warning == warned
+
+
+class TestDofBatch:
+    def test_pairs_come_in_column_order(self, monkeypatch):
+        # one y on a lambda grid from above lambda_max to a full support, in
+        # chunks of one to several columns
+        problem = random_problem(31, 40, 16, [4, 4, 4, 4])
+        lams = default_lambda_grid(2.0 * lambda_max(problem.design, problem.y,
+                                                    problem.partition), 12, 3.0)
+        ys = np.repeat(problem.y[:, None], lams.size, axis=1)
+        monkeypatch.setattr(solver, "CHUNK_ENTRIES", 600)
+        pairs = list(dof_batch(problem.design, ys, lams, problem.partition))
+        solutions = list(solve_batch(problem.design, ys, lams, problem.partition))
+        monkeypatch.undo()
+        dims = [sol.support.active_dim for sol, _ in pairs]
+        assert dims[0] == 0 and dims[-1] == 16 and dims == sorted(dims)
+        for lam, (sol, report), ref in zip(lams, pairs, solutions, strict=True):
+            assert np.array_equal(sol.beta, ref.beta) and report.support is sol.support
+            single = dof_estimate(dataclasses.replace(problem, lam=lam), sol)
+            assert report.divergence == pytest.approx(single.divergence, rel=1e-12, abs=1e-14)
+            assert report.radius == single.radius and report.warning == single.warning
+            assert report.factor is sol.factor
+
+    def test_an_uncertified_column_has_no_report(self):
+        problem = random_problem(21, 40, 16, [4, 4, 4, 4], lam_frac=0.05)
+        # beta = 0 certifies the second column before any iteration
+        ys = np.column_stack([problem.y, 1e-9 * problem.y, problem.y])
+        (failed, none), (solved, report), (again, none_again) = dof_batch(
+            problem.design, ys, problem.lam, problem.partition, SolverOptions(max_iter=5))
+        assert isinstance(failed, ConvergenceError) and none is None
+        assert isinstance(again, ConvergenceError) and none_again is None
+        assert solved.support.is_empty and report.divergence == 0.0
+
+    def test_first_pair_is_yielded_before_the_last_column_is_factored(self, monkeypatch):
+        # the lambda path's shape: 50 lambdas on N = 200 hold far more system
+        # matrix entries than one chunk
+        scenario = generate(ScenarioSpec(Q=220, N=200, block_sizes=(4,) * 50, k_active=10,
+                                         sigma=0.5, seed=11))
+        y = scenario.draw_y(seed=11, replicate=0)
+        lams = default_lambda_grid(lambda_max(scenario.design, y, scenario.partition))
+        factored, cholesky = [], solver._cholesky
+        monkeypatch.setattr(solver, "_cholesky", lambda a: factored.append(a.shape[0])
+                            or cholesky(a))
+        pairs = dof_batch(scenario.design, np.repeat(y[:, None], 50, axis=1), lams,
+                          scenario.partition)
+        sol, report = next(pairs)
+        at_first_yield = len(factored)
+        rest = list(pairs)
+        assert sol.support.is_empty and report.divergence == 0.0 and len(rest) == 49
+        assert rest[-1][1].support.active_dim == 200
+        assert at_first_yield < len(factored)
 
 
 class TestDofReportSerialization:

@@ -667,6 +667,44 @@ class TestBatchedFinish:
             assert a.support == b.support and a.iterations == b.iterations
             assert np.max(np.abs(a.beta - b.beta)) <= 1e-12 * np.max(np.abs(a.beta), initial=0.0)
 
+    def test_a_monte_carlo_batch_is_one_chunk(self, monkeypatch):
+        # the shape of `gldof validate mc` in the benchmark: Q = 60, N = 40, ten
+        # blocks of 4 and 50 replicates; 50 x 40^2 padded entries fit the
+        # budget whatever the supports
+        scenario = generate(ScenarioSpec(Q=60, N=40, block_sizes=(4,) * 10, k_active=3,
+                                         sigma=0.5, seed=1))
+        lam = 0.5 * lambda_max(scenario.design, scenario.mu0, scenario.partition)
+        ys = np.column_stack([scenario.draw_y(seed=2, replicate=k) for k in range(50)])
+        assert 50 * 40**2 <= solver.CHUNK_ENTRIES
+        newton, cholesky = solver._newton, solver._cholesky
+
+        def finish(budget):
+            calls = {"newton": 0, "cholesky": 0}
+
+            def counting(name, f):
+                def call(*args):
+                    calls[name] += 1
+                    return f(*args)
+                return call
+
+            monkeypatch.setattr(solver, "_newton", counting("newton", newton))
+            monkeypatch.setattr(solver, "_cholesky", counting("cholesky", cholesky))
+            monkeypatch.setattr(solver, "CHUNK_ENTRIES", budget)
+            results = list(solve_batch(scenario.design, ys, lam, scenario.partition))
+            monkeypatch.undo()
+            return calls, results
+
+        one, whole = finish(solver.CHUNK_ENTRIES)
+        # the bound before the budget, N x BATCH_COLUMNS padded entries
+        several, chunked = finish(40 * solver.BATCH_COLUMNS)
+        assert one["newton"] == 1 and several["newton"] > 5
+        # each column takes the same Newton steps in one chunk as in several
+        assert one["cholesky"] == several["cholesky"]
+        assert len({sol.support.active for sol in whole}) > 10
+        for a, b in zip(whole, chunked, strict=True):
+            assert a.support == b.support and a.iterations == b.iterations
+            assert np.max(np.abs(a.beta - b.beta)) <= 1e-12 * np.max(np.abs(a.beta))
+
     @pytest.mark.parametrize("fault", ["zero_block", "not_positive_definite"])
     def test_a_failed_step_falls_back_for_its_column_alone(self, monkeypatch, fault):
         design, partition, ys, lams = mixed_batch()

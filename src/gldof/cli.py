@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import functools
-import hashlib
 import json
 import os
 import platform
@@ -26,7 +25,7 @@ import scipy
 from . import __version__
 from .core import BlockPartition, Design
 from .datagen import (GenerationError, LoadedProblem, ScenarioSpec, generate,
-                      load_matrix_csv, load_problem, load_vector_csv,
+                      load_problem, read_json, read_matrix_csv, read_vector_csv,
                       save_problem)
 from .dof import differential, dof_estimate, fd_step
 from .risk import estimate_sigma, lambda_path
@@ -47,15 +46,9 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _digest(path: str) -> str:
-    sha = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            sha.update(chunk)
-    return sha.hexdigest()
-
-
-def build_manifest(args: argparse.Namespace, inputs: list[str]) -> dict:
+def build_manifest(args: argparse.Namespace, inputs: dict[str, str]) -> dict:
+    """The run's manifest; `inputs` maps each input file to the SHA-256 of
+    the bytes that were read from it."""
     # `out` names the destination, not the computation, so identical runs
     # writing to different paths still produce byte-identical content
     options = {k: v for k, v in sorted(vars(args).items())
@@ -68,7 +61,7 @@ def build_manifest(args: argparse.Namespace, inputs: list[str]) -> dict:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "options": options,
-        "input_digests": {p: _digest(p) for p in inputs if p},
+        "input_digests": inputs,
     }
     if not args.no_timestamp:
         manifest["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -96,42 +89,45 @@ def _default_seed(value) -> int:
     return int(os.environ.get("GLDOF_SEED", "0"))
 
 
-def _load_input(args) -> tuple:
-    """Problem inputs from --problem JSON or the CSV alternative."""
+def _load_input(args) -> tuple[LoadedProblem, dict[str, str]]:
+    """Problem inputs from --problem JSON or the CSV alternative, and the
+    digests of the files read."""
     if args.problem:
         loaded = load_problem(args.problem)
-        return loaded, [args.problem]
+        return loaded, {args.problem: loaded.digest}
     if args.x_csv and args.y_csv and args.partition:
-        x = load_matrix_csv(args.x_csv)
-        y = load_vector_csv(args.y_csv)
+        x, x_digest = read_matrix_csv(args.x_csv)
+        y, y_digest = read_vector_csv(args.y_csv)
         partition = BlockPartition.from_json(args.partition)
         return (LoadedProblem(design=Design(x), y=y, partition=partition),
-                [args.x_csv, args.y_csv])
+                {args.x_csv: x_digest, args.y_csv: y_digest})
     raise ValueError("need --problem FILE, or --x-csv, --y-csv and --partition")
 
 
-def _scenario_from_args(args) -> ScenarioSpec:
+def _scenario_from_args(args) -> tuple[ScenarioSpec, dict[str, str]]:
+    """The scenario of --spec FILE or of the flags, and the digest of the
+    file read, if any."""
     if getattr(args, "spec", None):
-        with open(args.spec) as fh:
-            return ScenarioSpec.from_dict(json.load(fh))
+        d, digest = read_json(args.spec)
+        return ScenarioSpec.from_dict(d), {args.spec: digest}
     if args.block_sizes is None:
         raise ValueError("need --block-sizes (or --spec FILE)")
     sizes = tuple(int(s) for s in args.block_sizes.split(","))
     n = args.n if args.n is not None else sum(sizes)
     return ScenarioSpec(Q=args.q, N=n, block_sizes=sizes, k_active=args.k_active,
                         signal_scale=args.signal_scale, sigma=args.sigma,
-                        seed=_default_seed(args.seed), identity=args.identity)
+                        seed=_default_seed(args.seed), identity=args.identity), {}
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_gen(args) -> int:
-    spec = _scenario_from_args(args)
+    spec, inputs = _scenario_from_args(args)
     args.seed = spec.seed  # manifest records the resolved seed
     scenario = generate(spec)
     y = scenario.draw_y(replicate=args.draw)
-    manifest = build_manifest(args, [args.spec] if getattr(args, "spec", None) else [])
+    manifest = build_manifest(args, inputs)
     save_problem(args.out, scenario.design, y, scenario.partition,
                  lam=args.lam, beta0=scenario.beta0, sigma=spec.sigma,
                  manifest=manifest)
@@ -140,7 +136,7 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _resolve_problem(args) -> tuple[Problem, list[str]]:
+def _resolve_problem(args) -> tuple[Problem, dict[str, str]]:
     loaded, inputs = _load_input(args)
     return loaded.problem(args.lam), inputs
 
@@ -149,9 +145,8 @@ def cmd_solve(args) -> int:
     problem, inputs = _resolve_problem(args)
     warm = None
     if args.warm_start:
-        with open(args.warm_start) as fh:
-            warm = json.load(fh)["beta"]
-        inputs.append(args.warm_start)
+        d, inputs[args.warm_start] = read_json(args.warm_start)
+        warm = d["beta"]
     sol = solve(problem, SolverOptions(kkt_tol=args.tol, max_iter=args.max_iter), warm)
     payload = {
         "manifest": build_manifest(args, inputs),
@@ -262,7 +257,7 @@ def cmd_validate_fd(args) -> int:
 
 
 def cmd_validate_mc(args) -> int:
-    spec = _scenario_from_args(args)
+    spec, inputs = _scenario_from_args(args)
     args.seed = spec.seed
     args.mc_seed = _default_seed(args.mc_seed)
     scenario = generate(spec)
@@ -273,9 +268,7 @@ def cmd_validate_mc(args) -> int:
     result = mc_dof(scenario, lam, args.replicates, seed=args.mc_seed,
                     exclude_warned=args.exclude_warned)
     ok = result.consistent()
-    payload = {"manifest": build_manifest(args,
-                                          [args.spec] if getattr(args, "spec", None) else []),
-               "lambda": lam}
+    payload = {"manifest": build_manifest(args, inputs), "lambda": lam}
     payload.update(result.to_dict())
     if args.out:
         write_json(args.out, payload)

@@ -3,17 +3,22 @@
 Designs are i.i.d. Gaussian with columns scaled by 1/sqrt(Q) (so block
 correlations are O(1) across problem sizes), regenerated until comfortably
 full column rank; beta0 activates a chosen number of blocks with unit-norm
-random directions.  Also owns the problem-file format used by the CLI.
+random directions.  Also owns the problem-file format and the readers of
+the CLI's input files.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import io
 import json
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from .core import BlockPartition, Design, _index
 from .solver import Problem
@@ -165,6 +170,8 @@ class LoadedProblem:
     lam: float | None = None
     beta0: np.ndarray | None = None
     sigma: float | None = None
+    # the SHA-256 of the file it was read from, if any
+    digest: str | None = None
 
     def problem(self, lam: float | None = None) -> Problem:
         if lam is None:
@@ -216,17 +223,62 @@ def save_problem(path, design: Design, y, partition: BlockPartition, *,
 
 
 def load_problem(path) -> LoadedProblem:
-    with open(path) as fh:
-        return problem_from_dict(json.load(fh))
+    d, digest = read_json(path)
+    return dataclasses.replace(problem_from_dict(d), digest=digest)
 
 
-def load_matrix_csv(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+# ---------------------------------------------------------------------------
+# input files: each is read once, and its digest is that of the bytes parsed
+
+_JSON_TYPES = {list: "an array", str: "a string", bool: "a boolean", int: "a number",
+               float: "a number", type(None): "null"}
 
 
-def load_vector_csv(path) -> np.ndarray:
-    """A vector written as one row or as one column of a CSV file."""
-    v = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+class _Entries(dict):
+    """A JSON object read from a file, whose missing entries name the file."""
+
+    def __init__(self, entries: dict, path):
+        super().__init__(entries)
+        self.path = path
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.path} has no {key!r} entry")
+
+
+def _read(path) -> tuple[bytes, str]:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return data, hashlib.sha256(data).hexdigest()
+
+
+def read_json(path) -> tuple[dict, str]:
+    """The JSON object in a UTF-8 file, and the SHA-256 of its bytes.
+
+    orjson parses the file; one that it refuses is parsed by the json module,
+    which reads Python's NaN and Infinity tokens (for the finiteness checks
+    to refuse by name) and words the error of a malformed file."""
+    data, digest = _read(path)
+    try:
+        d = orjson.loads(data)
+    except orjson.JSONDecodeError:
+        d = json.loads(data.decode("utf-8"))
+    if not isinstance(d, dict):
+        raise ValueError(f"{path} holds {_JSON_TYPES[type(d)]}, not a JSON object")
+    return _Entries(d, path), digest
+
+
+def read_matrix_csv(path) -> tuple[np.ndarray, str]:
+    """A matrix from a CSV file, and the SHA-256 of the file's bytes."""
+    data, digest = _read(path)
+    # newline=None splits lines as a file opened in text mode does
+    lines = io.StringIO(data.decode("utf-8"), newline=None)
+    return np.loadtxt(lines, delimiter=",", dtype=float, ndmin=2), digest
+
+
+def read_vector_csv(path) -> tuple[np.ndarray, str]:
+    """A vector written as one row or as one column of a CSV file, and the
+    SHA-256 of the file's bytes."""
+    v, digest = read_matrix_csv(path)
     if 1 not in v.shape:
         raise ValueError(f"{path}: expected one row or one column, got shape {v.shape}")
-    return v.reshape(-1)
+    return v.reshape(-1), digest

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import platform
@@ -475,6 +476,73 @@ class TestValidateMc:
         for command in (["gen", "--out", str(tmp_path / "p.json")], ["validate", "mc"]):
             assert main(command + ["--spec", str(spec_path)]) == 2
             assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestInputFiles:
+    @staticmethod
+    def argv(command, problem_file, tmp_path, bad):
+        """`command` with the fixture's problem file for PROBLEM, a file in
+        tmp_path for OUT, and the file under test last."""
+        names = {"PROBLEM": str(problem_file), "OUT": str(tmp_path / "out.json")}
+        return [names.get(a, a) for a in command] + [str(bad)]
+
+    @pytest.mark.parametrize("command, text, kind", [
+        (["dof", "--problem"], "[]", "an array"),
+        (["dof", "--problem"], "5", "a number"),
+        (["dof", "--problem"], "null", "null"),
+        (["dof", "--problem"], '"x"', "a string"),
+        (["solve", "--problem", "PROBLEM", "--warm-start"], "[]", "an array"),
+        (["gen", "--out", "OUT", "--spec"], "[]", "an array"),
+        (["validate", "mc", "--spec"], "[]", "an array"),
+    ])
+    def test_a_top_level_that_is_not_an_object_is_a_usage_error(
+            self, problem_file, tmp_path, capsys, command, text, kind):
+        # each was a TypeError traceback and exit 1
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(self.argv(command, problem_file, tmp_path, bad)) == 2
+        assert capsys.readouterr().err == f"error: {bad} holds {kind}, not a JSON object\n"
+
+    @pytest.mark.parametrize("command, text, key", [
+        (["dof", "--problem"], '{"Q": 20}', "N"),
+        (["validate", "mc", "--spec"], '{"Q": 20, "N": 10, "block_sizes": [10]}', "k_active"),
+        (["solve", "--problem", "PROBLEM", "--warm-start"], '{"iterations": 0}', "beta"),
+    ])
+    def test_a_missing_entry_names_the_entry_and_the_file(
+            self, problem_file, tmp_path, capsys, command, text, key):
+        # once only "error: 'N'"
+        short = tmp_path / "short.json"
+        short.write_text(text)
+        assert main(self.argv(command, problem_file, tmp_path, short)) == 2
+        assert capsys.readouterr().err == f"error: {short} has no {key!r} entry\n"
+
+    def test_digests_are_those_of_the_files(self, problem_file, tmp_path):
+        def sha256(path):
+            return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["solve", "--problem", str(problem_file), "--out", str(first)]) == 0
+        assert main(["solve", "--problem", str(problem_file), "--warm-start", str(first),
+                     "--out", str(second)]) == 0
+        digests = json.loads(second.read_text())["manifest"]["input_digests"]
+        assert digests == {str(problem_file): sha256(problem_file), str(first): sha256(first)}
+
+        spec_path = tmp_path / "scen.json"
+        spec_path.write_text(json.dumps({"Q": 12, "N": 6, "block_sizes": [3, 3],
+                                         "k_active": 1}))
+        out = tmp_path / "g.json"
+        assert main(["gen", "--spec", str(spec_path), "--out", str(out)]) == 0
+        digests = json.loads(out.read_text())["manifest"]["input_digests"]
+        assert digests == {str(spec_path): sha256(spec_path)}
+
+        xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
+        np.savetxt(xp, np.random.default_rng(3).standard_normal((10, 4)), delimiter=",")
+        np.savetxt(yp, np.random.default_rng(4).standard_normal(10), delimiter=",")
+        assert main(["solve", "--x-csv", str(xp), "--y-csv", str(yp),
+                     "--partition", "[[0,1],[2,3]]", "--lambda", "0.5",
+                     "--out", str(first)]) == 0
+        digests = json.loads(first.read_text())["manifest"]["input_digests"]
+        assert digests == {str(xp): sha256(xp), str(yp): sha256(yp)}
 
 
 class TestParserReuse:

@@ -1,20 +1,26 @@
 import dataclasses
+import hashlib
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
+from gldof import datagen
 from gldof.core import BlockPartition, block_support
 from gldof.datagen import (
     LoadedProblem,
     ScenarioSpec,
     generate,
-    load_matrix_csv,
     load_problem,
-    load_vector_csv,
     problem_from_dict,
+    read_json,
+    read_matrix_csv,
+    read_vector_csv,
     save_problem,
 )
+
+FIXTURES = sorted((pathlib.Path(__file__).parent / "fixtures").glob("*.json"))
 
 
 def spec(**kw):
@@ -203,11 +209,143 @@ class TestProblemFiles:
         yp = tmp_path / "y.csv"
         np.savetxt(xp, x, delimiter=",")
         np.savetxt(yp, y, delimiter=",")
-        assert np.array_equal(load_matrix_csv(xp), x)
-        assert np.array_equal(load_vector_csv(yp), y)
+        assert np.array_equal(read_matrix_csv(xp)[0], x)
+        assert np.array_equal(read_vector_csv(yp)[0], y)
         np.savetxt(yp, y[None, :], delimiter=",")  # one row
-        assert np.array_equal(load_vector_csv(yp), y)
+        assert np.array_equal(read_vector_csv(yp)[0], y)
         # a table was once flattened row by row into a vector
         np.savetxt(yp, x, delimiter=",")
         with pytest.raises(ValueError, match="one row or one column"):
-            load_vector_csv(yp)
+            read_vector_csv(yp)
+
+    def test_csv_digest_and_line_endings(self, tmp_path):
+        # the file is read once: its digest is that of the bytes parsed, and
+        # CRLF and CR line endings read as a text-mode file reads them
+        for newline in (b"\n", b"\r\n", b"\r"):
+            path = tmp_path / "x.csv"
+            path.write_bytes(newline.join([b"1.5,2", b"# a comment", b"-3,4e-300", b""]))
+            x, digest = read_matrix_csv(path)
+            assert np.array_equal(x, [[1.5, 2.0], [-3.0, 4e-300]])
+            assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def stdlib_problem(path):
+    """The reference reading of a problem file: the json module's parse."""
+    return problem_from_dict(json.loads(pathlib.Path(path).read_text(encoding="utf-8")))
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def extreme_doubles(count, seed=0):
+    """Finite doubles over the whole exponent range, from random bit patterns,
+    with the subnormal and overflow edges, signed zeros and 17-digit values."""
+    bits = np.random.default_rng(seed).integers(0, 2**64, count, dtype=np.uint64)
+    values = bits.view(np.float64)
+    edges = [5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+             1.7976931348623157e308, -1.7976931348623157e308, 0.0, -0.0,
+             0.30000000000000004, 1 / 3, 1e-300, 1e300]
+    return np.concatenate([edges, values[np.isfinite(values)]])
+
+
+class TestReader:
+    """`load_problem` parses with orjson, and reads what the json module reads."""
+
+    def assert_reads_as_stdlib(self, path):
+        loaded, ref = load_problem(path), stdlib_problem(path)
+        assert_same_bits(loaded.design.matrix, ref.design.matrix)
+        assert_same_bits(loaded.y, ref.y)
+        assert loaded.partition == ref.partition
+        for name in ("lam", "sigma", "beta0"):
+            a, b = getattr(loaded, name), getattr(ref, name)
+            assert (a is None) == (b is None), name
+            if a is not None:
+                assert_same_bits(a, b)
+        assert loaded.digest == hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("path", FIXTURES, ids=[p.stem for p in FIXTURES])
+    def test_fixtures(self, path):
+        self.assert_reads_as_stdlib(path)
+
+    def test_saved_problem(self, tmp_path):
+        scenario = generate(spec())
+        path = tmp_path / "prob.json"
+        save_problem(path, scenario.design, scenario.draw_y(), scenario.partition,
+                     lam=0.1 + 0.2, beta0=scenario.beta0, sigma=0.5)
+        self.assert_reads_as_stdlib(path)
+
+    @pytest.mark.parametrize("fmt", [".17g", ""], ids=["17-digit", "shortest"])
+    def test_doubles_over_the_exponent_range(self, tmp_path, fmt):
+        y = extreme_doubles(20_000)
+        x = np.random.default_rng(1).standard_normal((y.size, 2))
+        text = "".join([
+            '{"Q": %d, "N": 2, "partition": [[0], [1]],\n"X": [' % y.size,
+            ",".join("[%s,%s]" % (format(float(a), fmt), format(float(b), fmt)) for a, b in x),
+            '],\n"y": [', ",".join(format(float(v), fmt) for v in y),
+            '],\n"lambda": 0.30000000000000004, "beta0": [-0.0, 5e-324], "sigma": 1e-300}\n'])
+        path = tmp_path / "doubles.json"
+        path.write_text(text)
+        self.assert_reads_as_stdlib(path)
+        # ".17g" writes -0.0 as the integer literal -0, which reads as 0
+        assert_same_bits(load_problem(path).y, y if fmt == "" else y + 0.0)
+
+    def test_orjson_parses_a_standard_file(self, tmp_path, monkeypatch):
+        scenario = generate(spec())
+        path = tmp_path / "prob.json"
+        save_problem(path, scenario.design, scenario.draw_y(), scenario.partition)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the json module parsed a file that orjson reads")
+
+        monkeypatch.setattr(datagen.json, "loads", refuse)
+        assert_same_bits(load_problem(path).design.matrix, scenario.design.matrix)
+
+    def test_non_finite_tokens_are_read_by_the_json_module(self, tmp_path):
+        # orjson refuses NaN and Infinity; they are read, then refused by the
+        # finiteness checks of the problem
+        path = tmp_path / "nan.json"
+        path.write_text('{"Q": 2, "N": 2, "partition": [[0], [1]], "X": [[1, 0], [0, 1]], '
+                        '"y": [NaN, -Infinity], "lambda": Infinity}')
+        self.assert_reads_as_stdlib(path)
+        loaded = load_problem(path)
+        assert np.isnan(loaded.y[0]) and loaded.y[1] == -np.inf and loaded.lam == np.inf
+
+    def test_an_integer_beyond_64_bits_is_read_as_a_float(self, tmp_path):
+        text = ('{"Q": 2, "N": 2, "partition": [[0], [1]], "X": [[1, 0], [0, 1]], '
+                '"y": [1, 123456789012345678901234567890]}')
+        path = tmp_path / "big.json"
+        path.write_text(text)
+        # the json module reads a Python int, which numpy holds as an object
+        with pytest.raises(ValueError, match="y must hold numbers only"):
+            problem_from_dict(json.loads(text))
+        assert load_problem(path).y.tolist() == [1.0, 1.2345678901234568e29]
+
+    @pytest.mark.parametrize("text, kind", [
+        ("[]", "an array"), ("5", "a number"), ("1.5", "a number"), ("null", "null"),
+        ('"x"', "a string"), ("true", "a boolean"), ("[NaN]", "an array"),
+    ])
+    def test_the_top_level_must_be_an_object(self, tmp_path, text, kind):
+        path = tmp_path / "top.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"{path} holds {kind}, not a JSON object"):
+            read_json(path)
+
+    def test_a_missing_entry_names_the_file(self, tmp_path):
+        path = tmp_path / "short.json"
+        path.write_text('{"Q": 2}')
+        with pytest.raises(ValueError, match=f"{path} has no 'N' entry"):
+            load_problem(path)
+        d, _ = read_json(path)
+        assert d.get("N") is None and "N" not in d
+
+    def test_malformed_json_keeps_the_json_module_message(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"Q": 2,}')
+        with pytest.raises(json.JSONDecodeError) as exc:
+            read_json(path)
+        with pytest.raises(json.JSONDecodeError) as ref:
+            json.loads(path.read_text())
+        assert str(exc.value) == str(ref.value)

@@ -491,6 +491,9 @@ class TestInputFiles:
         (["dof", "--problem"], "5", "a number"),
         (["dof", "--problem"], "null", "null"),
         (["dof", "--problem"], '"x"', "a string"),
+        (["dof", "--problem"], "true", "a boolean"),
+        (["dof", "--problem"], "1.5", "a number"),
+        (["dof", "--problem"], "[NaN]", "an array"),  # parsed by the json module
         (["solve", "--problem", "PROBLEM", "--warm-start"], "[]", "an array"),
         (["gen", "--out", "OUT", "--spec"], "[]", "an array"),
         (["validate", "mc", "--spec"], "[]", "an array"),

@@ -12,7 +12,10 @@ environment for both sides (one BLAS thread, as the benchmark runs).
 
 The report compares exit codes, and every JSON and CSV output and CSV
 sidecar without its `manifest`.  Per key it prints the number of values that
-differ and the worst relative difference.  The exit code is 1 if an exit
+differ and the worst relative difference.  Per workload and side it prints
+the calls per CLI call of `solver._cholesky` (factorizations) and
+`solver._fista` (FISTA runs, resumes included), each where both commits
+define it; these counts do not decide the exit code.  The exit code is 1 if an exit
 code differs, if an output is missing on one side, or if any value of
 `active_blocks`, `active_dim`, `warning` (or `transition_warning`),
 `passed`, `n_failed` or `n_warned` differs; otherwise it is 0, whatever the
@@ -38,21 +41,43 @@ REPLAY_SET.append((316, "fd", (56, 62)))
 STRICT = {"active_blocks", "active_dim", "warning", "transition_warning", "passed",
           "n_failed", "n_warned"}
 CODES = "exit_codes.json"
-# run in each side's subprocess: argv[1] names the ops file, argv[2] the codes file
+COUNTS = "call_counts.json"
+# the solver functions whose calls are counted
+COUNTED = ("_cholesky", "_fista")
+# run in each side's subprocess: argv[1] names the ops file, argv[2] the codes
+# file, argv[3] the counts file and argv[4:] the functions to count
 CHILD = """
 import json, sys
+from gldof import solver
 from gldof.cli import main
 with open(sys.argv[1]) as fh:
     ops = json.load(fh)
-codes = {name: main(argv) for name, argv in ops}
+names = [n for n in sys.argv[4:] if hasattr(solver, n)]
+calls = dict.fromkeys(names, 0)
+
+def counting(name, f):
+    def call(*args, **kwargs):
+        calls[name] += 1
+        return f(*args, **kwargs)
+    return call
+
+for n in names:
+    setattr(solver, n, counting(n, getattr(solver, n)))
+codes, counts = {}, {}
+for name, argv in ops:
+    calls.update(dict.fromkeys(names, 0))
+    codes[name] = main(argv)
+    counts[name] = dict(calls)
 with open(sys.argv[2], "w") as fh:
     json.dump(codes, fh)
+with open(sys.argv[3], "w") as fh:
+    json.dump(counts, fh)
 """
 
 
 def write_inputs(indir: str) -> list:
-    """The replay set's inputs under `indir`, and one (output name, argv) per
-    call, its output path relative to `indir`."""
+    """The replay set's inputs under `indir`, and one (output name, argv,
+    workload) per call, its output path relative to `indir`."""
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     import workloads
 
@@ -62,7 +87,7 @@ def write_inputs(indir: str) -> list:
         os.makedirs(d, exist_ok=True)
         for r in rounds:
             for op in getattr(workloads, f"{workload}_round")(seed, r, d):
-                ops.append((os.path.relpath(op.out, indir), op.argv))
+                ops.append((os.path.relpath(op.out, indir), op.argv, workload))
     return ops
 
 
@@ -70,7 +95,7 @@ def run_side(tree: str, ops: list, indir: str, outdir: str) -> None:
     """Every call of `ops` through the `gldof.cli.main` of `tree`, writing
     under `outdir`, which also receives each call's exit code."""
     side_ops = []
-    for name, argv in ops:
+    for name, argv, _ in ops:
         out = os.path.join(outdir, name)
         os.makedirs(os.path.dirname(out), exist_ok=True)
         side_ops.append((name, [out if a == os.path.join(indir, name) else a for a in argv]))
@@ -79,7 +104,8 @@ def run_side(tree: str, ops: list, indir: str, outdir: str) -> None:
         json.dump(side_ops, fh)
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-c", CHILD, ops_file, os.path.join(outdir, CODES)],
+    done = subprocess.run([sys.executable, "-c", CHILD, ops_file, os.path.join(outdir, CODES),
+                           os.path.join(outdir, COUNTS), *COUNTED],
                           cwd=outdir, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.PIPE, text=True)
     if done.returncode != 0:
@@ -137,7 +163,8 @@ def compare(base_dir: str, head_dir: str) -> tuple[list[str], bool]:
     for d in (base_dir, head_dir):
         for parent, _, files in os.walk(d):
             names.update(os.path.relpath(os.path.join(parent, f), d) for f in files
-                         if f.endswith((".json", ".csv")) and f not in (CODES, "ops.json"))
+                         if f.endswith((".json", ".csv"))
+                         and f not in (CODES, COUNTS, "ops.json"))
     for name in sorted(names):
         paths = [os.path.join(d, name) for d in (base_dir, head_dir)]
         if not all(os.path.exists(p) for p in paths):
@@ -164,6 +191,25 @@ def compare(base_dir: str, head_dir: str) -> tuple[list[str], bool]:
     return lines, ok
 
 
+def call_counts(base_dir: str, head_dir: str, workloads: dict) -> list[str]:
+    """The report's lines on the counted calls: per workload (`workloads`
+    maps each output name to one), each function's calls per CLI call on
+    both sides, for the functions that both sides counted."""
+    sides = []
+    for d in (base_dir, head_dir):
+        with open(os.path.join(d, COUNTS)) as fh:
+            sides.append(json.load(fh))
+    lines = ["calls per CLI call, base -> head"]
+    for workload in dict.fromkeys(workloads.values()):
+        names = [n for n, w in workloads.items() if w == workload]
+        per_call = [{f: sum(side[n][f] for n in names) / len(names) for f in side[names[0]]}
+                    for side in sides]
+        shown = [f"{f} {per_call[0][f]:.2f} -> {per_call[1][f]:.2f}" for f in COUNTED
+                 if f in per_call[0] and f in per_call[1]]
+        lines.append(f"  {workload} ({len(names)} calls): {', '.join(shown) or 'none counted'}")
+    return lines
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True)
@@ -184,6 +230,8 @@ def main(argv=None) -> int:
     lines, ok = compare(os.path.join(workdir, "base"), os.path.join(workdir, "head"))
     print(f"base {revs['base']}\nhead {revs['head']}")
     print("\n".join(lines))
+    print("\n".join(call_counts(os.path.join(workdir, "base"), os.path.join(workdir, "head"),
+                                 {name: workload for name, _, workload in ops})))
     return 0 if ok else 1
 
 

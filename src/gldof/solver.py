@@ -11,20 +11,21 @@ The solver first identifies the block support: it iterates FISTA with step
 1/L (L the largest eigenvalue of X'X) and a monotone restart until the
 conditions hold to the looser of ``kkt_tol`` and IDENTIFY_TOL, by when
 forward-backward methods have found the support.  On that support the
-conditions are smooth equations, and Newton steps on them, whose Jacobian
-X_I'X_I + lambda * deltaP(b_I) is the matrix of the solution's local
-differential, converge quadratically; the Cholesky factor of that matrix is
-kept on the solution.  A point whose finish misses ``kkt_tol``, as when
-FISTA stopped before the support was identified, resumes FISTA at
-``kkt_tol`` and is finished again.  The finish also gives each solution its
-two margins from a support change, which the DOF report reads.
+conditions are smooth equations, and chord (simplified Newton) steps solve
+them, all on the factor of their Jacobian X_I'X_I + lambda * deltaP(b_I),
+the matrix of the solution's local differential, at the FISTA point; the
+factor at the point reached is kept on the solution.  That point is kept
+if it met the Newton stop, keeps the support and certifies no worse than
+the FISTA point; a column whose kept point misses ``kkt_tol`` resumes FISTA
+at ``kkt_tol`` and is finished again.  The finish also gives each solution
+its two margins from a support change, which the DOF report reads.
 
 `solve` takes one right-hand side.  `solve_batch` runs the same iteration
 on the K columns of a Q x K matrix of observations sharing the design and
 the partition, at one lambda (Monte Carlo replicates) or at one lambda per
 column (a lambda path), with per-column momentum, restart, threshold and
 certificate, and one batched finish: columns are finished and yielded in
-order, a chunk at a time, and each Newton step of a chunk is one pass over
+order, a chunk at a time, and each chord step of a chunk is one pass over
 all its columns whatever their supports.  The points stay N x c, as in
 FISTA, and only the system matrices are compact: each column's X_I'X_I is
 gathered once into a stack padded to the chunk's largest support
@@ -32,10 +33,9 @@ gathered once into a stack padded to the chunk's largest support
 `solve` is that same code at K = 1: one FISTA start and iteration, one prox,
 one certificate (`_violation`, which `kkt_check` evaluates too) and one
 finish, equal to a column-by-column finish up to round-off; each support's
-BlockSupport is built once, as its columns are yielded.  `solve_near` solves
-observations near those of a solution (finite-difference probes) by chord
-steps on that solution's factor, with the stop, certificate and N x K
-layout of the finish, and hands `solve_batch` each one they do not certify.
+BlockSupport is built once, as its columns are yielded.  Given a `base`
+Solution of nearby observations (finite-difference probes), every column's
+finish starts at base.beta and steps on base.factor, in one solve per step.
 
 Tolerance policy.  Solving (s y, s lambda) gives s beta(y) and the same DOF,
 so no tolerance is absolute:
@@ -49,8 +49,12 @@ so no tolerance is absolute:
   * active blocks: a block is active in the certificate exactly when its
     norm is nonzero (the prox sets inactive blocks to exact zeros);
   * support: norm above 1e-8 * max|beta|, the one rule, `core.block_support`;
-  * Newton stop: stationarity residual at most NEWTON_STOP * s(y), in
-    `_newton` and in `solve_near`'s chord steps.
+  * Newton stop: stationarity residual at most NEWTON_STOP * s(y), met
+    within NEWTON_STEPS chord steps, the last of them taken after it is met;
+  * transition margin: a slack lambda - ||X_b'(y - X beta)|| within its own
+    rounding bound reads as 0;
+  * data scale: max(max|X'y|, lambda) within [1/SCALE_LIMIT, SCALE_LIMIT],
+    the one absolute bound, from the range of the doubles.
 """
 
 from __future__ import annotations
@@ -64,17 +68,17 @@ import scipy.linalg
 
 from .core import BlockPartition, BlockSupport, Design, stacked_coordinates, support_mask
 
-# Newton steps on the active-block equations after FISTA
-NEWTON_STEPS = 4
+# chord steps of a column at most, the last one after it meets the Newton
+# stop; they converge linearly: on the benchmark's inputs most take 4, one
+# in 200 takes 8 to 14 (next to a small active block), and none needs more
+NEWTON_STEPS = 16
 # the Newton stop, relative to s(y): differencing divides the coefficient
 # error by the step, so even a 1e-12 certificate leaves visible noise in
 # finite-difference Jacobians
 NEWTON_STOP = 1e-15
-# chord steps of `solve_near` at most, which converge linearly: next to a
-# small active block (the fd benchmark's seed-316 round-56 instance) a step
-# cuts the residual only 40-fold, and the probes meet the Newton stop after
-# 5 steps and take a sixth; elsewhere they take 2 to 4
-CHORD_STEPS = 8
+# a column's data scale max(max|X'y|, lambda) lies within [1/this, this], so
+# that 2^-63 to 2^63 times it squares to normal doubles in every block norm
+SCALE_LIMIT = 2.0**448
 # columns `solve_batch` iterates on at once: its working memory is O(N x this)
 BATCH_COLUMNS = 256
 # padded system-matrix entries of a Newton chunk, c x m_max^2 (1 MB), whatever
@@ -82,9 +86,7 @@ BATCH_COLUMNS = 256
 # lambda path at N = 200 still goes in chunks of a few columns
 CHUNK_ENTRIES = 2**17
 # FISTA stops at this certificate, relative to s(y), when kkt_tol is tighter:
-# the support is identified by then, and the Newton finish certifies.  From
-# 1e-5, two Newton steps reach NEWTON_STOP; from 1e-4 a third is often
-# needed, which costs more than the few FISTA iterations in between.
+# the support is identified by then, and the chord finish certifies.
 IDENTIFY_TOL = 1e-5
 
 
@@ -133,11 +135,17 @@ def _objective_and_margins(design, partition, ys, lams, beta, corr, beta_norms, 
     `transition_margin` and `support_margin` of `Solution`, at each column
     of an N x K matrix of points, with the observations ys (Q x K), one
     lambda per column, corr = X'(y - X beta), beta's block norms and the
-    block mask `on` of each column's support."""
-    fit = ys - design.matrix @ beta
+    block mask `on` of each column's support.  A slack lambda - ||X_b'r||
+    within its rounding bound, gamma_n (||(|X|'(|y| + |X||beta|))_b|| +
+    lambda) with n = Q + 2N + 4 for X'y, X'X, (X'X) beta, the norm and the
+    difference (Higham, 2nd ed., ch. 3: |fl(x'y) - x'y| <= gamma_n |x|'|y|),
+    reads as 0."""
+    fit, ax = ys - design.matrix @ beta, np.abs(design.matrix)
+    nu = (design.Q + 2 * design.N + 4) * np.finfo(float).eps / 2
+    bound = nu / (1 - nu) * (partition.block_norms(ax.T @ (np.abs(ys) + ax @ np.abs(beta))) + lams)
     slack = lams - partition.block_norms(corr)
     return (0.5 * np.einsum("ij,ij->j", fit, fit) + lams * beta_norms.sum(axis=0),
-            np.maximum(np.where(on, math.inf, slack).min(axis=0), 0.0),
+            np.where(on, math.inf, np.where(slack <= bound, 0.0, slack)).min(axis=0),
             np.where(on, beta_norms, math.inf).min(axis=0))
 
 
@@ -170,7 +178,7 @@ class Solution:
     support_margin: float
     # scipy.linalg.cho_factor pair of X_I'X_I + lambda * deltaP(beta_I) at
     # `beta`, lower triangle with zeros above it; None when the support is
-    # empty, and on a column that `solve_near` accepts
+    # empty, and on a column that stepped on a `base` factor
     factor: tuple[np.ndarray, bool] | None = field(default=None, compare=False,
                                                     repr=False)
 
@@ -232,7 +240,7 @@ def solve(problem: Problem, opts: SolverOptions | None = None, start=None) -> So
     would increase the objective, momentum is dropped and a plain proximal
     gradient step (guaranteed descent) is taken instead.  All iterations run
     in Gram coordinates (X'X, X'y), so the per-iteration cost is O(N^2)
-    independent of Q.  FISTA stops at max(kkt_tol, IDENTIFY_TOL), and Newton
+    independent of Q.  FISTA stops at max(kkt_tol, IDENTIFY_TOL), and chord
     steps on the support finish the solve (module docstring).  This is the
     code of `solve_batch` on one column.
 
@@ -253,14 +261,15 @@ def solve(problem: Problem, opts: SolverOptions | None = None, start=None) -> So
     Solution
         The certified minimizer, `beta` a read-only length-N array.
         `support` is `block_support` of the FISTA point.  On that support up
-        to NEWTON_STEPS Newton steps polish beta toward machine precision;
-        the polished point is kept only if its KKT certificate is no worse.
-        If the point kept misses kkt_tol, FISTA resumes from its FISTA point
+        to NEWTON_STEPS chord steps polish beta toward machine precision;
+        the polished point is kept only as the module docstring says.  If
+        the point kept misses kkt_tol, FISTA resumes from its FISTA point
         until it certifies at kkt_tol, and that point is finished the same
         way.  `iterations` counts the FISTA iterations of both phases alone.
         Raises ConvergenceError (carrying the best iterate and its residual)
-        if the budget runs out uncertified, and LinAlgError if the system
-        matrix at the returned beta is not numerically positive definite.
+        if the budget runs out uncertified, LinAlgError if the system matrix
+        at a FISTA point is not numerically positive definite, and
+        ValueError if the data scale lies outside the range of SCALE_LIMIT.
     """
     if start is not None:
         start = np.array(start, dtype=float)
@@ -275,7 +284,7 @@ def solve(problem: Problem, opts: SolverOptions | None = None, start=None) -> So
 
 
 def solve_batch(design: Design, ys, lam: float | np.ndarray, partition: BlockPartition,
-                opts: SolverOptions | None = None):
+                opts: SolverOptions | None = None, *, base: Solution | None = None):
     """Certified solves of one design for each column of `ys`.
 
     `ys` (Q x K) must be finite, and `lam` is one lambda for every column
@@ -284,15 +293,20 @@ def solve_batch(design: Design, ys, lam: float | np.ndarray, partition: BlockPar
     column with its own lambda, momentum, monotone restart and certificate
     relative to its own s(y).  A column is frozen at the first iteration at
     which its certificate is at most max(kkt_tol, IDENTIFY_TOL); the frozen
-    columns then get the support rule, Newton polish and factor of `solve`
+    columns then get the support rule, chord finish and factor of `solve`
     at their own lambda, a chunk at a time: c columns whose supports have
     at most m_max coordinates, with c x m_max^2 <= CHUNK_ENTRIES (or one
-    column), take each Newton step in one pass, their points N x c and
+    column), take each chord step in one pass, their points N x c and
     their system matrices in one padded stack (module docstring).
-    Within its chunk, before the chunk yields, a column whose finished
-    point misses kkt_tol resumes FISTA from its FISTA point, at kkt_tol and
-    with what is left of `max_iter`, and is finished again; so memory stays
+    Within its chunk, before the chunk yields, a column whose kept point
+    misses kkt_tol resumes FISTA from its FISTA point, at kkt_tol and with
+    what is left of `max_iter`, and is finished again; so memory stays
     bounded by the chunk.
+
+    Given `base`, a Solution of observations near those of `ys` (the probes
+    of `validate.fd_oracle`), every column's finish starts at base.beta,
+    uncertified, and steps on base.factor, which sets only its speed: a
+    column kept has no factor, and one that fails resumes FISTA there.
 
     Returns an iterator over the columns in order, yielding the Solution of
     each certified column and, for a column that does not certify within
@@ -301,11 +315,12 @@ def solve_batch(design: Design, ys, lam: float | np.ndarray, partition: BlockPar
     run to run for the same input and K.  `solve` is this code at K = 1,
     so a column agrees with `solve` up to round-off, not bit for bit.
     """
-    return itertools.chain.from_iterable(solve_chunks(design, ys, lam, partition, opts))
+    return itertools.chain.from_iterable(solve_chunks(design, ys, lam, partition, opts,
+                                                      base=base))
 
 
 def solve_chunks(design: Design, ys, lam: float | np.ndarray, partition: BlockPartition,
-                 opts: SolverOptions | None = None):
+                 opts: SolverOptions | None = None, *, base: Solution | None = None):
     """What `solve_batch` yields, a chunk at a time: an iterator over lists
     of the results of consecutive columns, in order, one list per chunk of
     the finish, which is yielded when all its columns are finished."""
@@ -323,100 +338,58 @@ def solve_chunks(design: Design, ys, lam: float | np.ndarray, partition: BlockPa
         raise ValueError("lambda must be positive and finite")
     return itertools.chain.from_iterable(
         _solve_columns(design, partition, ys[:, lo:lo + BATCH_COLUMNS],
-                       lams[lo:lo + BATCH_COLUMNS], opts or SolverOptions())
+                       lams[lo:lo + BATCH_COLUMNS], opts or SolverOptions(), base=base)
         for lo in range(0, ys.shape[1], BATCH_COLUMNS))
 
 
-def solve_near(design: Design, ys, lam: float, partition: BlockPartition, base: Solution,
-               opts: SolverOptions | None = None):
-    """What `solve_batch` yields for each column of `ys`, for observations
-    near those of `base`, the Solution at `lam` of one more observation
-    vector (finite-difference probes).
-
-    Every column starts at base.beta and takes chord (simplified Newton)
-    steps on base's support, all on base's factor: each step solves the
-    `_stationarity` residuals of all columns (N x K, zeros off the support)
-    in one `factor_solve`.  The columns step together until each has met
-    the Newton stop, NEWTON_STOP * s(y), and then once more, within
-    CHORD_STEPS steps.  A column is accepted if it met the stop before the
-    last step, its point certifies (`_residuals`) at kkt_tol, and it keeps
-    base's support mask; its Solution has base's support, 0 iterations and
-    no factor.  None of these checks reads the factor, which only sets the
-    speed.  Every other column, as one whose support differs from base's,
-    is solved by `solve_batch`, and its result is yielded in its place.
-    """
-    opts = opts or SolverOptions()
-    ys = np.asarray(ys, dtype=float)
-    gram, support, k = design.gram, base.support, ys.shape[1]
-    idx = support.indices
-    on = np.zeros((partition.n_blocks, 1), dtype=bool)
-    on[list(support.active)] = True
-    met = np.ones(k, dtype=bool)
-    # a column that diverges turns non-finite and fails the checks below, and
-    # one that zeroes a block leaves base's support mask: both fall back
-    with np.errstate(all="ignore"):
-        xty = design.matrix.T @ ys
-        scales = partition.block_norms(xty).max(axis=0)
-        beta = np.repeat(np.where(on[partition.block_index], base.beta[:, None], 0.0), k, axis=1)
-        for _ in range(CHORD_STEPS if idx.size else 0):
-            stat = _stationarity(gram, partition, xty, lam, beta, on)[0]
-            met = np.abs(stat).max(axis=0) <= NEWTON_STOP * scales
-            beta[idx] -= factor_solve(base.factor, stat[idx])
-            if met.all():
-                break
-        corr, beta_norms = xty - gram @ beta, partition.block_norms(beta)
-        resid = _relative(_violation(partition, corr, beta, beta_norms, lam), scales)
-        ok = met & (resid <= opts.kkt_tol) & (support_mask(partition, beta) == on).all(axis=0)
-        objective, t_margin, s_margin = _objective_and_margins(design, partition, ys, lam, beta,
-                                                               corr, beta_norms, on)
-    rest = np.flatnonzero(~ok)
-    fallback = solve_batch(design, ys[:, rest], lam, partition, opts) if rest.size else None
-    for j in range(k):
-        if not ok[j]:
-            yield next(fallback)
-            continue
-        point = beta[:, j].copy()
-        point.setflags(write=False)
-        yield Solution(beta=point, support=support, objective=float(objective[j]),
-                       kkt_residual=float(resid[j]), iterations=0,
-                       transition_margin=float(t_margin[j]), support_margin=float(s_margin[j]))
-
-
-def _solve_columns(design, partition, ys, lams, opts, start=None):
+def _solve_columns(design, partition, ys, lams, opts, start=None, base=None):
     """Certified solves of the columns of ys (Q x K), one lambda each
     (`lams`), sharing a design and a partition, from `start` (N x K, zeros
-    when None).
+    when None), or from a Solution `base` as `solve_batch` describes.
 
-    `_fista` iterates on all columns at once to the looser of kkt_tol and
-    IDENTIFY_TOL.  Then, in order, a chunk at a time: `_newton` finishes the
-    chunk's columns; a column whose kept point misses kkt_tol resumes FISTA
-    from its FISTA point at kkt_tol, with what is left of `max_iter`, and is
-    finished again; and the chunk yields each column's Solution, with its
-    margins and the BlockSupport of its final mask, or the ConvergenceError
-    of a column still uncertified after `max_iter` iterations in all, as
-    one list per chunk.  Columns with one support, in any chunk, share its
-    BlockSupport.
+    ValueError is raised first if a column's data scale lies outside
+    [1/SCALE_LIMIT, SCALE_LIMIT].  `_fista` iterates on all columns at once
+    to the looser of kkt_tol and IDENTIFY_TOL.  Then, in order, a chunk at a
+    time: `_newton` finishes the chunk's columns; a column whose kept point
+    misses kkt_tol resumes FISTA from its FISTA point at kkt_tol, with what
+    is left of `max_iter`, and is finished again on its own factor; and the
+    chunk yields each column's Solution, with its margins and the
+    BlockSupport of its final mask, or the ConvergenceError of a column
+    still uncertified after `max_iter` iterations in all, as one list per
+    chunk.  Columns with one support, in any chunk, share its BlockSupport.
     """
     gram, tol, max_iter = design.gram, opts.kkt_tol, opts.max_iter
     xty = design.matrix.T @ ys
+    # no block norm is squared before this check
+    data = np.maximum(np.abs(xty).max(axis=0, initial=0.0), lams)
+    if not np.all((data >= 1.0 / SCALE_LIMIT) & (data <= SCALE_LIMIT)):
+        raise ValueError("the data scale max(max|X'y|, lambda) must lie within "
+                         f"[{1 / SCALE_LIMIT:.3g}, {SCALE_LIMIT:.3g}]")
     scales = partition.block_norms(xty).max(axis=0)
-    fista, fista_resid, iters, failed = _fista(design, partition, xty, lams, scales,
-                                               max(tol, IDENTIFY_TOL), max_iter, start)
+    k = ys.shape[1]
+    if base is None:
+        fista, fista_resid, iters, failed = _fista(design, partition, xty, lams, scales,
+                                                   max(tol, IDENTIFY_TOL), max_iter, start)
+    else:
+        # every column's finish starts at base.beta, uncertified
+        fista, fista_resid = np.repeat(base.beta[:, None], k, axis=1), np.full(k, math.inf)
+        iters, failed = np.zeros(k, dtype=int), np.zeros(k, dtype=bool)
     # the support rule of `core.block_support`, on every certified column
     active = support_mask(partition, fista) & ~failed
     dims = partition.block_sizes @ active
-    k = fista.shape[1]
+    # a column stepping on base's factor has no system matrix of its own
+    sized, shared = (dims, {}) if base is None else (0 * dims, {"shared": base.factor})
     # the BlockSupport of each distinct mask, keyed by its bytes
     lo, supports = 0, {}
     while lo < k:
         # finish in column order, a chunk of c columns at a time whose padded
         # system matrices, c x m_max^2 entries, hold at most CHUNK_ENTRIES
         # (or one column's)
-        padded = np.arange(1, k - lo + 1) * np.maximum.accumulate(dims[lo:]) ** 2
+        padded = np.arange(1, k - lo + 1) * np.maximum.accumulate(sized[lo:]) ** 2
         hi = lo + max(1, int(np.searchsorted(padded, CHUNK_ENTRIES, side="right")))
         beta, resid, factors = _newton(
-            gram, partition, xty[:, lo:hi], lams[lo:hi], fista[:, lo:hi],
-            fista_resid[lo:hi], active[:, lo:hi], scales[lo:hi])
+            gram, partition, xty[:, lo:hi], lams[lo:hi], fista[:, lo:hi], fista_resid[lo:hi],
+            active[:, lo:hi], scales[lo:hi], **shared)
         miss = np.flatnonzero((resid > tol) & ~failed[lo:hi])
         if miss.size:
             js = lo + miss
@@ -579,87 +552,112 @@ def factor_solve(factor, rhs) -> np.ndarray:
 def _stationarity(gram, partition, xty, lam, point, on):
     """X'X point - X'y + lambda * u, u = point_b/||point_b|| (0 on a zero
     block), at each column of an N x c matrix of points on the blocks of its
-    support mask `on` (n_blocks x c, or x 1), 0 off them; and u, each
-    coordinate's block norm (1 on a zero block) and the zero blocks.  Block
-    norms are summed block by block in partition order
-    (`BlockPartition.order`), as `BlockSupport.restrict` stacks them."""
+    support mask `on` (n_blocks x c, or x 1), 0 off them; and u and each
+    coordinate's block norm (1 on a zero block).  Block norms are summed
+    block by block in partition order (`BlockPartition.order`), as
+    `BlockSupport.restrict` stacks them."""
     block, sizes = partition.block_index, partition.block_sizes
     sq = np.add.reduceat(np.square(point[partition.order]), np.cumsum(sizes) - sizes, axis=0)
-    nil = sq == 0.0
     # inactive blocks, and the zero blocks of a column falling back, divide by 1
-    norms = np.sqrt(np.where(nil, 1.0, sq))[block]
+    norms = np.sqrt(np.where(sq == 0.0, 1.0, sq))[block]
     unit = point / norms
-    return np.where(on[block], gram @ point - xty + lam * unit, 0.0), unit, norms, nil
+    return np.where(on[block], gram @ point - xty + lam * unit, 0.0), unit, norms
 
 
-def _newton(gram, partition, xty, lam, beta, resid, active, scales):
-    """Up to NEWTON_STEPS Newton steps on X_I'(X_I b - y) + lambda * b_b/||b_b||
-    = 0 (`_stationarity`), to a residual of NEWTON_STOP * s(y), for each
-    column of `beta` (a FISTA point) on its support `active`.  A column
-    keeps its FISTA point and start factor if a step zeroes a block or is
-    not positive definite, or if its polished certificate (`_residuals`) is
-    worse.  Returns the points kept and their certificates and factors.
-
-    The columns step together whatever their supports, in the layout of
-    `_fista`: the points are N x c with zeros off each support, and so are
-    their unit vectors and stationarity residuals.  Only the system
-    matrices are compact.  Column t's X_I'X_I, its m active coordinates in
-    the block order of `BlockSupport.indices`, is gathered once into the
-    leading m x m block of a c x m_max x m_max stack; each pass adds the
-    deltaP entries of its same-block pairs, and the column's Cholesky
-    factorization and its step's solve use that block alone.
-    """
-    n, g = beta.shape
-    block = partition.block_index
-    point = np.where(active[block], beta, 0.0)
-    # each column's active coordinates in block order, then pads, which read
-    # coordinate 0 and lie outside the leading m x m block
-    idx, real, dims = stacked_coordinates(partition, active)
-    width = idx.shape[1]
+def _system_stack(gram, partition, lam, active, cols):
+    """For the columns `cols` (nonempty supports) of a block mask `active`:
+    the flat positions in an N x c matrix of their active coordinates, in
+    `BlockSupport.indices` order padded with coordinate 0, the mask of the
+    real ones, and the assembly of each X_I'X_I + lambda * deltaP(b_I), from
+    `_stationarity`'s unit vectors and norms, in a padded stack."""
+    idx, real, _ = stacked_coordinates(partition, active[:, cols])
+    n, c, width = gram.shape[0], active.shape[1], idx.shape[1]
     gram_ii = gram.take(idx[:, :, None] * n + idx[:, None, :])
-    # the flat position of (idx[t, r], t) in an N x c matrix
-    cell = idx * g + np.arange(g)[:, None]
+    cell = idx * c + cols[:, None]
     # the same-block pairs (r, q) of every column t: their flat positions in
     # the stack, and those of their two coordinates in an N x c matrix
-    label = np.where(real, block[idx], -1)
+    label = np.where(real, partition.block_index[idx], -1)
     at = np.flatnonzero((label[:, :, None] == label[:, None, :]) & real[:, :, None])
     tr, q = np.divmod(at, width)
     t, r = np.divmod(tr, width)
-    at_r, at_q, lam_k, diag = cell.flat[tr], cell.flat[t * width + q], lam[t], r == q
-    factors, alive = [None] * g, np.zeros(g, dtype=bool)
+    at_r, at_q, lam_k, diag = cell.flat[tr], cell.flat[t * width + q], lam[cols][t], r == q
 
-    def factor(mv):
-        # every column's stationarity residual at its point, and the factors
-        # of columns mv; one whose point has a zero block has none
-        stat, unit, norms, nil = _stationarity(gram, partition, xty, lam, point, active)
-        zero = (nil & active).any(axis=0)
+    def assemble(unit, norms):
         u, nr = unit.ravel(), norms.ravel()
         mats = gram_ii.copy()
         mats.reshape(-1)[at] += lam_k * ((diag - u[at_r] * u[at_q]) / nr[at_r])
-        for j in mv:
-            m = dims[j]
-            factors[j] = None if zero[j] else _cholesky(mats[j, :m, :m])
-            alive[j] = factors[j] is not None
-        return stat
+        return mats
 
-    stat = factor(np.flatnonzero(dims))
-    if not alive[dims > 0].all():
-        raise scipy.linalg.LinAlgError("system matrix is not positive definite")
-    start, floor = list(factors), NEWTON_STOP * scales
-    for _ in range(NEWTON_STEPS):
-        # a column that fell back is left without a factor, and stops
-        mv = np.flatnonzero(alive & (np.abs(stat).max(axis=0) > floor))
-        if not mv.size:
-            break
-        rhs, at_mv = stat.flat[cell[mv]], cell[mv][real[mv]]
-        for i, j in enumerate(mv):
-            rhs[i, :dims[j]] = factor_solve(factors[j], rhs[i, :dims[j]])
-        point.flat[at_mv] -= rhs[real[mv]]
-        stat = factor(mv)
-    # the columns that kept a factor to the end
-    polished = np.full(g, math.inf)
-    polished[alive] = _residuals(partition, gram, xty[:, alive], point[:, alive], lam[alive],
-                                 scales[alive])
-    keep = polished <= resid
-    return (np.where(keep, point, beta), np.where(keep, polished, resid),
-            [f if k else s for f, s, k in zip(factors, start, keep)])
+    return cell, real, assemble
+
+
+def _newton(gram, partition, xty, lam, beta, resid, active, scales, shared=None):
+    """Up to NEWTON_STEPS chord steps on X_I'(X_I b - y) + lambda * b_b/||b_b||
+    = 0 (`_stationarity`) for each column of `beta`, a FISTA point with
+    certificate `resid`, on its support `active`: all on `shared`, the factor
+    of the one nonempty support of the chunk, if given, and otherwise on the
+    column's own factor of X_I'X_I + lambda * deltaP(b_I) at its FISTA point.
+    A column steps until it has taken one step from a point whose residual
+    meets NEWTON_STOP * s(y).  It is kept if it met that stop, its point
+    keeps its mask and certifies (`_residuals`) no worse than its FISTA
+    point, and the matrix there has a factor (none on `shared`); any other
+    column falls back to its FISTA point, certificate and start factor.
+    Returns the points, certificates and factors; raises LinAlgError if a
+    matrix at a FISTA point is not positive definite.  The points are N x c
+    with zeros off each support; only the matrices are compact.
+    """
+    g, point = beta.shape[1], np.where(active[partition.block_index], beta, 0.0)
+    dims = partition.block_sizes @ active
+    stat, unit, norms = _stationarity(gram, partition, xty, lam, point, active)
+    if shared is None:
+        own = np.flatnonzero(dims)
+        cell, real, assemble = _system_stack(gram, partition, lam, active, own)
+    else:
+        own = np.zeros(0, dtype=int)
+        # the coordinates of the shared support, in block order
+        rows = partition.order[active[partition.block_index[partition.order], np.argmax(dims)]]
+
+    def factored(unit, norms, pos):
+        # the factors at `point` of the columns own[pos]; the support rule
+        # leaves no zero block at a FISTA point, nor the mask test at a kept one
+        mats = assemble(unit, norms) if pos.size else None
+        return [_cholesky(mats[i, :dims[j], :dims[j]]) for i, j in zip(pos, own[pos])]
+
+    start = [None] * g
+    for j, f in zip(own, factored(unit, norms, np.arange(own.size))):
+        if f is None:
+            raise scipy.linalg.LinAlgError("system matrix is not positive definite")
+        start[j] = f
+    floor, going = NEWTON_STOP * scales, dims > 0
+    # a column whose steps diverge turns non-finite and is not kept
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(NEWTON_STEPS):
+            moving = going.copy()
+            if not moving.any():
+                break
+            every = moving.all()
+            cols = slice(None) if every else np.flatnonzero(moving)
+            if step:
+                stat[:, cols] = _stationarity(gram, partition, xty[:, cols], lam[cols],
+                                              point[:, cols], active[:, cols])[0]
+            # a column that meets the stop takes this step, and no other
+            going[cols] = ~(np.abs(stat[:, cols]).max(axis=0) <= floor[cols])
+            if shared is not None:
+                delta = factor_solve(shared, stat[rows])
+                point[rows] -= delta if every else np.where(moving, delta, 0.0)
+                continue
+            mo = np.flatnonzero(moving[own])
+            rhs = stat.reshape(-1)[cell[mo]]
+            for i, j in enumerate(own[mo]):
+                rhs[i, :dims[j]] = factor_solve(start[j], rhs[i, :dims[j]])
+            point.reshape(-1)[cell[mo][real[mo]]] -= rhs[real[mo]]
+        polished = _residuals(partition, gram, xty, point, lam, scales)
+        same = (support_mask(partition, point) == active).all(axis=0)
+        keep = ~going & (polished <= resid) & same
+    factors, pos = list(start), np.flatnonzero(keep[own])
+    if pos.size:
+        _, unit, norms = _stationarity(gram, partition, xty, lam, point, active)
+    for j, f in zip(own[pos], factored(unit, norms, pos)):
+        keep[j] = f is not None
+        factors[j] = start[j] if f is None else f
+    return np.where(keep, point, beta), np.where(keep, polished, resid), factors

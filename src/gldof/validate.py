@@ -5,10 +5,10 @@ re-solved problems, and the DOF is re-estimated from Monte Carlo replicates
 of the noise model.  Agreement between these oracles and the analytic
 formulas is the package's main correctness evidence.  The finite-difference
 probes step on the base solution's factor, which the differential reads
-too, for speed alone: a probe is kept only at the solver's stationarity stop
-and with its own KKT certificate, neither of which reads the factor, so a
-wrong factor slows the probes, or sends them to a cold solve, but does not
-move them.
+too, for speed alone: a probe is kept only at the solver's stationarity stop,
+on its start support and with its own KKT certificate, none of which reads
+the factor, so a wrong factor slows the probes, or sends them back to FISTA,
+but does not move them.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .dof import dof_batch, fd_step
-from .solver import ConvergenceError, Problem, Solution, SolverOptions, solve, solve_near
+from .solver import ConvergenceError, Problem, Solution, SolverOptions, solve, solve_batch
 
 # oracle solves are tightened well below the comparison tolerances so that
 # solver noise does not leak into the finite differences; such a tolerance
@@ -37,17 +37,17 @@ def fd_oracle(problem: Problem, h: float | None = None, *, base: Solution | None
     """Central differences of y -> beta(y) on the support of `base`.
 
     Solves the problem at y +/- h e_i for every observation coordinate, as
-    one `solve_near` of 2Q columns from `base` (h defaults to `fd_step`, and
-    no probe may equal y).  `base` is the solution at y itself, solved here
-    when not given; its factor sets the probes' speed, not their values
-    (module docstring).  Returns the |I| x Q
-    Jacobian of y -> beta(y)_I and the divergence of y -> X beta(y),
-    sum_i x_i'(beta(y + h e_i) - beta(y - h e_i)) / d_i, which for an empty
-    support is 0.  d_i = (y_i + h) - (y_i - h) is the step the floats take,
-    which is 2h only up to the spacing of the floats at y_i.  Raises
-    TransitionCrossingError if any probe's block support differs from that
-    of `base` (the restriction to I, and the divergence of a fixed support,
-    are then invalid), and the ConvergenceError of an uncertified probe.
+    one `solve_batch` of 2Q columns from `base` (h defaults to `fd_step`,
+    and no probe may equal y).  `base` is the solution at y itself, solved
+    here when not given; its factor sets the probes' speed, not their values
+    (module docstring).  Returns the |I| x Q Jacobian of y -> beta(y)_I and
+    the divergence of y -> X beta(y), sum_i x_i'(beta(y + h e_i) -
+    beta(y - h e_i)) / d_i, 0 for an empty support; d_i = (y_i + h) -
+    (y_i - h) is the step the floats take, 2h only up to the spacing of the
+    floats at y_i.  Raises TransitionCrossingError if any probe's block
+    support differs from that of `base` (the restriction to I, and the
+    divergence of a fixed support, are then invalid), and the
+    ConvergenceError of an uncertified probe.
     """
     h = fd_step(problem) if h is None else h
     if not 0.0 < h < math.inf:
@@ -61,7 +61,7 @@ def fd_oracle(problem: Problem, h: float | None = None, *, base: Solution | None
     # columns y + h e_0, y - h e_0, y + h e_1, ...
     ys = problem.y[:, None] + h * np.kron(np.eye(q), [1.0, -1.0])
     steps = (problem.y + h) - (problem.y - h)
-    results = solve_near(problem.design, ys, problem.lam, problem.partition, base, opts)
+    results = solve_batch(problem.design, ys, problem.lam, problem.partition, opts, base=base)
     jac = np.empty((support.active_dim, q))
     for i, pair in enumerate(zip(results, results)):
         for sol, sign in zip(pair, "+-"):

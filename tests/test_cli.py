@@ -2,6 +2,7 @@ import hashlib
 import json
 import pathlib
 import platform
+import time
 import warnings
 
 import numpy as np
@@ -393,6 +394,17 @@ class TestValidateFd:
                      "--no-timestamp"]) == 0
         assert json.loads(out.read_text())["jacobian_worst_tol_ratio"] <= 1e-2
 
+    def test_a_step_beyond_the_data_scale_is_a_usage_error(self, problem_file, tmp_path):
+        # probes y +/- 1e160 e_i put X'y beyond 2^448: refused before any
+        # iteration, where the solves once ran to max_iter with residual inf
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["validate", "fd", "--problem", str(problem_file), "--step", "1e160",
+                         "--out", str(tmp_path / "fd.json"), "--no-timestamp"])
+        assert code == cli.EXIT_USAGE
+        assert time.perf_counter() - start < 1.0
+
     def test_max_iter_reaches_the_probe_solves(self, tmp_path):
         # beta = 0 is certified before any iteration, but lambda sits just
         # above lambda_max, so the probes at y[1] + h need iterations
@@ -412,34 +424,40 @@ class TestValidateFd:
         path = tmp_path / "p.json"
         save_problem(path, scenario.design, y, scenario.partition, lam=lam)
 
-        calls, near, batched = [], [], []
+        calls, near = [], []
 
         def counting(*args, **kwargs):
             calls.append(1)
             return solver.solve(*args, **kwargs)
 
-        def probing(design, ys, *args, **kwargs):
-            near.append(ys.shape[1])
-            return solve_near(design, ys, *args, **kwargs)
+        def probing(design, ys, *args, base, **kwargs):
+            near.append((ys.shape[1], base))
+            return solve_batch(design, ys, *args, base=base, **kwargs)
 
-        def batching(design, ys, *args, **kwargs):
-            batched.append(ys.shape[1])
-            return solve_batch(design, ys, *args, **kwargs)
-
-        solve_near, solve_batch = solver.solve_near, solver.solve_batch
+        solve_batch = solver.solve_batch
         monkeypatch.setattr(cli, "solve", counting)
         monkeypatch.setattr(validate, "solve", counting)
-        monkeypatch.setattr(validate, "solve_near", probing)
-        monkeypatch.setattr(solver, "solve_batch", batching)
+        monkeypatch.setattr(validate, "solve_batch", probing)
+        factored, cholesky = [], solver._cholesky
+        monkeypatch.setattr(solver, "_cholesky", lambda a: factored.append(a.shape[0])
+                            or cholesky(a))
+        fista, fista_calls = solver._fista, []
+        monkeypatch.setattr(solver, "_fista", lambda *args: fista_calls.append(args[3].size)
+                            or fista(*args))
         out = tmp_path / "fd.json"
         assert main(["validate", "fd", "--problem", str(path), "--out", str(out),
                      "--no-timestamp"]) == 0
         assert json.loads(out.read_text())["jacobian_worst_tol_ratio"] is not None
-        # the base problem once, the 2Q probes from it at once, and none of
-        # them, on this instance far from a boundary, solved again cold
+        # the base problem once, and the 2Q probes from it at once
         assert len(calls) == 1
-        assert near == [2 * 60]
-        assert batched == []
+        assert [n for n, _ in near] == [2 * 60] and near[0][1] is not None
+        # FISTA runs for the base alone: the probes' finish starts at its
+        # point, and none resumes on this instance far from a boundary; the
+        # only factorizations are the base's, at its FISTA point and at its
+        # finished point, since the probes step on the base's factor
+        assert fista_calls == [1]
+        m = near[0][1].support.active_dim
+        assert factored == [m, m]
 
 
 class TestValidateMc:

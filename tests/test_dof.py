@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import block_soft_threshold, random_problem, reference_divergence, transition_instance
+from helpers import (block_soft_threshold, random_problem, reference_divergence,
+                     reference_margins, transition_instance)
 
 from gldof import solver
 from gldof.core import BlockPartition, Design
@@ -282,6 +283,20 @@ class TestCoordinateRadius:
         problem = transition_instance(seed)
         sol = solve(problem, TIGHT)
         assert dof_estimate(problem, sol).radius == 0.0
+
+    def test_a_slack_within_its_rounding_bound_reads_as_zero(self):
+        # on more boundary instances the tight block's slack, recomputed from
+        # X, y and beta, is 0 or a few ulps of lambda, as round-off alone can
+        # make it; the solver's margin, and so the radius, reads 0 on each
+        ulps = []
+        for seed in range(4, 20):
+            problem = transition_instance(seed)
+            sol = solve(problem, TIGHT)
+            slack = reference_margins(problem, sol.beta, sol.support)[0]
+            ulps.append(slack / np.spacing(problem.lam))
+            assert sol.transition_margin == 0.0
+            assert dof_estimate(problem, sol).radius == 0.0
+        assert 0.0 < max(ulps) <= 4.0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_half_the_radius_keeps_the_support(self, seed):

@@ -705,6 +705,19 @@ class TestBatchedFinish:
             assert a.support == b.support and a.iterations == b.iterations
             assert np.max(np.abs(a.beta - b.beta)) <= 1e-12 * np.max(np.abs(a.beta))
 
+    def test_each_column_is_factored_twice(self, monkeypatch):
+        # the benchmark's mc shape: every column with a nonempty support is
+        # factored at its FISTA point, for its chord steps, and at its
+        # finished point, for its Solution; none resumes
+        scenario = generate(ScenarioSpec(Q=60, N=40, block_sizes=(4,) * 10, k_active=3,
+                                         sigma=0.5, seed=1))
+        lam = 0.5 * lambda_max(scenario.design, scenario.mu0, scenario.partition)
+        ys = np.column_stack([scenario.draw_y(seed=2, replicate=k) for k in range(50)])
+        calls = counted(monkeypatch, "_cholesky", "_fista")
+        batch = list(solve_batch(scenario.design, ys, lam, scenario.partition))
+        nonempty = sum(not sol.support.is_empty for sol in batch)
+        assert nonempty > 40 and calls == {"_cholesky": 2 * nonempty, "_fista": 1}
+
     @pytest.mark.parametrize("fault", ["zero_block", "not_positive_definite"])
     def test_a_failed_step_falls_back_for_its_column_alone(self, monkeypatch, fault):
         design, partition, ys, lams = mixed_batch()
@@ -720,7 +733,8 @@ class TestBatchedFinish:
         monkeypatch.setattr(solver, "_newton", capture)
         clean = list(solve_batch(design, ys, lams, partition, opts))
         # every probe steps at the first pass, so calls come in column order:
-        # column 3 gets the 4th step and the 12th factorization (second pass)
+        # column 3 gets the 4th step and the 12th factorization (the second
+        # of its finished point)
         victim, calls = 3, []
         factor_solve, cholesky = solver.factor_solve, solver._cholesky
 
@@ -821,7 +835,11 @@ class TestResume:
 
     def test_rejected_column_resumes_to_kkt_tol(self, monkeypatch):
         opts = SolverOptions(kkt_tol=1e-10)
+        factored = counted(monkeypatch, "_cholesky")
         batch, clean, (first, resumed) = self.run(monkeypatch, opts)
+        # two factorizations per column, and the victim's start factor at its
+        # first FISTA point; its rejected point is not factored
+        assert factored["_cholesky"] == 2 * len(batch) + 1
         victim = self.VICTIM
         assert first.size == len(batch) and resumed.size == 1 and resumed[0] > 0
         sol, ref = batch[victim], clean[victim]
@@ -924,6 +942,52 @@ class TestScaleEquivariance:
         for problem, _, _ in fault_problems:
             scaled = rescaled(problem, s)
             assert_gap_closed(scaled, solve(scaled))
+
+
+class TestDataScale:
+    """Beyond TestScaleEquivariance's range, block norms of the data square
+    to subnormals or to inf: the solver refuses such data rather than
+    certify a wrong point (beta = 0 at s = 1e-165, a DOF of 10.4390 for
+    10.4457 at s = 1e-160) or run to max_iter (s >= 1e154)."""
+
+    @staticmethod
+    def instance():
+        rng = np.random.default_rng(0)
+        design, y = Design(rng.standard_normal((30, 16))), rng.standard_normal(30)
+        partition = BlockPartition.from_sizes([4] * 4)
+        return Problem(design, y, 0.3 * lambda_max(design, y, partition), partition)
+
+    def test_each_scale_is_refused_or_matches_the_unscaled_problem(self):
+        problem = self.instance()
+        base = solve(problem)
+        dof = dof_estimate(problem, base).divergence
+        assert base.support.active == (0, 1, 2, 3) and dof == pytest.approx(10.4457, abs=1e-4)
+        refused = []
+        for k in range(-170, 161, 10):
+            scaled = rescaled(problem, 10.0**k)
+            try:
+                sol = solve(scaled)
+            except ValueError as e:
+                assert "data scale" in str(e)
+                refused.append(k)
+                continue
+            assert sol.support == base.support
+            assert dof_estimate(scaled, sol).divergence == pytest.approx(dof, rel=1e-12)
+        # the range is 2^-448 to 2^448 in max(max|X'y|, lambda)
+        assert refused == [-170, -160, -150, -140, 140, 150, 160]
+
+    @pytest.mark.parametrize("s", [1e-160, 1e154])
+    def test_a_batch_with_one_such_column_is_refused(self, s):
+        problem = self.instance()
+        ys = np.column_stack([problem.y, s * problem.y])
+        with pytest.raises(ValueError, match="data scale"):
+            list(solve_batch(problem.design, ys, [problem.lam, s * problem.lam],
+                             problem.partition))
+
+    def test_probes_beyond_the_range_are_refused(self):
+        problem = self.instance()
+        with pytest.raises(ValueError, match="data scale"):
+            fd_oracle(problem, 1e160)
 
 
 @st.composite
@@ -1077,14 +1141,26 @@ def probes(problem, h):
     return problem.y[:, None] + h * np.kron(np.eye(problem.design.Q), [1.0, -1.0])
 
 
-def refuse_cold_solves(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a probe was solved cold")
+def counted(monkeypatch, *names):
+    """Count the calls of each named solver function, by name."""
+    calls = dict.fromkeys(names, 0)
 
-    monkeypatch.setattr(solver, "solve_batch", refuse)
+    def counting(name, f):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
+    return calls
 
 
 class TestSolveNear:
+    """Observations near those of a base solution, solved from it
+    (`solve_batch(..., base=)`): every column starts at base.beta, and one
+    on base's support takes its chord steps on base's factor."""
+
     TIGHT = SolverOptions(kkt_tol=1e-12, max_iter=200_000)
 
     @pytest.mark.parametrize("instance", ["random", "interleaved", "fd_seed316_round56",
@@ -1105,9 +1181,12 @@ class TestSolveNear:
         ys = probes(problem, min(1e-5 * np.max(np.abs(problem.y)),
                                  0.5 * dof_estimate(problem, base).radius))
         cold = list(solve_batch(problem.design, ys, problem.lam, problem.partition, self.TIGHT))
-        refuse_cold_solves(monkeypatch)
-        near = list(solver.solve_near(problem.design, ys, problem.lam, problem.partition, base,
-                                      self.TIGHT))
+        calls = counted(monkeypatch, "_fista", "_cholesky")
+        near = list(solve_batch(problem.design, ys, problem.lam, problem.partition, self.TIGHT,
+                                base=base))
+        # every probe's finish starts at base.beta: none runs FISTA, and none
+        # is factored
+        assert calls == {"_fista": 0, "_cholesky": 0}
         scale = max(np.max(np.abs(sol.beta)) for sol in cold)
         for y, sol, ref in zip(ys.T, near, cold, strict=True):
             assert sol.support == ref.support == base.support and sol.iterations == 0
@@ -1121,22 +1200,23 @@ class TestSolveNear:
                           BlockPartition.from_sizes([2, 2]))
         base = solve(problem, self.TIGHT)
         assert base.support.is_empty
-        refuse_cold_solves(monkeypatch)
-        for sol in solver.solve_near(problem.design, probes(problem, 1e-3), problem.lam,
-                                     problem.partition, base, self.TIGHT):
+        calls = counted(monkeypatch, "_fista", "_cholesky")
+        for sol in solve_batch(problem.design, probes(problem, 1e-3), problem.lam,
+                               problem.partition, self.TIGHT, base=base):
             assert sol.support == base.support and not np.any(sol.beta)
             assert sol.transition_margin > 0.0 and sol.support_margin == np.inf
+        assert calls == {"_fista": 0, "_cholesky": 0}
 
     def test_an_uncertified_cold_solve_is_yielded(self):
         # lambda sits just above lambda_max = 5, so beta = 0, but y[0] + h
         # and y[1] + h activate the first block; with no iteration allowed
-        # their cold solves cannot certify
+        # their solves from base.beta cannot certify
         problem = Problem(Design.identity(4), np.array([3.0, 4.0, 0.3, 0.1]),
                           5.0 * (1 + 1e-9), BlockPartition.from_sizes([2, 2]))
         opts = SolverOptions(kkt_tol=1e-12, max_iter=0)
         base = solve(problem, opts)
-        results = list(solver.solve_near(problem.design, probes(problem, 4e-5), problem.lam,
-                                         problem.partition, base, opts))
+        results = list(solve_batch(problem.design, probes(problem, 4e-5), problem.lam,
+                                   problem.partition, opts, base=base))
         failed = [j for j, sol in enumerate(results) if isinstance(sol, ConvergenceError)]
         assert failed == [0, 2]
         assert all(results[j].support == base.support for j in range(8) if j not in failed)

@@ -148,27 +148,32 @@ class TestFdJacobian:
         with pytest.raises(TransitionCrossingError, match=r"probe y\[2\] - h"):
             fd_oracle(identity_problem(y, 5.0, [2, 2]), 2e-8)
 
-    def test_a_crossing_probe_is_solved_cold_and_reported(self, monkeypatch):
+    def test_a_crossing_probe_resumes_fista_and_is_reported(self, monkeypatch):
         problem = transition_instance(1)
+        batch = solver.solve_batch
         # the message of every probe solved cold, as the oracle once did
-        monkeypatch.setattr(validate, "solve_near",
-                            lambda design, ys, lam, partition, base, opts:
-                            solver.solve_batch(design, ys, lam, partition, opts))
+        monkeypatch.setattr(validate, "solve_batch",
+                            lambda design, ys, lam, partition, opts, base:
+                            batch(design, ys, lam, partition, opts))
         with pytest.raises(TransitionCrossingError) as cold:
             fd_oracle(problem)
         monkeypatch.undo()
-        columns, batch = [], solver.solve_batch
+        base = solve(problem, SolverOptions(kkt_tol=ORACLE_KKT_TOL))
+        starts, fista = [], solver._fista
 
-        def batching(design, ys, *args):
-            columns.append(ys.shape[1])
-            return batch(design, ys, *args)
+        def recording(design, partition, c, lams, scales, tol, max_iter, start=None):
+            starts.append(start)
+            return fista(design, partition, c, lams, scales, tol, max_iter, start)
 
-        monkeypatch.setattr(solver, "solve_batch", batching)
+        monkeypatch.setattr(solver, "_fista", recording)
         with pytest.raises(TransitionCrossingError) as near:
-            fd_oracle(problem)
+            fd_oracle(problem, base=base)
         assert str(near.value) == str(cold.value)
-        # only the probes that the chord steps do not certify are solved cold
-        assert 0 < columns[0] < 2 * problem.design.Q
+        # every probe's finish starts at base.beta, and only the probes that
+        # the chord steps do not finish resume FISTA, from there
+        (resumed,) = starts
+        assert 0 < resumed.shape[1] < 2 * problem.design.Q
+        assert np.array_equal(resumed, np.repeat(base.beta[:, None], resumed.shape[1], axis=1))
 
     def test_near_boundary_probes_are_certified_at_the_oracle_tolerance(self, monkeypatch):
         # fd at seed 316: its probes sit 2e-6 lambda from a transition, where a
@@ -177,14 +182,14 @@ class TestFdJacobian:
                                   / "fd_seed316_round62.json"))
         problem = loaded.problem(loaded.lam)
         base = solve(problem, SolverOptions(kkt_tol=ORACLE_KKT_TOL))
-        probes, near = [], validate.solve_near
+        probes, batch = [], validate.solve_batch
 
-        def recording(design, ys, *args):
-            for y, sol in zip(ys.T, near(design, ys, *args)):
+        def recording(design, ys, *args, **kwargs):
+            for y, sol in zip(ys.T, batch(design, ys, *args, **kwargs)):
                 probes.append((y, sol))
                 yield sol
 
-        monkeypatch.setattr(validate, "solve_near", recording)
+        monkeypatch.setattr(validate, "solve_batch", recording)
         # the step of `validate fd`
         fd_oracle(problem, min(fd_step(problem), 0.5 * dof_estimate(problem, base).radius),
                   base=base)

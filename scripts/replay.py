@@ -15,9 +15,9 @@ sidecar without its `manifest`.  Per key it prints the number of values that
 differ and the worst relative difference.  Per workload and side it prints
 the calls per CLI call of `solver._cholesky` (factorizations) and
 `solver._fista` (FISTA runs, resumes included), each where both commits
-define it; these counts do not decide the exit code.  The exit code is 1 if an exit
-code differs, if an output is missing on one side, or if any value of
-`active_blocks`, `active_dim`, `warning` (or `transition_warning`),
+define it; these counts do not decide the exit code.  The exit code is 1 if
+an exit code differs, if an output is missing on one side, or if any value
+of `active_blocks`, `active_dim`, `warning` (or `transition_warning`),
 `passed`, `n_failed` or `n_warned` differs; otherwise it is 0, whatever the
 size of the other differences.
 """

@@ -5,7 +5,7 @@ with coefficient vectors segmented into disjoint index blocks.  This module
 owns that bookkeeping: the partition, the active blocks of a solution and
 the one support rule, and the design with its cached Gram matrix and
 Lipschitz constant.  The operator deltaP of the solution's local
-differential is assembled by the solver's Newton finish.
+differential is assembled by the solver's chord finish.
 """
 
 from __future__ import annotations

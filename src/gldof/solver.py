@@ -81,7 +81,7 @@ NEWTON_STOP = 1e-15
 SCALE_LIMIT = 2.0**448
 # columns `solve_batch` iterates on at once: its working memory is O(N x this)
 BATCH_COLUMNS = 256
-# padded system-matrix entries of a Newton chunk, c x m_max^2 (1 MB), whatever
+# padded system-matrix entries of a finish chunk, c x m_max^2 (1 MB), whatever
 # N: a whole `validate mc` batch (50 columns with m <= 40) is one chunk, and a
 # lambda path at N = 200 still goes in chunks of a few columns
 CHUNK_ENTRIES = 2**17
@@ -209,7 +209,7 @@ def _relative(viol, scale):
 
 def _residuals(partition: BlockPartition, gram, xty, beta, lam, scales):
     """`_violation` / s(y) at a point, or at each column of an N x K matrix
-    of points: what `kkt_check` reports and a Newton polish may not worsen."""
+    of points: what `kkt_check` reports and the chord polish may not worsen."""
     viol = _violation(partition, xty - gram @ beta, beta, partition.block_norms(beta), lam)
     return _relative(viol, scales)
 

@@ -13,9 +13,10 @@ environment for both sides (one BLAS thread, as the benchmark runs).
 The report compares exit codes, and every JSON and CSV output and CSV
 sidecar without its `manifest`.  Per key it prints the number of values that
 differ and the worst relative difference.  Per workload and side it prints
-the calls per CLI call of `solver._cholesky` (factorizations) and
-`solver._fista` (FISTA runs, resumes included), each where both commits
-define it; these counts do not decide the exit code.  The exit code is 1 if
+the calls per CLI call of `solver._cholesky` (factorizations),
+`solver._fista` (FISTA runs, resumes included) and `solver.Solution`
+(solutions built), each where both commits define it; these counts do not
+decide the exit code.  The exit code is 1 if
 an exit code differs, if an output is missing on one side, or if any value
 of `active_blocks`, `active_dim`, `warning` (or `transition_warning`),
 `passed`, `n_failed` or `n_warned` differs; otherwise it is 0, whatever the
@@ -42,8 +43,8 @@ STRICT = {"active_blocks", "active_dim", "warning", "transition_warning", "passe
           "n_failed", "n_warned"}
 CODES = "exit_codes.json"
 COUNTS = "call_counts.json"
-# the solver functions whose calls are counted
-COUNTED = ("_cholesky", "_fista")
+# the solver functions, and the class, whose calls are counted
+COUNTED = ("_cholesky", "_fista", "Solution")
 # run in each side's subprocess: argv[1] names the ops file, argv[2] the codes
 # file, argv[3] the counts file and argv[4:] the functions to count
 CHILD = """

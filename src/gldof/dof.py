@@ -50,7 +50,8 @@ import numpy as np
 import scipy.linalg
 
 from .core import BlockPartition, BlockSupport, Design, stacked_coordinates
-from .solver import Problem, Solution, SolverOptions, factor_solve, solve_chunks
+from .solver import (ConvergenceError, Problem, Solution, SolverOptions, factor_solve,
+                     solve_chunks)
 
 
 @dataclass(frozen=True)
@@ -144,9 +145,14 @@ def dof_estimate(problem: Problem, solution: Solution) -> DofReport:
     `warning` is r < `fd_step`: the differential is numerically fragile at y.
     This is the code of `dof_batch` at K = 1.
     """
-    (report,) = _reports(problem.design, problem.partition, np.array([problem.lam]),
-                         _fd_steps(problem.y[:, None]), [solution])
-    return report
+    partition, support = problem.partition, solution.support
+    active = np.zeros((partition.n_blocks, 1), dtype=bool)
+    active[list(support.active)] = True
+    (divergence,), (radius,) = _reports(
+        problem.design, partition, np.array([problem.lam]), solution.beta[:, None], active,
+        np.array([solution.transition_margin]), np.array([solution.support_margin]),
+        [solution.factor])
+    return _report(solution, divergence, radius, fd_step(problem))
 
 
 def dof_batch(design: Design, ys, lam, partition: BlockPartition,
@@ -162,65 +168,73 @@ def dof_batch(design: Design, ys, lam, partition: BlockPartition,
     finished, so memory stays bounded by the chunk and no report is kept
     once yielded.
     """
+    opts = opts or SolverOptions()
     chunks = solve_chunks(design, ys, lam, partition, opts)
     ys = np.asarray(ys, dtype=float)
     lams = np.broadcast_to(np.asarray(lam, dtype=float), ys.shape[1:])
-    return _paired(design, partition, lams, _fd_steps(ys), chunks)
+    return _paired(design, partition, lams, _fd_steps(ys), chunks, opts)
 
 
-def _paired(design, partition, lams, steps, chunks):
-    """Each result of `solve_chunks` with its report (None for a
-    ConvergenceError), the reports of a chunk from one `_reports` pass."""
-    lo = 0
+def _paired(design, partition, lams, steps, chunks, opts):
+    """Each column of the `Chunk`s of `solve_chunks`, as `Chunk.result`,
+    with its report (None for a ConvergenceError), the reports of a chunk
+    from one `_reports` pass."""
+    lo, supports = 0, {}
     for chunk in chunks:
-        cols = [lo + i for i, sol in enumerate(chunk) if isinstance(sol, Solution)]
-        reports = iter(_reports(design, partition, lams[cols], steps[cols],
-                                [sol for sol in chunk if isinstance(sol, Solution)]))
-        lo += len(chunk)
-        for sol in chunk:
-            yield sol, (next(reports) if isinstance(sol, Solution) else None)
+        hi = lo + chunk.size
+        divergence, radius = _reports(design, partition, lams[lo:hi], chunk.beta, chunk.active,
+                                      chunk.transition_margin, chunk.support_margin,
+                                      chunk.factors)
+        for result, d, r, h in zip(chunk.results(partition, opts, supports), divergence,
+                                   radius, steps[lo:hi]):
+            yield result, (None if isinstance(result, ConvergenceError)
+                           else _report(result, d, r, h))
+        lo = hi
         # no result of this chunk is held while the next one is finished
-        del chunk, reports
+        del chunk, result
 
 
-def _reports(design, partition, lams, steps, solutions):
-    """The DofReport of each Solution, at its lambda and `fd_step`, in one
-    pass: the inverse factors W of the columns with a nonempty support are
+def _report(solution, divergence, radius, step) -> DofReport:
+    """The DofReport of a Solution, its divergence and radius, at `fd_step`."""
+    return DofReport(float(divergence), solution.support, solution.transition_margin,
+                     solution.support_margin, float(radius), bool(radius < step),
+                     solution.factor)
+
+
+def _reports(design, partition, lams, beta, active, t_margin, s_margin, factors):
+    """The divergence and the radius of each column of a finish chunk, from
+    its point (N x c), block mask, two margins and factor, at its lambda, in
+    one pass: the inverse factors W of the columns with a nonempty mask are
     stacked c x m_max x m_max, and each block's W_b (Id - u_b u_b') is formed
-    from the stack's block sums, runs of `BlockPartition.block_index`."""
-    t_margin = np.array([s.transition_margin for s in solutions])
-    s_margin = np.array([s.support_margin for s in solutions])
+    from the stack's block sums, runs of `BlockPartition.block_index`.  A
+    failed column's mask is empty, so it costs no m^3 work."""
     radius = t_margin / math.sqrt(design.lipschitz)
     # an empty support bounds nothing, even if lambda_min = 0
     bounded = s_margin < math.inf
     if bounded.any():
         radius[bounded] = np.minimum(radius[bounded], s_margin[bounded]
                                      * math.sqrt(design.min_eigenvalue))
-    divergence = np.zeros(len(solutions))
-    live = [t for t, s in enumerate(solutions) if not s.support.is_empty]
-    if live:
-        divergence[live] = _divergences(partition, lams[live], [solutions[t] for t in live])
-    return [DofReport(float(d), s.support, float(tm), float(sm), float(r), bool(r < h),
-                      s.factor)
-            for d, s, tm, sm, r, h in zip(divergence, solutions, t_margin, s_margin, radius,
-                                          steps)]
+    divergence = np.zeros(active.shape[1])
+    live = np.flatnonzero(active.any(axis=0))
+    if live.size:
+        divergence[live] = _divergences(partition, lams[live], beta[:, live], active[:, live],
+                                        [factors[t] for t in live])
+    return divergence, radius
 
 
-def _divergences(partition, lams, solutions):
+def _divergences(partition, lams, betas, active, factors):
     """m - lambda sum_b ||W_b (Id - u_b u_b')||_F^2 / ||beta_b|| of each
-    Solution (nonempty supports), W = L^-1 by one `dtrtri` per column."""
-    g = len(solutions)
-    active = np.zeros((partition.n_blocks, g), dtype=bool)
-    for t, s in enumerate(solutions):
-        active[list(s.support.active), t] = True
+    column of the points `betas` (N x g) with a nonempty mask `active`,
+    W = L^-1 by one `dtrtri` per column's factor."""
+    g = active.shape[1]
     idx, real, dims = stacked_coordinates(partition, active)
     width = idx.shape[1]
     # row t * width + r holds column r of W_t, the inverse of column t's
     # factor, whose zeros above the diagonal it keeps; pads are zero rows
     rows = np.zeros((g, width, width))
-    for t, s in enumerate(solutions):
+    for t, factor in enumerate(factors):
         m = dims[t]
-        rows[t, :m, :m] = scipy.linalg.lapack.dtrtri(s.factor[0], lower=1)[0].T
+        rows[t, :m, :m] = scipy.linalg.lapack.dtrtri(factor[0], lower=1)[0].T
     rows = rows.reshape(g * width, width)
     # the runs of one block in the stacked coordinates, each column's first
     # run starting a new one: a pad joins its column's last run
@@ -229,7 +243,6 @@ def _divergences(partition, lams, solutions):
     first[:, 1:] &= label[:, 1:] != label[:, :-1]
     starts = np.flatnonzero(first)
     run = np.cumsum(first) - 1
-    betas = np.column_stack([s.beta for s in solutions])
     beta_i = np.where(real, betas[idx, np.arange(g)[:, None]], 0.0).ravel()
     # ||beta_b|| at each stacked coordinate, and u_b there (0 at the pads)
     norms = np.sqrt(np.add.reduceat(np.square(beta_i), starts))[run]

@@ -52,6 +52,9 @@ def default_lambda_grid(lam_max: float, n_points: int = 50, decades: float = 2.0
     """Log-spaced grid from lam_max down to lam_max / 10**decades."""
     if not lam_max > 0:
         raise ValueError("lam_max must be positive")
+    # a negative count runs the grid above lam_max, where every fit is empty
+    if not 0.0 < decades < math.inf:
+        raise ValueError(f"decades must be positive and finite, got {decades:g}")
     return lam_max * np.logspace(0.0, -decades, n_points)
 
 

@@ -130,22 +130,52 @@ class Problem:
         return replace(self, y=y)
 
 
+def _gamma(design):
+    """gamma_n = n u / (1 - n u), u the unit round-off, with n = Q + 2N + 4
+    for X'y, X'X, (X'X) beta, the norm and the difference of a slack."""
+    nu = (design.Q + 2 * design.N + 4) * np.finfo(float).eps / 2
+    return nu / (1 - nu)
+
+
+def _slack_bound(design, partition, ys, lams, beta):
+    """The rounding bound of each slack lambda - ||X_b'(y - X beta)|| at each
+    column of an N x K matrix of points, with observations ys (Q x K) and one
+    lambda per column: gamma_n (||(|X|'(|y| + |X||beta|))_b|| + lambda)
+    (Higham, 2nd ed., ch. 3: |fl(x'y) - x'y| <= gamma_n |x|'|y|)."""
+    ax = np.abs(design.matrix)
+    return _gamma(design) * (partition.block_norms(ax.T @ (np.abs(ys) + ax @ np.abs(beta)))
+                             + lams)
+
+
+def _cheap_slack_bound(design, partition, ys, lams, beta_norms):
+    """An upper bound of `_slack_bound` from norms alone, given beta's block
+    norms: ||(|X|'v)_b|| <= ||X_b||_F ||v|| and ||v|| <= ||y|| + ||X||_F
+    ||beta|| for v = |y| + |X||beta|, doubled against its own rounding.
+    ||X_b||_F^2 sums the diagonal of X'X over block b."""
+    frob = np.sqrt(partition.indicator @ np.diagonal(design.gram))
+    v = (np.sqrt(np.einsum("ij,ij->j", ys, ys))
+         + math.sqrt(np.square(frob).sum()) * np.sqrt(np.square(beta_norms).sum(axis=0)))
+    return 2.0 * _gamma(design) * (frob[:, None] * v + lams)
+
+
 def _objective_and_margins(design, partition, ys, lams, beta, corr, beta_norms, on):
     """0.5 ||y - X b||^2 + lambda * sum of block norms, from scratch, and the
     `transition_margin` and `support_margin` of `Solution`, at each column
     of an N x K matrix of points, with the observations ys (Q x K), one
     lambda per column, corr = X'(y - X beta), beta's block norms and the
     block mask `on` of each column's support.  A slack lambda - ||X_b'r||
-    within its rounding bound, gamma_n (||(|X|'(|y| + |X||beta|))_b|| +
-    lambda) with n = Q + 2N + 4 for X'y, X'X, (X'X) beta, the norm and the
-    difference (Higham, 2nd ed., ch. 3: |fl(x'y) - x'y| <= gamma_n |x|'|y|),
-    reads as 0."""
-    fit, ax = ys - design.matrix @ beta, np.abs(design.matrix)
-    nu = (design.Q + 2 * design.N + 4) * np.finfo(float).eps / 2
-    bound = nu / (1 - nu) * (partition.block_norms(ax.T @ (np.abs(ys) + ax @ np.abs(beta))) + lams)
+    within its rounding bound (`_slack_bound`) reads as 0; that bound is
+    formed only for the columns where some inactive slack lies within
+    `_cheap_slack_bound`, which dominates it."""
+    fit = ys - design.matrix @ beta
     slack = lams - partition.block_norms(corr)
+    near = np.flatnonzero(
+        (~on & (slack <= _cheap_slack_bound(design, partition, ys, lams, beta_norms))).any(axis=0))
+    if near.size:
+        bound = _slack_bound(design, partition, ys[:, near], lams[near], beta[:, near])
+        slack[:, near] = np.where(slack[:, near] <= bound, 0.0, slack[:, near])
     return (0.5 * np.einsum("ij,ij->j", fit, fit) + lams * beta_norms.sum(axis=0),
-            np.where(on, math.inf, np.where(slack <= bound, 0.0, slack)).min(axis=0),
+            np.where(on, math.inf, slack).min(axis=0),
             np.where(on, beta_norms, math.inf).min(axis=0))
 
 
@@ -181,6 +211,60 @@ class Solution:
     # empty, and on a column that stepped on a `base` factor
     factor: tuple[np.ndarray, bool] | None = field(default=None, compare=False,
                                                     repr=False)
+
+
+@dataclass(frozen=True)
+class Chunk:
+    """The results of the c consecutive columns of one finish chunk, as
+    arrays: column i of each belongs to the chunk's i-th column.  The fields
+    are those of `Solution`, with each column's block mask in place of its
+    BlockSupport, and `failed` marks the columns that did not certify, whose
+    mask is empty and whose `iterations` is the budget.  Every array is
+    read-only."""
+
+    beta: np.ndarray  # N x c
+    active: np.ndarray  # n_blocks x c
+    objective: np.ndarray
+    kkt_residual: np.ndarray
+    iterations: np.ndarray
+    transition_margin: np.ndarray
+    support_margin: np.ndarray
+    failed: np.ndarray
+    factors: tuple = field(compare=False, repr=False)
+
+    def __post_init__(self):
+        for a in (self.beta, self.active, self.objective, self.kkt_residual, self.iterations,
+                  self.transition_margin, self.support_margin, self.failed):
+            a.setflags(write=False)
+
+    @property
+    def size(self) -> int:
+        return self.failed.size
+
+    def result(self, i: int, partition: BlockPartition, opts: SolverOptions, supports: dict):
+        """Column i as `solve` returns it, a Solution, or as it raises it, a
+        ConvergenceError, with a copy of its beta, so that no result pins
+        the chunk.  `supports` holds the BlockSupport of each mask met so
+        far, keyed by its bytes; columns with one mask share it."""
+        beta = self.beta[:, i].copy()
+        beta.setflags(write=False)
+        if self.failed[i]:
+            return ConvergenceError(
+                f"no KKT certificate <= {opts.kkt_tol:g} within {opts.max_iter} iterations "
+                f"(best residual {self.kkt_residual[i]:g})",
+                beta=beta, kkt_residual=float(self.kkt_residual[i]), iterations=opts.max_iter)
+        key = self.active[:, i].tobytes()
+        if key not in supports:
+            supports[key] = BlockSupport(partition, tuple(np.flatnonzero(self.active[:, i])))
+        return Solution(
+            beta=beta, support=supports[key], objective=float(self.objective[i]),
+            kkt_residual=float(self.kkt_residual[i]), iterations=int(self.iterations[i]),
+            transition_margin=float(self.transition_margin[i]),
+            support_margin=float(self.support_margin[i]), factor=self.factors[i])
+
+    def results(self, partition: BlockPartition, opts: SolverOptions, supports: dict) -> list:
+        """`result` of every column, in order."""
+        return [self.result(i, partition, opts, supports) for i in range(self.size)]
 
 
 def _violation(partition: BlockPartition, corr, beta, beta_norms, lam):
@@ -276,8 +360,10 @@ def solve(problem: Problem, opts: SolverOptions | None = None, start=None) -> So
         if start.shape != (problem.design.N,) or not np.isfinite(start).all():
             raise ValueError(f"warm start must be a finite vector of length N={problem.design.N}")
         start = start[:, None]
-    [(result,)] = _solve_columns(problem.design, problem.partition, problem.y[:, None],
-                                 np.array([problem.lam]), opts or SolverOptions(), start)
+    opts = opts or SolverOptions()
+    [chunk] = _solve_columns(problem.design, problem.partition, problem.y[:, None],
+                             np.array([problem.lam]), opts, start)
+    result = chunk.result(0, problem.partition, opts, {})
     if isinstance(result, ConvergenceError):
         raise result
     return result
@@ -314,16 +400,21 @@ def solve_batch(design: Design, ys, lam: float | np.ndarray, partition: BlockPar
     raised, so the other columns still finish).  Results are bit-identical
     run to run for the same input and K.  `solve` is this code at K = 1,
     so a column agrees with `solve` up to round-off, not bit for bit.
+    Each column is `Chunk.result` of its chunk (`solve_chunks`), and the
+    columns with one support share its BlockSupport.
     """
-    return itertools.chain.from_iterable(solve_chunks(design, ys, lam, partition, opts,
-                                                      base=base))
+    opts, supports = opts or SolverOptions(), {}
+    return itertools.chain.from_iterable(
+        chunk.results(partition, opts, supports)
+        for chunk in solve_chunks(design, ys, lam, partition, opts, base=base))
 
 
 def solve_chunks(design: Design, ys, lam: float | np.ndarray, partition: BlockPartition,
                  opts: SolverOptions | None = None, *, base: Solution | None = None):
-    """What `solve_batch` yields, a chunk at a time: an iterator over lists
-    of the results of consecutive columns, in order, one list per chunk of
-    the finish, which is yielded when all its columns are finished."""
+    """What `solve_batch` yields, a chunk at a time and as arrays: an
+    iterator over the `Chunk` of each chunk of the finish, in column order,
+    yielded when all its columns are finished.  The arguments are checked
+    here, before the iterator is returned."""
     # private copies: the finish reads them lazily, between yields
     ys = np.array(ys, dtype=float, order="C")
     if ys.ndim != 2 or ys.shape[0] != design.Q or not np.isfinite(ys).all():
@@ -353,10 +444,9 @@ def _solve_columns(design, partition, ys, lams, opts, start=None, base=None):
     time: `_newton` finishes the chunk's columns; a column whose kept point
     misses kkt_tol resumes FISTA from its FISTA point at kkt_tol, with what
     is left of `max_iter`, and is finished again on its own factor; and the
-    chunk yields each column's Solution, with its margins and the
-    BlockSupport of its final mask, or the ConvergenceError of a column
-    still uncertified after `max_iter` iterations in all, as one list per
-    chunk.  Columns with one support, in any chunk, share its BlockSupport.
+    chunk's `Chunk` is yielded, with each column's point, final mask and
+    margins, `failed` marking a column still uncertified after `max_iter`
+    iterations in all.
     """
     gram, tol, max_iter = design.gram, opts.kkt_tol, opts.max_iter
     xty = design.matrix.T @ ys
@@ -379,8 +469,7 @@ def _solve_columns(design, partition, ys, lams, opts, start=None, base=None):
     dims = partition.block_sizes @ active
     # a column stepping on base's factor has no system matrix of its own
     sized, shared = (dims, {}) if base is None else (0 * dims, {"shared": base.factor})
-    # the BlockSupport of each distinct mask, keyed by its bytes
-    lo, supports = 0, {}
+    lo = 0
     while lo < k:
         # finish in column order, a chunk of c columns at a time whose padded
         # system matrices, c x m_max^2 entries, hold at most CHUNK_ENTRIES
@@ -407,31 +496,16 @@ def _solve_columns(design, partition, ys, lams, opts, start=None, base=None):
             for i, factor in zip(miss, again):
                 factors[i] = factor
         # the margins of the points returned, on the masks of their supports
+        on = active[:, lo:hi].copy()
         objective, t_margin, s_margin = _objective_and_margins(
             design, partition, ys[:, lo:hi], lams[lo:hi], beta, xty[:, lo:hi] - gram @ beta,
-            partition.block_norms(beta), active[:, lo:hi])
-        chunk = []
-        for i, j in enumerate(range(lo, hi)):
-            # a copy, so that no result pins its chunk
-            b = beta[:, i].copy()
-            b.setflags(write=False)
-            if failed[j]:
-                chunk.append(ConvergenceError(
-                    f"no KKT certificate <= {tol:g} within {max_iter} iterations "
-                    f"(best residual {resid[i]:g})",
-                    beta=b, kkt_residual=float(resid[i]), iterations=max_iter))
-            else:
-                key = active[:, j].tobytes()
-                if key not in supports:
-                    supports[key] = BlockSupport(partition, tuple(np.flatnonzero(active[:, j])))
-                chunk.append(Solution(
-                    beta=b, support=supports[key], objective=float(objective[i]),
-                    kkt_residual=float(resid[i]), iterations=int(iters[j]),
-                    transition_margin=float(t_margin[i]), support_margin=float(s_margin[i]),
-                    factor=factors[i]))
+            partition.block_norms(beta), on)
+        yield Chunk(beta=beta, active=on, objective=objective, kkt_residual=resid,
+                    iterations=iters[lo:hi].copy(), transition_margin=t_margin,
+                    support_margin=s_margin, failed=failed[lo:hi].copy(),
+                    factors=tuple(factors))
         # the chunk's arrays go before the next chunk is finished
         del beta, factors
-        yield chunk
         lo = hi
 
 

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .dof import dof_batch, fd_step
-from .solver import ConvergenceError, Problem, Solution, SolverOptions, solve, solve_batch
+from .solver import Problem, Solution, SolverOptions, solve, solve_chunks
 
 # oracle solves are tightened well below the comparison tolerances so that
 # solver noise does not leak into the finite differences; such a tolerance
@@ -57,20 +57,25 @@ def fd_oracle(problem: Problem, h: float | None = None, *, base: Solution | None
                          "y +/- h e_i equals y")
     opts = SolverOptions(kkt_tol=ORACLE_KKT_TOL, max_iter=max_iter)
     base = base if base is not None else solve(problem, opts)
-    support, q = base.support, problem.design.Q
+    support, partition, q = base.support, problem.partition, problem.design.Q
+    mask = np.zeros((partition.n_blocks, 1), dtype=bool)
+    mask[list(support.active)] = True
     # columns y + h e_0, y - h e_0, y + h e_1, ...
     ys = problem.y[:, None] + h * np.kron(np.eye(q), [1.0, -1.0])
     steps = (problem.y + h) - (problem.y - h)
-    results = solve_batch(problem.design, ys, problem.lam, problem.partition, opts, base=base)
-    jac = np.empty((support.active_dim, q))
-    for i, pair in enumerate(zip(results, results)):
-        for sol, sign in zip(pair, "+-"):
-            if isinstance(sol, ConvergenceError):
-                raise sol
-            if sol.support.active != support.active:
-                raise TransitionCrossingError(f"support changed at probe y[{i}] {sign} h")
-        plus, minus = (support.restrict(sol.beta) for sol in pair)
-        jac[:, i] = (plus - minus) / steps[i]
+    lo, on_support = 0, []
+    for chunk in solve_chunks(problem.design, ys, problem.lam, partition, opts, base=base):
+        # the first uncertified probe, or probe off base's support, in column order
+        bad = np.flatnonzero(chunk.failed | (chunk.active != mask).any(axis=0))
+        if bad.size:
+            if chunk.failed[bad[0]]:
+                raise chunk.result(bad[0], partition, opts, {})
+            i, sign = divmod(lo + int(bad[0]), 2)
+            raise TransitionCrossingError(f"support changed at probe y[{i}] {'+-'[sign]} h")
+        on_support.append(chunk.beta[support.indices])
+        lo += chunk.size
+    betas = np.hstack(on_support)
+    jac = (betas[:, 0::2] - betas[:, 1::2]) / steps
     # on the fixed support x_i'(beta+ - beta-) / d_i is x_{i,I}' jac[:, i]
     divergence = float(np.sum(problem.design.columns(support.indices) * jac.T))
     return jac, divergence

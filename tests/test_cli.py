@@ -242,6 +242,18 @@ class TestPath:
         assert "y must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("decades", ["-1", "0", "nan", "inf"])
+    def test_a_grid_that_does_not_descend_is_a_usage_error(self, problem_file, tmp_path,
+                                                           monkeypatch, capsys, decades):
+        # refused before any solve: -1 would run from 10 lambda_max down to
+        # lambda_max, every fit empty, and select 10 lambda_max with exit 0
+        monkeypatch.setattr(dof, "solve_chunks", None)
+        out = tmp_path / "curve.csv"
+        assert main(["path", "--problem", str(problem_file), "--grid-decades", decades,
+                     "--grid-points", "5", "--out", str(out), "--no-timestamp"]) == 2
+        assert "decades must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_csv_and_manifest_sidecar(self, problem_file, tmp_path):
         out = tmp_path / "curve.csv"
         code = main(["path", "--problem", str(problem_file),
@@ -310,6 +322,14 @@ class TestValidateFd:
         assert d["passed"] is True
         # far from a boundary the default step is 1e-5 * max|y|
         assert d["step"] == fd_step(load_problem(str(problem_file)).problem(0.4))
+
+    def test_the_probes_build_no_solution(self, problem_file, monkeypatch):
+        built, solution = [], solver.Solution
+        monkeypatch.setattr(solver, "Solution",
+                            lambda **fields: built.append(fields) or solution(**fields))
+        assert main(["validate", "fd", "--problem", str(problem_file), "--no-timestamp"]) == 0
+        # the base's alone: the 2Q probes are read from their chunk's arrays
+        assert len(built) == 1 and built[0]["kkt_residual"] <= validate.ORACLE_KKT_TOL
 
     def test_step_stays_inside_the_support_radius(self, tmp_path):
         loaded = load_problem(str(FD_NEAR_BOUNDARY))
@@ -432,12 +452,12 @@ class TestValidateFd:
 
         def probing(design, ys, *args, base, **kwargs):
             near.append((ys.shape[1], base))
-            return solve_batch(design, ys, *args, base=base, **kwargs)
+            return solve_chunks(design, ys, *args, base=base, **kwargs)
 
-        solve_batch = solver.solve_batch
+        solve_chunks = solver.solve_chunks
         monkeypatch.setattr(cli, "solve", counting)
         monkeypatch.setattr(validate, "solve", counting)
-        monkeypatch.setattr(validate, "solve_batch", probing)
+        monkeypatch.setattr(validate, "solve_chunks", probing)
         factored, cholesky = [], solver._cholesky
         monkeypatch.setattr(solver, "_cholesky", lambda a: factored.append(a.shape[0])
                             or cholesky(a))

@@ -118,5 +118,27 @@ def test_each_call_is_counted_in_its_subprocess(replay, tmp_path):
                                    "oneshot")], str(indir), str(outdir))
     assert json.loads((outdir / replay.CODES).read_text()) == {name: 0}
     assert json.loads((outdir / replay.COUNTS).read_text()) == {
-        name: {"_cholesky": 2, "_fista": 1}}
+        name: {"_cholesky": 2, "_fista": 1, "Solution": 1}}
     assert (outdir / name).exists()
+
+
+def test_the_solutions_of_validate_fd_are_counted(replay, tmp_path):
+    # `validate fd` builds the base's Solution alone: its 2Q = 8 probes are
+    # read from the finish's arrays
+    from gldof.core import BlockPartition, Design
+    from gldof.datagen import save_problem
+
+    indir, outdir = tmp_path / "inputs", tmp_path / "out"
+    indir.mkdir()
+    save_problem(indir / "p.json", Design.identity(4), [3.0, 4.0, 0.5, 0.5],
+                 BlockPartition.from_sizes([2, 2]), lam=1.0)
+    name = "fd-0-0.out.json"
+    replay.run_side(replay.ROOT, [(name, ["validate", "fd", "--problem", str(indir / "p.json"),
+                                          "--no-timestamp", "--out", str(indir / name)],
+                                   "fd")], str(indir), str(outdir))
+    assert json.loads((outdir / replay.CODES).read_text()) == {name: 0}
+    counts = json.loads((outdir / replay.COUNTS).read_text())[name]
+    assert counts["Solution"] == 1 and counts["_fista"] == 1
+    lines = replay.call_counts(str(outdir), str(outdir), {name: "fd"})
+    assert lines[1] == "  fd (1 calls): _cholesky 2.00 -> 2.00, _fista 1.00 -> 1.00, " \
+                       "Solution 1.00 -> 1.00"

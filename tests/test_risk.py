@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -100,6 +101,11 @@ class TestDefaultGrid:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             default_lambda_grid(0.0)
+
+    @pytest.mark.parametrize("decades", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
+    def test_rejects_a_count_of_decades_that_is_not_positive_and_finite(self, decades):
+        with pytest.raises(ValueError, match="decades must be positive and finite"):
+            default_lambda_grid(5.0, 5, decades)
 
 
 class TestLambdaPath:

@@ -1136,6 +1136,86 @@ class TestSolveBatch:
             solve_batch(problem.design, problem.y, problem.lam, problem.partition)
 
 
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+class TestChunk:
+    """`solve_chunks` yields one `Chunk` of arrays per finish chunk, and
+    `solve_batch` builds each column's object from it, bit for bit."""
+
+    def assert_objects_are_the_chunks(self, design, ys, lam, partition, opts):
+        chunks = list(solver.solve_chunks(design, ys, lam, partition, opts))
+        results = list(solve_batch(design, ys, lam, partition, opts))
+        columns = [(chunk, i) for chunk in chunks for i in range(chunk.size)]
+        assert len(columns) == len(results) == ys.shape[1]
+        for (chunk, i), result in zip(columns, results):
+            assert not chunk.beta.flags.writeable and not chunk.active.flags.writeable
+            assert same_bits(result.beta, chunk.beta[:, i])
+            assert same_bits(result.kkt_residual, chunk.kkt_residual[i])
+            if chunk.failed[i]:
+                assert isinstance(result, ConvergenceError)
+                assert result.iterations == chunk.iterations[i] == opts.max_iter
+                assert not chunk.active[:, i].any()
+                continue
+            assert result.support.active == tuple(np.flatnonzero(chunk.active[:, i]))
+            assert result.iterations == chunk.iterations[i]
+            # two runs: their factors are equal, not the same object
+            assert (result.factor is None) == (chunk.factors[i] is None)
+            assert result.factor is None or same_bits(result.factor[0], chunk.factors[i][0])
+            for name in ("objective", "transition_margin", "support_margin"):
+                assert same_bits(getattr(result, name), getattr(chunk, name)[i]), name
+        return chunks, results
+
+    def test_one_column(self):
+        problem = random_problem(8, 20, 9, [3, 3, 3], lam_frac=0.2)
+        (chunk,), _ = self.assert_objects_are_the_chunks(
+            problem.design, problem.y[:, None], problem.lam, problem.partition, SolverOptions())
+        assert chunk.size == 1 and not chunk.failed[0]
+
+    def test_columns_beyond_one_batch(self, monkeypatch):
+        problem = random_problem(8, 20, 9, [3, 3, 3], lam_frac=0.2)
+        ys = problem.y[:, None] * np.linspace(0.5, 2.0, 7)
+        monkeypatch.setattr(solver, "BATCH_COLUMNS", 3)
+        chunks, results = self.assert_objects_are_the_chunks(
+            problem.design, ys, problem.lam, problem.partition, SolverOptions())
+        assert len(chunks) >= 3
+        # one BlockSupport per distinct mask, across the batches
+        supports = {sol.support.active: sol.support for sol in results}
+        assert all(sol.support is supports[sol.support.active] for sol in results)
+
+    def test_an_uncertified_column(self):
+        problem = random_problem(21, 40, 16, [4, 4, 4, 4], lam_frac=0.05)
+        ys = np.column_stack([problem.y, 1e-9 * problem.y])
+        (chunk,), (failed, _) = self.assert_objects_are_the_chunks(
+            problem.design, ys, problem.lam, problem.partition, SolverOptions(max_iter=5))
+        assert list(chunk.failed) == [True, False]
+        assert str(failed) == ("no KKT certificate <= 1e-08 within 5 iterations "
+                               f"(best residual {chunk.kkt_residual[0]:g})")
+
+
+class TestSlackBound:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_the_cheap_bound_dominates_the_componentwise_one(self, seed):
+        rng = np.random.default_rng(seed)
+        q, n = 30, 16
+        partition = BlockPartition.from_sizes([4, 3, 5, 1, 3])
+        # condition numbers from 1 to 1e8, at data scales from 1e-9 to 1e9
+        for kappa in (1.0, 1e4, 1e8):
+            u, _ = np.linalg.qr(rng.standard_normal((q, n)))
+            v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            design = Design(u * np.logspace(0.0, -np.log10(kappa), n) @ v.T)
+            for s in (1e-9, 1e-3, 1.0, 1e3, 1e9):
+                ys = s * rng.standard_normal((q, 5))
+                beta = s * rng.standard_normal((n, 5)) * (rng.random(partition.n_blocks)
+                                                          < 0.5)[partition.block_index, None]
+                lams = s * rng.random(5)
+                cheap = solver._cheap_slack_bound(design, partition, ys, lams,
+                                                  partition.block_norms(beta))
+                exact = solver._slack_bound(design, partition, ys, lams, beta)
+                assert np.all(cheap >= exact)
+
+
 def probes(problem, h):
     """The fd oracle's columns y + h e_0, y - h e_0, y + h e_1, ..."""
     return problem.y[:, None] + h * np.kron(np.eye(problem.design.Q), [1.0, -1.0])

@@ -8,7 +8,7 @@ import pytest
 from helpers import random_problem, transition_instance
 
 from gldof import solver, validate
-from gldof.core import BlockPartition, Design
+from gldof.core import BlockPartition, BlockSupport, Design
 from gldof.datagen import ScenarioSpec, generate, load_problem
 from gldof.dof import (
     differential,
@@ -135,6 +135,57 @@ class TestFdJacobian:
         jac = fd_oracle(problem)[0]
         assert np.max(np.abs(jac - ref)) <= 1e-9 * np.max(np.abs(ref))
 
+    @staticmethod
+    def per_probe_reference(problem, h, base):
+        """The oracle probe by probe: each probe's Solution from
+        `solve_batch(..., base=)`, the first uncertified or off-support one
+        in column order raised, and the differences of `support.restrict`."""
+        q, support = problem.design.Q, base.support
+        ys = problem.y[:, None] + h * np.kron(np.eye(q), [1.0, -1.0])
+        steps = (problem.y + h) - (problem.y - h)
+        results = list(solver.solve_batch(problem.design, ys, problem.lam, problem.partition,
+                                          SolverOptions(kkt_tol=ORACLE_KKT_TOL,
+                                                        max_iter=validate.ORACLE_MAX_ITER),
+                                          base=base))
+        jac = np.empty((support.active_dim, q))
+        for i in range(q):
+            for sol, sign in zip(results[2 * i:2 * i + 2], "+-"):
+                if isinstance(sol, solver.ConvergenceError):
+                    raise sol
+                if sol.support != support:
+                    raise TransitionCrossingError(f"support changed at probe y[{i}] {sign} h")
+            plus, minus = (support.restrict(sol.beta) for sol in results[2 * i:2 * i + 2])
+            jac[:, i] = (plus - minus) / steps[i]
+        return jac, float(np.sum(problem.design.columns(support.indices) * jac.T))
+
+    @pytest.mark.parametrize("instance", ["random", "empty", "fd_seed316_round62"])
+    def test_matches_the_per_probe_reference_bit_for_bit(self, instance):
+        if instance == "random":
+            problem = random_problem(46, 16, 8, [3, 1, 4], lam_frac=0.3)
+        elif instance == "empty":
+            problem = identity_problem([0.4, 0.3, -0.2, 0.1], 2.0, [2, 2])
+        else:
+            loaded = load_problem(str(pathlib.Path(__file__).parent / "fixtures"
+                                      / f"{instance}.json"))
+            problem = loaded.problem(loaded.lam)
+        base = solve(problem, SolverOptions(kkt_tol=ORACLE_KKT_TOL))
+        h = min(fd_step(problem), 0.5 * dof_estimate(problem, base).radius)
+        jac, div = fd_oracle(problem, h, base=base)
+        ref_jac, ref_div = self.per_probe_reference(problem, h, base)
+        assert jac.shape == ref_jac.shape and jac.tobytes() == ref_jac.tobytes()
+        assert np.float64(div).tobytes() == np.float64(ref_div).tobytes()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_a_crossing_is_reported_at_the_reference_probe(self, seed):
+        problem = transition_instance(seed)
+        base = solve(problem, SolverOptions(kkt_tol=ORACLE_KKT_TOL))
+        with pytest.raises(TransitionCrossingError) as ref:
+            self.per_probe_reference(problem, fd_step(problem), base)
+        with pytest.raises(TransitionCrossingError,
+                           match=r"support changed at probe y\[\d+\] [+-] h$") as raised:
+            fd_oracle(problem, base=base)
+        assert str(raised.value) == str(ref.value)
+
     def test_boundary_instance_reports_transition_crossing(self):
         problem = transition_instance(1)
         with pytest.raises(TransitionCrossingError):
@@ -150,21 +201,29 @@ class TestFdJacobian:
 
     def test_a_crossing_probe_resumes_fista_and_is_reported(self, monkeypatch):
         problem = transition_instance(1)
-        batch = solver.solve_batch
-        # the message of every probe solved cold, as the oracle once did
-        monkeypatch.setattr(validate, "solve_batch",
-                            lambda design, ys, lam, partition, opts, base:
-                            batch(design, ys, lam, partition, opts))
-        with pytest.raises(TransitionCrossingError) as cold:
-            fd_oracle(problem)
-        monkeypatch.undo()
         base = solve(problem, SolverOptions(kkt_tol=ORACLE_KKT_TOL))
-        starts, fista = [], solver._fista
+        chunks, bases, starts, widths = solver.solve_chunks, [], [], []
+        fista = solver._fista
 
         def recording(design, partition, c, lams, scales, tol, max_iter, start=None):
             starts.append(start)
+            widths.append(c.shape[1])
             return fista(design, partition, c, lams, scales, tol, max_iter, start)
 
+        def cold_chunks(design, ys, lam, partition, opts, base):
+            bases.append(base)
+            return chunks(design, ys, lam, partition, opts)
+
+        # the message of every probe solved cold, as the oracle once did
+        monkeypatch.setattr(validate, "solve_chunks", cold_chunks)
+        monkeypatch.setattr(solver, "_fista", recording)
+        with pytest.raises(TransitionCrossingError) as cold:
+            fd_oracle(problem, base=base)
+        # the seam dropped the oracle's base, and all 2Q probes ran FISTA from zeros
+        assert bases == [base]
+        assert starts[0] is None and widths[0] == 2 * problem.design.Q
+        monkeypatch.undo()
+        starts.clear()
         monkeypatch.setattr(solver, "_fista", recording)
         with pytest.raises(TransitionCrossingError) as near:
             fd_oracle(problem, base=base)
@@ -182,23 +241,26 @@ class TestFdJacobian:
                                   / "fd_seed316_round62.json"))
         problem = loaded.problem(loaded.lam)
         base = solve(problem, SolverOptions(kkt_tol=ORACLE_KKT_TOL))
-        probes, batch = [], validate.solve_batch
+        probes, chunks = [], validate.solve_chunks
 
         def recording(design, ys, *args, **kwargs):
-            for y, sol in zip(ys.T, batch(design, ys, *args, **kwargs)):
-                probes.append((y, sol))
-                yield sol
+            lo = 0
+            for chunk in chunks(design, ys, *args, **kwargs):
+                probes.extend((ys[:, lo + i], chunk, i) for i in range(chunk.size))
+                lo += chunk.size
+                yield chunk
 
-        monkeypatch.setattr(validate, "solve_batch", recording)
+        monkeypatch.setattr(validate, "solve_chunks", recording)
         # the step of `validate fd`
         fd_oracle(problem, min(fd_step(problem), 0.5 * dof_estimate(problem, base).radius),
                   base=base)
         assert len(probes) == 2 * problem.design.Q
-        for y, sol in probes:
-            assert sol.kkt_residual <= ORACLE_KKT_TOL
-            assert sol.support == base.support
+        for y, chunk, i in probes:
+            assert not chunk.failed[i] and chunk.kkt_residual[i] <= ORACLE_KKT_TOL
+            on = BlockSupport(problem.partition, tuple(np.flatnonzero(chunk.active[:, i])))
+            assert on == base.support
             # the certificate again, from X, y and beta alone
-            assert kkt_check(problem.with_y(y), sol.beta, ORACLE_KKT_TOL)[1]
+            assert kkt_check(problem.with_y(y), chunk.beta[:, i], ORACLE_KKT_TOL)[1]
 
 
 def small_scenario(seed=3, sizes=(2, 2, 2, 2, 2), q=20, sigma=0.5):

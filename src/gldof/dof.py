@@ -31,13 +31,14 @@ the small part it leaves to cancellation, then divide it by ||beta_b||.
 `dof_batch` gives the solutions of `solver.solve_batch` on the columns of a
 Q x K matrix of observations (Monte Carlo replicates, or one y at each
 lambda of a path) with their reports, one chunk of the solver's finish at a
-time.  The reports of a chunk are one pass: each column's W, by one
-`dtrtri`, goes into a stack padded to the chunk's largest support, in the
-block order of `BlockSupport.indices`, and the W_b u_b of every active
-block of every column are sums over the runs of one block in that order,
-read from `BlockPartition.block_index`; no other m^3 work is done, and no
-Problem or per-column support index is built.  `dof_estimate` is that pass
-on one column.
+time.  The reports of a chunk are one pass over its `solver.Chunk`, the
+record of arrays that the finish yields: each column's W, by one `dtrtri`,
+goes into a stack padded to the chunk's largest support, in the block order
+of `BlockSupport.indices`, and the W_b u_b of every active block of every
+column are sums over the runs of one block in that order, read from the
+chunk's masks and `BlockPartition.block_index`; no other m^3 work is done,
+and no Problem or per-column support index is built.  `dof_estimate` is
+that pass on one column, its Solution's.
 """
 
 from __future__ import annotations

@@ -32,10 +32,14 @@ gathered once into a stack padded to the chunk's largest support
 (c x m_max^2 entries, at most CHUNK_ENTRIES or one column's).
 `solve` is that same code at K = 1: one FISTA start and iteration, one prox,
 one certificate (`_violation`, which `kkt_check` evaluates too) and one
-finish, equal to a column-by-column finish up to round-off; each support's
-BlockSupport is built once, as its columns are yielded.  Given a `base`
-Solution of nearby observations (finite-difference probes), every column's
-finish starts at base.beta and steps on base.factor, in one solve per step.
+finish, equal to a column-by-column finish up to round-off.  The finish
+yields one `Chunk` per chunk, a record of arrays (points, support masks,
+certificates, margins, factors); `solve`, `solve_batch` and
+`dof.dof_batch` turn its columns into Solutions with `Chunk.result`, one
+BlockSupport per distinct mask, and `solve_chunks` hands the records
+themselves to callers that read arrays.  Given a `base` Solution of nearby
+observations (finite-difference probes), every column's finish starts at
+base.beta and steps on base.factor, in one solve per step.
 
 Tolerance policy.  Solving (s y, s lambda) gives s beta(y) and the same DOF,
 so no tolerance is absolute:

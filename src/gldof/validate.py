@@ -8,7 +8,8 @@ probes step on the base solution's factor, which the differential reads
 too, for speed alone: a probe is kept only at the solver's stationarity stop,
 on its start support and with its own KKT certificate, none of which reads
 the factor, so a wrong factor slows the probes, or sends them back to FISTA,
-but does not move them.
+but does not move them.  The probes are read as the solver's arrays, one
+`solver.Chunk` per finish chunk, and no Solution is built for them.
 """
 
 from __future__ import annotations
@@ -37,17 +38,18 @@ def fd_oracle(problem: Problem, h: float | None = None, *, base: Solution | None
     """Central differences of y -> beta(y) on the support of `base`.
 
     Solves the problem at y +/- h e_i for every observation coordinate, as
-    one `solve_batch` of 2Q columns from `base` (h defaults to `fd_step`,
-    and no probe may equal y).  `base` is the solution at y itself, solved
+    one `solve_chunks` of 2Q columns from `base` (h defaults to `fd_step`,
+    and no probe may equal y), read as arrays: the Jacobian is (B[I, 0::2]
+    - B[I, 1::2]) / d from the N x 2Q matrix B of the probes' points.  `base` is the solution at y itself, solved
     here when not given; its factor sets the probes' speed, not their values
     (module docstring).  Returns the |I| x Q Jacobian of y -> beta(y)_I and
     the divergence of y -> X beta(y), sum_i x_i'(beta(y + h e_i) -
     beta(y - h e_i)) / d_i, 0 for an empty support; d_i = (y_i + h) -
     (y_i - h) is the step the floats take, 2h only up to the spacing of the
-    floats at y_i.  Raises TransitionCrossingError if any probe's block
-    support differs from that of `base` (the restriction to I, and the
-    divergence of a fixed support, are then invalid), and the
-    ConvergenceError of an uncertified probe.
+    floats at y_i.  Raises, at the first offending probe in column order,
+    the ConvergenceError of an uncertified probe, or TransitionCrossingError
+    if its block support differs from that of `base` (the restriction to I,
+    and the divergence of a fixed support, are then invalid).
     """
     h = fd_step(problem) if h is None else h
     if not 0.0 < h < math.inf:
